@@ -37,10 +37,7 @@ from .objectives import (
     LiftedGuide,
     LinearRegularizer,
     ModularFunction,
-    RegularizedGuide,
-    guide_value,
     guide_weights,
-    lifted_guide_value,
     make_tracker,
     project,
     project_all,
@@ -57,9 +54,7 @@ from .solvers import (
     inner_eps,
     non_oblivious_solve,
     randomized_local_search,
-    randomized_local_search_once,
     reference_local_search,
-    regularized_solve,
     warm_start,
 )
 from .verify import (
@@ -104,10 +99,7 @@ __all__ = [
     "LiftedGuide",
     "LinearRegularizer",
     "ModularFunction",
-    "RegularizedGuide",
-    "guide_value",
     "guide_weights",
-    "lifted_guide_value",
     "make_tracker",
     "project",
     "project_all",
@@ -122,9 +114,7 @@ __all__ = [
     "inner_eps",
     "non_oblivious_solve",
     "randomized_local_search",
-    "randomized_local_search_once",
     "reference_local_search",
-    "regularized_solve",
     "warm_start",
     "BruteForceResult",
     "approximation_report",

@@ -28,7 +28,7 @@ from .instances import (
     save_instance,
 )
 from .matroids import lift
-from .objectives import LiftedGuide, RegularizedGuide, guide_weights, project_all
+from .objectives import LiftedGuide, guide_weights, project_all
 from .solvers import (
     DETERMINISTIC,
     PLAIN_GREEDY,
@@ -37,6 +37,7 @@ from .solvers import (
     RunReport,
     SolverConfig,
     THRESHOLD_GREEDY,
+    _ceil_sqrt,
     non_oblivious_solve,
 )
 from .verify import (
@@ -64,11 +65,6 @@ BENCH_COLUMNS = [
     "wall_time",
     "failed",
 ]
-
-
-def _ceil_sqrt(n: int) -> int:
-    root = math.isqrt(n)
-    return root + (1 if root * root < n else 0)
 
 
 def det_normalizer(n: int, r: int) -> float:
@@ -190,14 +186,12 @@ def cmd_verify(args) -> int:
         return 0
 
     levels = doc["levels"]
-    weights = guide_weights(levels)
     regularizer = instance.build_regularizer()
     if doc.get("regularized"):
         check(regularizer is not None, "instance carries the regularizer")
-    if doc.get("regularized") and regularizer is not None:
-        guide = RegularizedGuide(f, weights, regularizer)
     else:
-        guide = LiftedGuide(f, weights)
+        regularizer = None
+    guide = LiftedGuide(f, guide_weights(levels), regularizer)
     lifted_matroid = lift(matroid, levels)
     lifted_solution = ElementSet.from_iterable(n * levels, doc["lifted_solution"])
     check(

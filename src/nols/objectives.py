@@ -6,35 +6,20 @@ layers, and the guide value of a lifted set is a weighted sum of f over the
 unions of every non-empty subset of layers. The weights (one per subset
 size) are chosen so the schedule telescopes, which is what buys the final
 approximation factor. This module owns those weights, the lifting/projection
-helpers, and the marginal trackers that keep guide queries cheap.
+helpers, and the marginal tracker that keeps guide queries cheap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ElementId, ElementSet, ValueOracle
 
 MAX_LEVELS = 20  # 2**levels subset evaluations per guide query; hard cap
-
-
-def marginal(f: ValueOracle, u: ElementId, s: ElementSet) -> float:
-    """f(u | S) = f(S + u) - f(S). Two value queries."""
-    return f.eval(s.add(u)) - f.eval(s)
-
-
-def marginal_without(f: ValueOracle, u: ElementId, s: ElementSet) -> float:
-    """f(u | S - u) = f(S + u) - f(S - u). Two value queries.
-
-    For u outside S this equals the ordinary marginal.
-    """
-    base = ElementSet(s.n, s.mask & ~(1 << u))
-    return f.eval(base.add(u)) - f.eval(base)
 
 
 class CoverageFunction:
@@ -192,67 +177,19 @@ def guide_weights(levels: int) -> GuideWeights:
     return GuideWeights(levels)
 
 
-def guide_value(
-    f: ValueOracle, weights: GuideWeights, parts: Sequence[ElementSet]
-) -> float:
-    """Guide value of a partitioned solution (parts[i] is layer i+1).
-
-    Sums weight(|J|) * f(union of parts in J) over non-empty layer subsets
-    J; costs 2^levels - 1 value queries. Parts must be pairwise disjoint.
-    """
-    ell = weights.levels
-    if len(parts) != ell:
-        raise ValueError(f"expected {ell} parts, got {len(parts)}")
-    n = f.ground_size
-    seen = 0
-    for p in parts:
-        if p.n != n:
-            raise ValueError("part universe does not match the objective")
-        if p.mask & seen:
-            raise ValueError("parts must be pairwise disjoint")
-        seen |= p.mask
-    wf = weights.floats
-    union = [0] * (1 << ell)
-    total = 0.0
-    for j in range(1, 1 << ell):
+def subset_unions(masks: Sequence[int]) -> list[int]:
+    """Union of masks over every subset of them: entry j ORs masks[i] for
+    each bit i of j (entry 0 is the empty union)."""
+    union = [0] * (1 << len(masks))
+    for j in range(1, len(union)):
         low = j & -j
-        union[j] = union[j ^ low] | parts[low.bit_length() - 1].mask
-        total += wf[j.bit_count()] * f.eval(ElementSet(n, union[j]))
-    return total
+        union[j] = union[j ^ low] | masks[low.bit_length() - 1]
+    return union
 
 
-# ----- lifted ground set indexing -----
+# ----- lifted ground set -----
 #
 # lifted index = base * levels + (level - 1), levels are 1-based
-
-
-def lifted_index(base: ElementId, level: int, levels: int) -> ElementId:
-    if not 1 <= level <= levels:
-        raise ValueError(f"level {level} outside [1, {levels}]")
-    return base * levels + (level - 1)
-
-
-def lifted_base(x: ElementId, levels: int) -> ElementId:
-    return x // levels
-
-
-def lifted_level(x: ElementId, levels: int) -> int:
-    return x % levels + 1
-
-
-@dataclass(frozen=True)
-class LiftedElement:
-    """(base, level) view of a lifted index; level is 1-based."""
-
-    base: ElementId
-    level: int
-
-    def flatten(self, levels: int) -> ElementId:
-        return lifted_index(self.base, self.level, levels)
-
-    @classmethod
-    def unflatten(cls, x: ElementId, levels: int) -> "LiftedElement":
-        return cls(lifted_base(x, levels), lifted_level(x, levels))
 
 
 def level_masks(s: ElementSet, levels: int) -> list[int]:
@@ -289,29 +226,46 @@ class LiftedGuide:
     non-empty level subsets J, so one guide evaluation costs
     2^levels - 1 inner value queries. Query accounting happens on the inner
     oracle; wrap f with counting before lifting.
+
+    An optional regularizer adds reg_scale = top_weight * (levels + 1) times
+    its weight for each lifted element's base element, at no query cost.
+    With non-negative regularizer weights the guide stays monotone
+    submodular; negative weights are accepted but the solver guarantees are
+    then not certified by this package's checks.
     """
 
-    __slots__ = ("inner", "weights", "levels", "ground_size", "_wj")
+    __slots__ = (
+        "inner", "weights", "levels", "ground_size", "regularizer", "reg_scale", "_wj"
+    )
 
-    def __init__(self, inner: ValueOracle, weights: GuideWeights):
+    def __init__(
+        self,
+        inner: ValueOracle,
+        weights: GuideWeights,
+        regularizer: LinearRegularizer | None = None,
+    ):
+        if regularizer is not None and regularizer.ground_size != inner.ground_size:
+            raise ValueError("regularizer universe does not match the objective")
         self.inner = inner
         self.weights = weights
         self.levels = weights.levels
         self.ground_size = inner.ground_size * weights.levels
+        self.regularizer = regularizer
+        self.reg_scale = weights.floats[weights.levels] * (weights.levels + 1)
         # weight per level-subset mask, indexed by the mask
         self._wj = tuple(
             weights.floats[j.bit_count()] for j in range(1 << self.levels)
         )
 
     def eval(self, s: ElementSet) -> float:
-        lm = level_masks(s, self.levels)
+        union = subset_unions(level_masks(s, self.levels))
         n = self.inner.ground_size
-        union = [0] * (1 << self.levels)
         total = 0.0
-        for j in range(1, 1 << self.levels):
-            low = j & -j
-            union[j] = union[j ^ low] | lm[low.bit_length() - 1]
+        for j in range(1, len(union)):
             total += self._wj[j] * self.inner.eval(ElementSet(n, union[j]))
+        if self.regularizer is not None:
+            w = self.regularizer.weights
+            total += self.reg_scale * sum(w[x // self.levels] for x in s)
         return total
 
     def make_tracker(self, start: ElementSet) -> "LiftedTracker":
@@ -321,134 +275,9 @@ class LiftedGuide:
         return f"LiftedGuide(levels={self.levels}, inner={self.inner!r})"
 
 
-def lifted_guide_value(
-    f: ValueOracle, weights: GuideWeights, s: ElementSet
-) -> float:
-    """Standalone guide evaluation; 2^levels - 1 value queries."""
-    return LiftedGuide(f, weights).eval(s)
-
-
-def lifted_guide_marginal(
-    f: ValueOracle, weights: GuideWeights, x: ElementId, s: ElementSet
-) -> float:
-    """Marginal of the guide at lifted element x given lifted set s.
-
-    Decomposes over the level subsets containing x's level: each term is an
-    f-marginal on the corresponding projection (identically zero when the
-    base element already appears there, in which case no query is spent).
-    Equals eval(s + x) - eval(s); zero when x is already in s.
-    """
-    ell = weights.levels
-    lm = level_masks(s, ell)
-    n = f.ground_size
-    u = x // ell
-    lvl_bit = 1 << (x % ell)
-    ubit = 1 << u
-    wf = weights.floats
-    union = [0] * (1 << ell)
-    total = 0.0
-    for j in range(1, 1 << ell):
-        low = j & -j
-        union[j] = union[j ^ low] | lm[low.bit_length() - 1]
-        if j & lvl_bit and not union[j] & ubit:
-            proj = ElementSet(n, union[j])
-            total += wf[j.bit_count()] * marginal(f, u, proj)
-    return total
-
-
-class RegularizedGuide:
-    """Lifted guide plus top_weight * (levels + 1) times a modular term.
-
-    The modular term charges each lifted element its base element's
-    regularizer weight and costs no oracle queries. With non-negative
-    regularizer weights the guide stays monotone submodular; negative
-    weights are accepted but the solver guarantees are then not certified
-    by this package's checks.
-    """
-
-    __slots__ = ("lifted", "regularizer", "scale")
-
-    def __init__(
-        self, inner: ValueOracle, weights: GuideWeights, regularizer: LinearRegularizer
-    ):
-        if regularizer.ground_size != inner.ground_size:
-            raise ValueError("regularizer universe does not match the objective")
-        self.lifted = LiftedGuide(inner, weights)
-        self.regularizer = regularizer
-        self.scale = weights.floats[weights.levels] * (weights.levels + 1)
-
-    @property
-    def ground_size(self) -> int:
-        return self.lifted.ground_size
-
-    @property
-    def levels(self) -> int:
-        return self.lifted.levels
-
-    @property
-    def weights(self) -> GuideWeights:
-        return self.lifted.weights
-
-    @property
-    def inner(self) -> ValueOracle:
-        return self.lifted.inner
-
-    def reg_term(self, s: ElementSet) -> float:
-        ell = self.lifted.levels
-        w = self.regularizer.weights
-        return self.scale * sum(w[x // ell] for x in s)
-
-    def eval(self, s: ElementSet) -> float:
-        return self.lifted.eval(s) + self.reg_term(s)
-
-    def make_tracker(self, start: ElementSet) -> "RegularizedTracker":
-        return RegularizedTracker(self, start)
-
-
-# ----- marginal trackers -----
-
-
-class SolutionTracker:
-    """Caches f(S) for a working solution so marginals cost one query.
-
-    marginal_add(u) and marginal_drop(u) are f(u | S) and f(u | S - u);
-    apply() commits a move and refreshes the cache with one query.
-    """
-
-    __slots__ = ("oracle", "current", "value")
-
-    def __init__(self, oracle: ValueOracle, start: ElementSet):
-        self.oracle = oracle
-        self.current = start
-        self.value = oracle.eval(start)
-
-    @property
-    def ground_size(self) -> int:
-        return self.oracle.ground_size
-
-    def marginal_add(self, u: ElementId) -> float:
-        if u in self.current:
-            return 0.0
-        return self.oracle.eval(self.current.add(u)) - self.value
-
-    def marginal_drop(self, u: ElementId) -> float:
-        if u not in self.current:
-            raise KeyError(u)
-        return self.value - self.oracle.eval(self.current.remove(u))
-
-    def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
-        s = self.current
-        if drop is not None:
-            s = s.remove(drop)
-        if add is not None:
-            s = s.add(add)
-        self.current = s
-        self.value = self.oracle.eval(s)
-
-
 class LiftedTracker:
     """Incremental guide state: one projection and cached f value per level
-    subset.
+    subset, plus the running regularizer total when the guide has one.
 
     A marginal at a lifted element touches only the 2^(levels-1) subsets
     containing its level and costs one inner query per touched subset whose
@@ -457,29 +286,25 @@ class LiftedTracker:
     level (solvers maintain this through matroid independence).
     """
 
-    __slots__ = ("guide", "current", "value", "_proj", "_fval", "_with_level")
+    __slots__ = ("guide", "current", "value", "_proj", "_fval", "_with_level", "_reg_total")
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
         self.guide = guide
         ell = guide.levels
         self.current = start
-        lm = level_masks(start, ell)
-        nsub = 1 << ell
-        proj = [0] * nsub
-        for j in range(1, nsub):
-            low = j & -j
-            proj[j] = proj[j ^ low] | lm[low.bit_length() - 1]
-        if proj[nsub - 1].bit_count() != len(start):
+        proj = subset_unions(level_masks(start, ell))
+        if proj[-1].bit_count() != len(start):
             raise ValueError("tracked set holds a base element on two levels")
         self._proj = proj
         inner = guide.inner
         n = inner.ground_size
-        self._fval = [0.0] * nsub
-        for j in range(1, nsub):
-            self._fval[j] = inner.eval(ElementSet(n, proj[j]))
+        self._fval = [0.0] + [inner.eval(ElementSet(n, p)) for p in proj[1:]]
         self._with_level = tuple(
-            tuple(j for j in range(1, nsub) if j >> lvl & 1) for lvl in range(ell)
+            tuple(j for j in range(1, len(proj)) if j >> lvl & 1) for lvl in range(ell)
         )
+        if guide.regularizer is not None:
+            w = guide.regularizer.weights
+            self._reg_total = sum(w[x // ell] for x in start)
         self._recompute_value()
 
     @property
@@ -490,6 +315,11 @@ class LiftedTracker:
         wj = self.guide._wj
         fv = self._fval
         self.value = sum(wj[j] * fv[j] for j in range(1, len(fv)))
+        if self.guide.regularizer is not None:
+            self.value += self.guide.reg_scale * self._reg_total
+
+    def _reg_weight(self, x: ElementId) -> float:
+        return self.guide.regularizer.weights[x // self.guide.levels]
 
     def marginal_add(self, x: ElementId) -> float:
         if x in self.current:
@@ -505,6 +335,8 @@ class LiftedTracker:
             if pj & ubit:
                 continue
             total += wj[j] * (inner.eval(ElementSet(n, pj | ubit)) - self._fval[j])
+        if self.guide.regularizer is not None:
+            total += self.guide.reg_scale * self._reg_weight(x)
         return total
 
     def marginal_drop(self, x: ElementId) -> float:
@@ -520,16 +352,21 @@ class LiftedTracker:
             total += wj[j] * (
                 self._fval[j] - inner.eval(ElementSet(n, self._proj[j] & ~ubit))
             )
+        if self.guide.regularizer is not None:
+            total += self.guide.reg_scale * self._reg_weight(x)
         return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
         ell = self.guide.levels
+        regularized = self.guide.regularizer is not None
         s = self.current
         if drop is not None:
             s = s.remove(drop)
             ubit = 1 << (drop // ell)
             for j in self._with_level[drop % ell]:
                 self._proj[j] &= ~ubit
+            if regularized:
+                self._reg_total -= self._reg_weight(drop)
         if add is not None:
             s = s.add(add)
             ubit = 1 << (add // ell)
@@ -537,6 +374,8 @@ class LiftedTracker:
                 raise ValueError("base element already tracked on another level")
             for j in self._with_level[add % ell]:
                 self._proj[j] |= ubit
+            if regularized:
+                self._reg_total += self._reg_weight(add)
         self.current = s
         inner = self.guide.inner
         n = inner.ground_size
@@ -550,44 +389,9 @@ class LiftedTracker:
         self._recompute_value()
 
 
-class RegularizedTracker(LiftedTracker):
-    """LiftedTracker plus the query-free modular regularizer term."""
-
-    __slots__ = ("rguide", "_reg_total")
-
-    def __init__(self, rguide: RegularizedGuide, start: ElementSet):
-        self.rguide = rguide
-        ell = rguide.levels
-        w = rguide.regularizer.weights
-        self._reg_total = sum(w[x // ell] for x in start)
-        super().__init__(rguide.lifted, start)
-
-    def _recompute_value(self):
-        super()._recompute_value()
-        self.value += self.rguide.scale * self._reg_total
-
-    def _reg_weight(self, x: ElementId) -> float:
-        return self.rguide.regularizer.weights[x // self.rguide.levels]
-
-    def marginal_add(self, x: ElementId) -> float:
-        if x in self.current:
-            return 0.0
-        return super().marginal_add(x) + self.rguide.scale * self._reg_weight(x)
-
-    def marginal_drop(self, x: ElementId) -> float:
-        return super().marginal_drop(x) + self.rguide.scale * self._reg_weight(x)
-
-    def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
-        if drop is not None:
-            self._reg_total -= self._reg_weight(drop)
-        if add is not None:
-            self._reg_total += self._reg_weight(add)
-        super().apply(add=add, drop=drop)
-
-
-def make_tracker(oracle: ValueOracle, start: ElementSet):
-    """Tracker for the oracle's structure; plain oracles get the generic
-    cached-value tracker."""
-    if hasattr(oracle, "make_tracker"):
-        return oracle.make_tracker(start)
-    return SolutionTracker(oracle, start)
+def make_tracker(oracle: ValueOracle, start: ElementSet) -> LiftedTracker:
+    """Marginal tracker for the oracle. A plain oracle is tracked as the
+    one-level guide, which is the oracle itself (its one weight is 1)."""
+    if not hasattr(oracle, "make_tracker"):
+        oracle = LiftedGuide(oracle, GuideWeights(1))
+    return oracle.make_tracker(start)

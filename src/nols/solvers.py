@@ -5,9 +5,8 @@ partitioned search used to sanity-check the guide machinery at toy scale.
 ``deterministic_local_search`` and ``randomized_local_search`` are the real
 workers: swap searches over any (value oracle, matroid) pair that stop at an
 approximate local optimum certified by a greedy challenger set.
-``non_oblivious_solve`` composes them with the lifted guide to reach the
-target approximation factor, and ``regularized_solve`` does the same with a
-modular regularizer folded into the guide.
+``non_oblivious_solve`` composes them with the lifted guide (optionally
+carrying a modular regularizer) to reach the target approximation factor.
 """
 
 from __future__ import annotations
@@ -32,13 +31,13 @@ from .core import (
 from .matroids import extend_to_base, lift, max_weight_independent, min_weight_exchange
 from .matroids import rank as matroid_rank
 from .objectives import (
-    GuideWeights,
     LiftedGuide,
     LinearRegularizer,
-    RegularizedGuide,
+    MAX_LEVELS,
     guide_weights,
     make_tracker,
     project_all,
+    subset_unions,
 )
 
 DETERMINISTIC = "deterministic"
@@ -71,8 +70,17 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.warm_start not in (THRESHOLD_GREEDY, PLAIN_GREEDY):
             raise ValueError(f"unknown warm start {self.warm_start!r}")
-        if self.levels_override is not None and self.levels_override < 1:
-            raise ValueError("levels_override must be at least 1")
+        if self.levels_override is None:
+            if default_levels(self.eps) > MAX_LEVELS:
+                raise ValueError(
+                    f"eps={self.eps} needs {default_levels(self.eps)} levels, more "
+                    f"than the cap of {MAX_LEVELS}; use eps >= 1/{MAX_LEVELS - 1} "
+                    "or set levels_override"
+                )
+        elif not 1 <= self.levels_override <= MAX_LEVELS:
+            raise ValueError(
+                f"levels_override={self.levels_override} outside [1, {MAX_LEVELS}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -242,6 +250,24 @@ def warm_start(
     return tracker.current
 
 
+def _warm_base(
+    f: ValueOracle, matroid: MatroidOracle, warm_variant: str, policy: NumericPolicy
+):
+    """Warm-start a tracker from the empty set, then extend it to a base.
+
+    Returns (tracker at the base, warm set, warm value); no randomness, so
+    every search attempt reaches the same base.
+    """
+    tracker = make_tracker(f, ElementSet.empty(f.ground_size))
+    _run_warm_start(tracker, matroid, warm_variant, policy)
+    warm_set = tracker.current
+    warm_value = tracker.value
+    base = extend_to_base(matroid, warm_set)
+    for u in base.difference(warm_set):
+        tracker.apply(add=u)
+    return tracker, warm_set, warm_value
+
+
 def _certificate_from_tracker(
     tracker, matroid: MatroidOracle, eps: float, warm_value: float
 ) -> LocalOptCertificate:
@@ -292,13 +318,7 @@ def deterministic_local_search(
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = f.ground_size
-    tracker = make_tracker(f, ElementSet.empty(n))
-    _run_warm_start(tracker, matroid, warm_variant, policy)
-    warm_set = tracker.current
-    warm_value = tracker.value
-    base = extend_to_base(matroid, warm_set)
-    for u in base.difference(warm_set):
-        tracker.apply(add=u)
+    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant, policy)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
@@ -348,109 +368,10 @@ def _ceil_sqrt(n: int) -> int:
     return root + (1 if root * root < n else 0)
 
 
-def randomized_local_search_once(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    eps: float,
-    rng: RandomSource,
-    *,
-    warm_variant: str = THRESHOLD_GREEDY,
-    policy: NumericPolicy = FLOAT_POLICY,
-) -> LocalSearchResult | None:
-    """One sampled-swap run; returns None when the final check fails.
-
-    k = ceil(18 r / eps) iterations each sample a drop pool R1 from the
-    solution (size min(r, ceil(sqrt n))) and a candidate pool R2 from the
-    ground set (size max(ceil(n / r), ceil(sqrt n))), then apply the best
-    feasible swap if its gain is non-negative. One trajectory index i in
-    [k] is then drawn uniformly; S_{i-1} is tested against the challenger
-    certificate at threshold eps * f(S0) and returned when it passes.
-    """
-    result, _ = _randomized_once(
-        f, matroid, eps, rng, warm_variant=warm_variant, policy=policy
-    )
-    return result
-
-
-def _randomized_once(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    eps: float,
-    rng: RandomSource,
-    *,
-    warm_variant: str,
-    policy: NumericPolicy,
-) -> tuple[LocalSearchResult | None, int]:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = f.ground_size
-    tracker = make_tracker(f, ElementSet.empty(n))
-    _run_warm_start(tracker, matroid, warm_variant, policy)
-    warm_set = tracker.current
-    warm_value = tracker.value
-    base = extend_to_base(matroid, warm_set)
-    for u in base.difference(warm_set):
-        tracker.apply(add=u)
-    r = len(tracker.current)
-
-    k = max(1, math.ceil(18 * r / eps))
-    root = _ceil_sqrt(n)
-    r1_size = min(r, root)
-    r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
-    ground = ElementSet.full(n)
-
-    trajectory = [tracker.current]
-    for _ in range(k):
-        s = tracker.current
-        r1 = sample_without_replacement(rng, s, r1_size)
-        r2 = sample_without_replacement(rng, ground, r2_size)
-        stripped = s.mask & ~r1.mask
-        feasible = [
-            v
-            for v in r2
-            if v not in s
-            and matroid.is_independent(ElementSet(n, stripped | (1 << v)))
-        ]
-        if feasible and len(r1) > 0:
-            drop_w = {u: tracker.marginal_drop(u) for u in r1}
-            best: tuple[float, ElementId, ElementId] | None = None
-            for v in feasible:  # ascending; first best kept on ties
-                gain_add = tracker.marginal_add(v)
-                u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
-                gain = gain_add - drop_w[u_v]
-                if best is None or gain > best[0]:
-                    best = (gain, v, u_v)
-            gain, v, u = best
-            if policy.ge(gain, 0.0):
-                tracker.apply(add=v, drop=u)
-        trajectory.append(tracker.current)
-
-    i = 1 + rng.randrange(k)
-    tested = trajectory[i - 1]
-    if tested == tracker.current:
-        test_tracker = tracker
-    else:
-        test_tracker = make_tracker(f, tested)
-    certificate = _certificate_from_tracker(test_tracker, matroid, eps, warm_value)
-    threshold = certificate.bound
-    failed = (
-        policy.ge(certificate.gap, threshold)
-        if threshold > 0
-        else policy.gt(certificate.gap, 0.0)
-    )
-    if failed:
-        return None, k
-    return (
-        LocalSearchResult(
-            solution=tested,
-            value=test_tracker.value,
-            warm_set=warm_set,
-            warm_value=warm_value,
-            iterations=k,
-            certificate=certificate,
-        ),
-        k,
-    )
+def randomized_iterations(r: int, eps: float) -> int:
+    """Iterations per randomized attempt at rank r: ceil(18 r / eps), at
+    least 1."""
+    return max(1, math.ceil(18 * r / eps))
 
 
 def randomized_local_search(
@@ -463,34 +384,82 @@ def randomized_local_search(
     warm_variant: str = THRESHOLD_GREEDY,
     policy: NumericPolicy = FLOAT_POLICY,
 ) -> LocalSearchResult | None:
-    """Amplified randomized search: first passing attempt wins.
+    """Sampled-swap search, amplified over attempts; the first passing
+    attempt wins.
 
-    attempts defaults to ceil(log3(1/eps)); all attempts draw from the one
-    generator, so replay is deterministic. Returns None only when every
-    attempt fails.
+    Each attempt warm-starts, extends to a base, and runs
+    k = ceil(18 r / eps) iterations that each sample a drop pool R1 from the
+    solution (size min(r, ceil(sqrt n))) and a candidate pool R2 from the
+    ground set (size max(ceil(n / r), ceil(sqrt n))), then apply the best
+    feasible swap if its gain is non-negative. One trajectory index i in
+    [k] is then drawn uniformly; S_{i-1} is tested against the challenger
+    certificate at threshold eps * f(S0) and returned when it passes.
+
+    attempts defaults to ceil(log3(1/eps)); attempts=1 is a single run. All
+    attempts draw from the one generator, so replay is deterministic. The
+    result's iterations count every attempt made. Returns None only when
+    every attempt fails.
     """
-    result, _ = _randomized_amplified(
-        f, matroid, eps, rng, attempts=attempts, warm_variant=warm_variant,
-        policy=policy,
-    )
-    return result
-
-
-def _randomized_amplified(
-    f, matroid, eps, rng, *, attempts, warm_variant, policy
-) -> tuple[LocalSearchResult | None, int]:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     if attempts is None:
         attempts = amplification_attempts(eps)
-    total_iterations = 0
-    for _ in range(attempts):
-        res, k = _randomized_once(
-            f, matroid, eps, rng, warm_variant=warm_variant, policy=policy
+    n = f.ground_size
+    root = _ceil_sqrt(n)
+    ground = ElementSet.full(n)
+    for attempt in range(1, attempts + 1):
+        tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant, policy)
+        r = len(tracker.current)
+        k = randomized_iterations(r, eps)
+        r1_size = min(r, root)
+        r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
+
+        trajectory = [tracker.current]
+        for _ in range(k):
+            s = tracker.current
+            r1 = sample_without_replacement(rng, s, r1_size)
+            r2 = sample_without_replacement(rng, ground, r2_size)
+            stripped = s.mask & ~r1.mask
+            feasible = [
+                v
+                for v in r2
+                if v not in s
+                and matroid.is_independent(ElementSet(n, stripped | (1 << v)))
+            ]
+            if feasible and len(r1) > 0:
+                drop_w = {u: tracker.marginal_drop(u) for u in r1}
+                best: tuple[float, ElementId, ElementId] | None = None
+                for v in feasible:  # ascending; first best kept on ties
+                    gain_add = tracker.marginal_add(v)
+                    u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
+                    gain = gain_add - drop_w[u_v]
+                    if best is None or gain > best[0]:
+                        best = (gain, v, u_v)
+                gain, v, u = best
+                if policy.ge(gain, 0.0):
+                    tracker.apply(add=v, drop=u)
+            trajectory.append(tracker.current)
+
+        tested = trajectory[rng.randrange(k)]
+        if tested != tracker.current:
+            tracker = make_tracker(f, tested)
+        certificate = _certificate_from_tracker(tracker, matroid, eps, warm_value)
+        threshold = certificate.bound
+        failed = (
+            policy.ge(certificate.gap, threshold)
+            if threshold > 0
+            else policy.gt(certificate.gap, 0.0)
         )
-        total_iterations += k
-        if res is not None:
-            res.iterations = total_iterations
-            return res, total_iterations
-    return None, total_iterations
+        if not failed:
+            return LocalSearchResult(
+                solution=tested,
+                value=tracker.value,
+                warm_set=warm_set,
+                warm_value=warm_value,
+                iterations=attempt * k,
+                certificate=certificate,
+            )
+    return None
 
 
 # ----- reference search (exact arithmetic, toy scale) -----
@@ -539,19 +508,16 @@ def reference_local_search(
         return memo[mask]
 
     wf = weights.fractions
-    nsub = 1 << levels
 
-    def g_exact(parts: tuple[int, ...]) -> Fraction:
-        union = [0] * nsub
+    def g_exact(parts: list[int]) -> Fraction:
+        union = subset_unions(parts)
         total = Fraction(0)
-        for j in range(1, nsub):
-            low = j & -j
-            union[j] = union[j ^ low] | parts[low.bit_length() - 1]
+        for j in range(1, len(union)):
             total += wf[j.bit_count()] * f_exact(union[j])
         return total
 
     parts = [base.mask] + [0] * (levels - 1)
-    current = g_exact(tuple(parts))
+    current = g_exact(parts)
     moves = 0
 
     def union_mask() -> int:
@@ -564,7 +530,9 @@ def reference_local_search(
     while improved:
         improved = False
         um = union_mask()
-        members = [(u, lvl) for lvl in range(levels) for u in _mask_bits(parts[lvl])]
+        members = [
+            (u, lvl) for lvl in range(levels) for u in ElementSet(n, parts[lvl])
+        ]
         members.sort()
         # relocate u to a different level
         for u, lvl in members:
@@ -573,7 +541,7 @@ def reference_local_search(
                     continue
                 parts[lvl] &= ~(1 << u)
                 parts[target] |= 1 << u
-                cand = g_exact(tuple(parts))
+                cand = g_exact(parts)
                 if cand > current:
                     current = cand
                     moves += 1
@@ -596,7 +564,7 @@ def reference_local_search(
                 for target in range(levels):
                     parts[lvl] &= ~(1 << u)
                     parts[target] |= 1 << v
-                    cand = g_exact(tuple(parts))
+                    cand = g_exact(parts)
                     if cand > current:
                         current = cand
                         moves += 1
@@ -616,13 +584,6 @@ def reference_local_search(
         guide_value=current,
         moves=moves,
     )
-
-
-def _mask_bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
 
 
 # ----- full solvers -----
@@ -646,7 +607,18 @@ def non_oblivious_solve(
     lives on the lifted instance. A randomized run that exhausts its retry
     budget returns the empty set with failed=True. retry_budget is a test
     hook overriding the amplification attempt count.
+
+    A regularizer folds its scaled modular term into the guide, so the
+    output trades f against it: for every independent T, f(S) + reg(S) is
+    guaranteed near (1 - 1/e) f(T) + reg(T) when its weights are
+    non-negative. The solve fails closed: it raises rather than return a
+    certificate that does not pass.
     """
+    if f.ground_size != matroid.ground_size:
+        raise ValueError(
+            f"objective ground size {f.ground_size} does not match matroid "
+            f"ground size {matroid.ground_size}"
+        )
     ledger = QueryLedger()
     f_counted = CountingValueOracle(f, ledger)
     m_counted = CountingMatroidOracle(matroid, ledger)
@@ -655,11 +627,7 @@ def non_oblivious_solve(
         if config.levels_override is not None
         else default_levels(config.eps)
     )
-    weights = guide_weights(levels)
-    if regularizer is None:
-        guide: ValueOracle = LiftedGuide(f_counted, weights)
-    else:
-        guide = RegularizedGuide(f_counted, weights, regularizer)
+    guide = LiftedGuide(f_counted, guide_weights(levels), regularizer)
     lifted_matroid = lift(m_counted, levels)
     eps_in = inner_eps(config.eps, levels)
 
@@ -668,15 +636,16 @@ def non_oblivious_solve(
             guide, lifted_matroid, eps_in, warm_variant=config.warm_start,
             policy=policy,
         )
-        iterations = result.iterations
     else:
-        rng = RandomSource(config.seed)
-        result, iterations = _randomized_amplified(
+        attempts = (
+            retry_budget if retry_budget is not None else amplification_attempts(eps_in)
+        )
+        result = randomized_local_search(
             guide,
             lifted_matroid,
             eps_in,
-            rng,
-            attempts=retry_budget,
+            RandomSource(config.seed),
+            attempts=attempts,
             warm_variant=config.warm_start,
             policy=policy,
         )
@@ -684,11 +653,13 @@ def non_oblivious_solve(
     n = f.ground_size
     if result is None:
         output = ElementSet.empty(n)
+        rank = matroid_rank(matroid)  # uncounted; reporting only
         return RunReport(
             output_set=output,
             objective_value=f.eval(output),
             ledger=ledger,
-            iterations=iterations,
+            # every attempt reaches the same base, so each ran k iterations
+            iterations=attempts * randomized_iterations(rank, eps_in),
             failed=True,
             certificate=None,
             eps=config.eps,
@@ -696,9 +667,16 @@ def non_oblivious_solve(
             levels=levels,
             variant=config.variant,
             seed=config.seed,
-            rank=matroid_rank(matroid),  # uncounted; reporting only
+            rank=rank,
             lifted_solution=None,
             warm_value=0.0,
+        )
+    certificate = result.certificate
+    if not certificate.passes(policy):
+        raise RuntimeError(
+            f"solve produced a certificate that does not pass (gap {certificate.gap!r}"
+            f" > bound {certificate.bound!r}); the value oracle is likely not "
+            "monotone submodular or returned a non-finite value"
         )
 
     output = project_all(result.solution, levels)
@@ -706,9 +684,9 @@ def non_oblivious_solve(
         output_set=output,
         objective_value=f.eval(output),  # uncounted; reporting only
         ledger=ledger,
-        iterations=iterations,
+        iterations=result.iterations,
         failed=False,
-        certificate=result.certificate,
+        certificate=certificate,
         eps=config.eps,
         eps_inner=eps_in,
         levels=levels,
@@ -717,29 +695,4 @@ def non_oblivious_solve(
         rank=len(result.solution),
         lifted_solution=result.solution,
         warm_value=result.warm_value,
-    )
-
-
-def regularized_solve(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    regularizer: LinearRegularizer,
-    config: SolverConfig,
-    *,
-    retry_budget: int | None = None,
-    policy: NumericPolicy = FLOAT_POLICY,
-) -> RunReport:
-    """non_oblivious_solve against the regularizer-augmented guide.
-
-    The output trades f against the modular term: for every independent T,
-    f(S) + reg(S) is guaranteed near (1 - 1/e) f(T) + reg(T) when the
-    regularizer is non-negative.
-    """
-    return non_oblivious_solve(
-        f,
-        matroid,
-        config,
-        regularizer=regularizer,
-        retry_budget=retry_budget,
-        policy=policy,
     )

@@ -63,9 +63,8 @@ from nols import (
     matroid_rank,
     min_weight_exchange,
     non_oblivious_solve,
-    randomized_local_search_once,
+    randomized_local_search,
     reference_local_search,
-    regularized_solve,
     warm_start,
     with_counting,
 )
@@ -282,7 +281,7 @@ def test_criterion_06_randomized_failure_rate():
     f, m = inst.build_objective(), inst.build_matroid()
     fails = 0
     for seed in range(300):
-        if randomized_local_search_once(f, m, 0.5, RandomSource(seed)) is None:
+        if randomized_local_search(f, m, 0.5, RandomSource(seed), attempts=1) is None:
             fails += 1
     rate = fails / 300
     wall = time.perf_counter() - t0
@@ -448,7 +447,7 @@ def test_criterion_10_regularized(suite):
     for idx, (inst, f, m, truth) in enumerate(fixtures):
         rng = RandomSource(900 + idx)
         reg = LinearRegularizer([rng.randrange(4) for _ in range(inst.n)])
-        rep = regularized_solve(f, m, reg, cfg)
+        rep = non_oblivious_solve(f, m, cfg, regularizer=reg)
         s = rep.output_set
         lhs = Fraction(f.eval(s)) + Fraction(reg.eval(s))
         for mask in range(1 << inst.n):

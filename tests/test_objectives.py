@@ -12,13 +12,8 @@ from nols.objectives import (
     LiftedGuide,
     LinearRegularizer,
     ModularFunction,
-    RegularizedGuide,
-    guide_value,
     guide_weights,
-    lifted_guide_marginal,
     make_tracker,
-    marginal,
-    marginal_without,
     project,
     project_all,
 )
@@ -34,8 +29,9 @@ def test_coverage_fixture_values():
     assert f.eval(_es(4, [1])) == 2
     assert f.eval(_es(4, [3])) == 3
     assert f.eval(_es(4, [1, 3])) == 5
-    assert marginal(f, 3, _es(4, [1])) == 3
-    assert marginal_without(f, 1, _es(4, [1, 3])) == 2
+    # tracker marginals are f(u | S) and f(u | S - u)
+    assert make_tracker(f, _es(4, [1])).marginal_add(3) == 3
+    assert make_tracker(f, _es(4, [1, 3])).marginal_drop(1) == 2
     assert f.eval(ElementSet.empty(4)) == 0
 
 
@@ -94,11 +90,13 @@ def test_guide_weights_level_cap():
 
 def test_guide_value_cardinality_example():
     f = ModularFunction([1, 1, 1, 1])
-    parts = [_es(4, [0]), _es(4, [2])]
+    guide = LiftedGuide(f, guide_weights(2))
+    s = _es(8, [0, 5])  # S1 = {0} on level 1, S2 = {2} on level 2
     # 1*(f(S1)+f(S2)) + 1.5*f(S1 u S2) = (1+1) + 1.5*2 = 5
-    assert guide_value(f, guide_weights(2), parts) == 5.0
+    assert guide.eval(s) == 5.0
+    assert make_tracker(guide, s).value == 5.0
     with pytest.raises(ValueError):
-        guide_value(f, guide_weights(2), [_es(4, [0]), _es(4, [0, 1])])
+        make_tracker(guide, _es(8, [0, 1, 5]))  # base 0 on both levels
 
 
 def test_projection_round_trips():
@@ -131,16 +129,23 @@ def test_lifted_guide_eval_and_query_cost():
 
 
 def test_lifted_guide_marginal_matches_eval_difference():
+    # fresh trackers on random sets; x may sit on a level of a base element
+    # the set already holds, where the touched terms are zero
     raw, _ = tiny_coverage()
     rng = RandomSource(31)
     for L in (1, 2, 3):
         guide = LiftedGuide(raw, guide_weights(L))
         n2 = guide.ground_size
         for _ in range(200):
-            s = ElementSet(n2, rng.randrange(1 << n2))
+            s = _lifted_no_duplicates(rng, 4, L)
             x = rng.randrange(n2)
-            got = lifted_guide_marginal(raw, guide_weights(L), x, s)
-            want = guide.eval(s.add(x)) - guide.eval(s)
+            tracker = make_tracker(guide, s)
+            if x in s:
+                got = tracker.marginal_drop(x)
+                want = guide.eval(s) - guide.eval(s.remove(x))
+            else:
+                got = tracker.marginal_add(x)
+                want = guide.eval(s.add(x)) - guide.eval(s)
             assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -223,13 +228,25 @@ def test_regularized_guide_adds_scaled_modular_term():
     reg = LinearRegularizer([1, 0, 2, 0])
     L = 2
     plain = LiftedGuide(raw, guide_weights(L))
-    both = RegularizedGuide(raw, guide_weights(L), reg)
+    both = LiftedGuide(raw, guide_weights(L), reg)
     scale = guide_weights(L).floats[L] * (L + 1)
     s = _es(8, [0, 5])  # bases 0 and 2
     assert both.eval(s) == pytest.approx(plain.eval(s) + scale * 3, rel=1e-12)
     assert both.eval(ElementSet.empty(8)) == 0.0
+    # the tracker carries the same term in its value and marginals
+    tracker = make_tracker(both, s)
+    assert tracker.value == pytest.approx(both.eval(s), rel=1e-12)
+    assert tracker.marginal_add(4) == pytest.approx(
+        both.eval(s.add(4)) - both.eval(s), abs=1e-9
+    )
+    assert tracker.marginal_drop(5) == pytest.approx(
+        both.eval(s) - both.eval(s.remove(5)), abs=1e-9
+    )
+    tracker.apply(add=4, drop=5)  # base 2 moves to level 1
+    tracker.apply(drop=0)
+    assert tracker.value == pytest.approx(both.eval(_es(8, [4])), rel=1e-12)
     with pytest.raises(ValueError):
-        RegularizedGuide(raw, guide_weights(L), LinearRegularizer([1, 2]))
+        LiftedGuide(raw, guide_weights(L), LinearRegularizer([1, 2]))
 
 
 def test_regularizer_eval_allows_negative_weights():

@@ -24,9 +24,7 @@ from nols.solvers import (
     inner_eps,
     non_oblivious_solve,
     randomized_local_search,
-    randomized_local_search_once,
     reference_local_search,
-    regularized_solve,
     warm_start,
 )
 from nols.verify import brute_force_opt
@@ -47,6 +45,41 @@ def test_config_validation():
         SolverConfig(eps=0.25, variant="annealing", seed=0)
     with pytest.raises(ValueError):
         SolverConfig(eps=0.25, variant=DETERMINISTIC, seed=0, levels_override=0)
+
+
+def test_config_rejects_eps_beyond_level_cap():
+    # 1/19 is the smallest eps whose default level count fits the cap
+    SolverConfig(eps=1 / 19)
+    with pytest.raises(ValueError, match=r"eps=0\.05 needs 21 levels"):
+        SolverConfig(eps=0.05)
+    # an explicit level count makes the eps-derived one irrelevant
+    SolverConfig(eps=0.05, levels_override=3)
+
+
+def test_config_rejects_levels_override_beyond_cap():
+    SolverConfig(eps=0.25, levels_override=20)
+    with pytest.raises(ValueError, match="levels_override=21"):
+        SolverConfig(eps=0.25, levels_override=21)
+
+
+def test_solve_rejects_ground_size_mismatch():
+    f = ModularFunction([1] * 20)
+    with pytest.raises(ValueError, match="ground size 20 .* ground size 21"):
+        non_oblivious_solve(f, UniformMatroid(21, 3), SolverConfig(eps=0.5))
+
+
+class _NaNOracle:
+    ground_size = 6
+
+    def eval(self, s):
+        return float("nan") if len(s) else 0.0
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+def test_solve_fails_closed_on_nan_oracle(variant):
+    config = SolverConfig(eps=0.5, variant=variant, seed=0)
+    with pytest.raises(RuntimeError, match="certificate that does not pass"):
+        non_oblivious_solve(_NaNOracle(), UniformMatroid(6, 2), config)
 
 
 def test_level_and_eps_schedule():
@@ -125,7 +158,7 @@ def test_randomized_sample_sizes():
     f = ModularFunction(list(range(1, 17)))
     m = UniformMatroid(16, 8)
     rng = RandomSource(0)
-    res = randomized_local_search_once(f, m, 0.5, rng)
+    res = randomized_local_search(f, m, 0.5, rng, attempts=1)
     assert res is not None
     assert m.is_independent(res.solution)
 
@@ -251,7 +284,7 @@ def test_regularized_solve_zero_weights_matches_plain():
     f, m = tiny_coverage()
     cfg = SolverConfig(eps=0.25, variant=DETERMINISTIC, seed=0)
     plain = non_oblivious_solve(f, m, cfg)
-    reg = regularized_solve(f, m, LinearRegularizer([0, 0, 0, 0]), cfg)
+    reg = non_oblivious_solve(f, m, cfg, regularizer=LinearRegularizer([0, 0, 0, 0]))
     assert reg.output_set == plain.output_set
     assert reg.objective_value == plain.objective_value
 
@@ -262,7 +295,8 @@ def test_regularized_solve_zero_objective_maximizes_regularizer():
     f = ModularFunction([0, 0, 0, 0])
     m = UniformMatroid(4, 2)
     reg = LinearRegularizer([1, 3, 0, 2])
-    rep = regularized_solve(f, m, reg, SolverConfig(eps=0.25, variant=DETERMINISTIC, seed=0))
+    cfg = SolverConfig(eps=0.25, variant=DETERMINISTIC, seed=0)
+    rep = non_oblivious_solve(f, m, cfg, regularizer=reg)
     assert reg.eval(rep.output_set) == 5  # elements 1 and 3
 
 

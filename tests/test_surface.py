@@ -1,0 +1,131 @@
+"""Public-surface lock.
+
+Pins ``nols.__all__`` and checks that every name the benchmark harness in
+``perfbench/`` imports, reads or patches still resolves, so a refactor
+cannot silently break the harness.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import nols
+import nols.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+EXPECTED_ALL = [
+    # core
+    "ElementSet",
+    "EXACT_POLICY",
+    "FLOAT_POLICY",
+    "NumericPolicy",
+    "QueryLedger",
+    "RandomSource",
+    "sample_without_replacement",
+    "with_counting",
+    # matroids
+    "ExplicitMatroid",
+    "GraphicMatroid",
+    "LiftedMatroid",
+    "PartitionMatroid",
+    "UniformMatroid",
+    "extend_to_base",
+    "lift",
+    "matroid_rank",
+    "max_weight_independent",
+    "min_weight_exchange",
+    # objectives
+    "ConcaveOfModular",
+    "CoverageFunction",
+    "GuideWeights",
+    "LiftedGuide",
+    "LinearRegularizer",
+    "ModularFunction",
+    "guide_weights",
+    "make_tracker",
+    "project",
+    "project_all",
+    # solvers
+    "DETERMINISTIC",
+    "RANDOMIZED",
+    "LocalOptCertificate",
+    "LocalSearchResult",
+    "RunReport",
+    "SolverConfig",
+    "default_levels",
+    "deterministic_local_search",
+    "inner_eps",
+    "non_oblivious_solve",
+    "randomized_local_search",
+    "reference_local_search",
+    "warm_start",
+    # verify
+    "BruteForceResult",
+    "approximation_report",
+    "brute_force_opt",
+    "check_certificate",
+    "check_matroid_axioms",
+    "check_value_oracle",
+    "exhaustive_gap",
+    "localopt_gap",
+    # instances
+    "InstanceFile",
+    "generate_instance",
+    "load_instance",
+    "save_instance",
+]
+
+
+def test_public_names_are_pinned():
+    assert nols.__all__ == EXPECTED_ALL
+    for name in nols.__all__:
+        assert hasattr(nols, name), name
+
+
+def _harness_trees():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _dotted(node) -> str | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "nols":
+        return ".".join(["nols", *reversed(parts)])
+    return None
+
+
+def test_harness_imports_and_attribute_reads_resolve():
+    checked = 0
+    for filename, tree in _harness_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nols"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{filename}: {node.module}.{alias.name}"
+                    checked += 1
+            elif isinstance(node, ast.Attribute) and _dotted(node):
+                obj = nols
+                for attr in _dotted(node).split(".")[1:]:
+                    assert hasattr(obj, attr), f"{filename}: {_dotted(node)}"
+                    obj = getattr(obj, attr)
+                checked += 1
+    assert checked > 20  # the harness leans on the package throughout
+
+
+def test_harness_patch_targets_resolve():
+    # instrument() reads every name it patches in nols.solvers and nols.cli
+    # and restores them on exit
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = {name: getattr(nols.cli, name) for name in ("non_oblivious_solve", "main")}
+    with spans.instrument(nols, spans.Tracer()):
+        assert nols.cli.non_oblivious_solve is not before["non_oblivious_solve"]
+    assert {name: getattr(nols.cli, name) for name in before} == before
