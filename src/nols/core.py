@@ -239,7 +239,12 @@ FLOAT_POLICY = NumericPolicy(1e-9)
 
 @runtime_checkable
 class ValueOracle(Protocol):
-    """Set function oracle: eval(S) -> value. ground_size is |N|."""
+    """Set function oracle: eval(S) -> value. ground_size is |N|.
+
+    eval must be a pure function of the set: the same set always gives the
+    same value, with no side effect the solver relies on. The guide tracker
+    memoizes answers per state on that basis.
+    """
 
     ground_size: int
 

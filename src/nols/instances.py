@@ -33,6 +33,73 @@ FORMAT_VERSION = 1
 FAMILIES = ("coverage", "partition", "graphic", "modular")
 
 
+# ----- document field checks: each raises ValueError naming the field -----
+
+
+def _get(spec: dict, key: str, where: str):
+    if key not in spec:
+        raise ValueError(f"{where} missing {key!r}")
+    return spec[key]
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _spec(value, name: str) -> dict:
+    _get(_object(value, name), "kind", name)
+    return value
+
+
+def _int(value, name: str) -> int:
+    if type(value) is not int or value < 0:  # bool is not an integer here
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r:.40}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    return value
+
+
+def _list(value, name: str, item=None) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    if item is not None:
+        for i, x in enumerate(value):
+            item(x, f"{name}[{i}]")
+    return value
+
+
+def _int_list(value, name: str) -> list:
+    return _list(value, name, _int)
+
+
+def _int_lists(value, name: str) -> list:
+    return _list(value, name, _int_list)
+
+
+def _number_list(value, name: str) -> list:
+    return _list(value, name, _number)
+
+
+def _edges(value, name: str) -> list:
+    for i, edge in enumerate(_list(value, name, _int_list)):
+        if len(edge) != 2:
+            raise ValueError(f"{name}[{i}] must be a pair of vertices")
+    return value
+
+
+def _family(value, name: str) -> list:
+    # an explicit matroid's independent sets: element lists or bitmasks
+    for i, s in enumerate(_list(value, name)):
+        (_int if type(s) is int else _int_list)(s, f"{name}[{i}]")
+    return value
+
+
 @dataclass
 class InstanceFile:
     """Parsed instance document plus builders for the live oracles."""
@@ -57,37 +124,54 @@ class InstanceFile:
         }
 
     @classmethod
-    def from_document(cls, doc: dict) -> "InstanceFile":
+    def from_document(cls, doc) -> "InstanceFile":
+        """Parse a document, rejecting a malformed one with a ValueError that
+        names the offending field. Kind-specific keys are checked when the
+        objective, matroid and regularizer are built."""
+        _object(doc, "instance document")
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported format_version {doc.get('format_version')!r}"
             )
         for key in ("name", "n", "r", "objective", "matroid"):
-            if key not in doc:
-                raise ValueError(f"instance document missing {key!r}")
+            _get(doc, key, "instance document")
+        if not isinstance(doc["name"], str):
+            raise ValueError("name must be a string")
+        regularizer = doc.get("regularizer")
+        if regularizer is not None:
+            _object(regularizer, "regularizer")
         return cls(
             name=doc["name"],
-            n=doc["n"],
-            r=doc["r"],
-            objective=doc["objective"],
-            matroid=doc["matroid"],
-            regularizer=doc.get("regularizer"),
+            n=_int(doc["n"], "n"),
+            r=_int(doc["r"], "r"),
+            objective=_spec(doc["objective"], "objective"),
+            matroid=_spec(doc["matroid"], "matroid"),
+            regularizer=regularizer,
         )
 
     def build_objective(self):
-        obj = self.objective
-        kind = obj.get("kind")
+        obj = _spec(self.objective, "objective")
+        kind = obj["kind"]
+
+        def field(key, check):
+            return check(_get(obj, key, f"{kind} objective"), f"objective.{key}")
+
         if kind == "coverage":
+            weights = obj.get("point_weights")
+            if weights is not None:
+                _number_list(weights, "objective.point_weights")
             f = CoverageFunction(
-                universe_size=obj["universe"],
-                covers=obj["covers"],
-                point_weights=obj.get("point_weights"),
+                universe_size=field("universe", _int),
+                covers=field("covers", _int_lists),
+                point_weights=weights,
             )
         elif kind == "modular":
-            f = ModularFunction(obj["weights"])
+            f = ModularFunction(field("weights", _number_list))
         elif kind == "concave_modular":
             f = ConcaveOfModular(
-                obj["weights"], shape=obj.get("shape", "sqrt"), cap=obj.get("cap", 0)
+                field("weights", _number_list),
+                shape=obj.get("shape", "sqrt"),
+                cap=_number(obj.get("cap", 0), "objective.cap"),
             )
         else:
             raise ValueError(f"unknown objective kind {kind!r}")
@@ -96,16 +180,25 @@ class InstanceFile:
         return f
 
     def build_matroid(self) -> MatroidOracle:
-        spec = self.matroid
-        kind = spec.get("kind")
+        spec = _spec(self.matroid, "matroid")
+        kind = spec["kind"]
+
+        def field(key, check):
+            return check(_get(spec, key, f"{kind} matroid"), f"matroid.{key}")
+
         if kind == "uniform":
-            m: MatroidOracle = UniformMatroid(self.n, spec["k"])
+            m: MatroidOracle = UniformMatroid(self.n, field("k", _int))
         elif kind == "partition":
-            m = PartitionMatroid(self.n, spec["blocks"], spec["capacities"])
+            m = PartitionMatroid(
+                self.n,
+                field("blocks", _int_lists),
+                field("capacities", _int_list),
+            )
         elif kind == "graphic":
-            m = GraphicMatroid(spec["vertices"], [tuple(e) for e in spec["edges"]])
+            edges = field("edges", _edges)
+            m = GraphicMatroid(field("vertices", _int), [tuple(e) for e in edges])
         elif kind == "explicit":
-            m = ExplicitMatroid(self.n, spec["independent"])
+            m = ExplicitMatroid(self.n, field("independent", _family))
         else:
             raise ValueError(f"unknown matroid kind {kind!r}")
         if m.ground_size != self.n:
@@ -115,7 +208,9 @@ class InstanceFile:
     def build_regularizer(self) -> LinearRegularizer | None:
         if self.regularizer is None:
             return None
-        weights = self.regularizer["weights"]
+        reg = _object(self.regularizer, "regularizer")
+        weights = _get(reg, "weights", "regularizer")
+        _number_list(weights, "regularizer.weights")
         if len(weights) != self.n:
             raise ValueError("regularizer length disagrees with n")
         return LinearRegularizer(weights)

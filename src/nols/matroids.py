@@ -57,7 +57,7 @@ class PartitionMatroid:
                 raise ValueError("blocks must be disjoint")
             seen |= m
             masks.append(m)
-        if seen != (1 << n) - 1:
+        if seen.bit_count() != n:  # every member is below n, so this is cover
             raise ValueError("blocks must cover the ground set")
         if any(c < 0 for c in capacities):
             raise ValueError("capacities must be non-negative")

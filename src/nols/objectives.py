@@ -280,13 +280,25 @@ class LiftedTracker:
     subset, plus the running regularizer total when the guide has one.
 
     A marginal at a lifted element touches only the 2^(levels-1) subsets
-    containing its level and costs one inner query per touched subset whose
-    projection actually changes. apply() re-evaluates exactly the touched
-    projections. The tracked set must keep each base element on at most one
-    level (solvers maintain this through matroid independence).
+    containing its level and costs at most one inner query per touched
+    subset whose projection actually changes. apply() refreshes exactly the
+    touched projections. The tracked set must keep each base element on at
+    most one level (solvers maintain this through matroid independence).
+
+    f values are memoized by base-set mask: the memo holds the current
+    projections and every set evaluated since the last apply(), so the
+    inner oracle sees a set at most once per state. Repeats across levels,
+    across level subsets with equal projections, and across scans or
+    iterations that applied no swap are free. apply() answers its refresh
+    from the memo, then starts a new one holding only the new projections,
+    which bounds memory by one state's evaluations. Reuse is exact because
+    f is a pure function of the set (the ValueOracle contract).
     """
 
-    __slots__ = ("guide", "current", "value", "_proj", "_fval", "_with_level", "_reg_total")
+    __slots__ = (
+        "guide", "current", "value", "_proj", "_fval", "_with_level", "_reg_total",
+        "_memo",
+    )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
         self.guide = guide
@@ -296,9 +308,8 @@ class LiftedTracker:
         if proj[-1].bit_count() != len(start):
             raise ValueError("tracked set holds a base element on two levels")
         self._proj = proj
-        inner = guide.inner
-        n = inner.ground_size
-        self._fval = [0.0] + [inner.eval(ElementSet(n, p)) for p in proj[1:]]
+        self._memo = {}
+        self._fval = [0.0] + [self._f(p) for p in proj[1:]]
         self._with_level = tuple(
             tuple(j for j in range(1, len(proj)) if j >> lvl & 1) for lvl in range(ell)
         )
@@ -310,6 +321,15 @@ class LiftedTracker:
     @property
     def ground_size(self) -> int:
         return self.guide.ground_size
+
+    def _f(self, mask: int) -> float:
+        """f of the base set with this mask, asked of the inner oracle at
+        most once per memo."""
+        value = self._memo.get(mask)
+        if value is None:
+            inner = self.guide.inner
+            value = self._memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
+        return value
 
     def _recompute_value(self):
         wj = self.guide._wj
@@ -326,15 +346,13 @@ class LiftedTracker:
             return 0.0
         ell = self.guide.levels
         ubit = 1 << (x // ell)
-        inner = self.guide.inner
-        n = inner.ground_size
         wj = self.guide._wj
         total = 0.0
         for j in self._with_level[x % ell]:
             pj = self._proj[j]
             if pj & ubit:
                 continue
-            total += wj[j] * (inner.eval(ElementSet(n, pj | ubit)) - self._fval[j])
+            total += wj[j] * (self._f(pj | ubit) - self._fval[j])
         if self.guide.regularizer is not None:
             total += self.guide.reg_scale * self._reg_weight(x)
         return total
@@ -344,14 +362,10 @@ class LiftedTracker:
             raise KeyError(x)
         ell = self.guide.levels
         ubit = 1 << (x // ell)
-        inner = self.guide.inner
-        n = inner.ground_size
         wj = self.guide._wj
         total = 0.0
         for j in self._with_level[x % ell]:
-            total += wj[j] * (
-                self._fval[j] - inner.eval(ElementSet(n, self._proj[j] & ~ubit))
-            )
+            total += wj[j] * (self._fval[j] - self._f(self._proj[j] & ~ubit))
         if self.guide.regularizer is not None:
             total += self.guide.reg_scale * self._reg_weight(x)
         return total
@@ -377,15 +391,14 @@ class LiftedTracker:
             if regularized:
                 self._reg_total += self._reg_weight(add)
         self.current = s
-        inner = self.guide.inner
-        n = inner.ground_size
         refresh = set()
         if drop is not None:
             refresh.update(self._with_level[drop % ell])
         if add is not None:
             refresh.update(self._with_level[add % ell])
         for j in sorted(refresh):
-            self._fval[j] = inner.eval(ElementSet(n, self._proj[j]))
+            self._fval[j] = self._f(self._proj[j])
+        self._memo = dict(zip(self._proj[1:], self._fval[1:]))
         self._recompute_value()
 
 

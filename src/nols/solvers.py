@@ -295,6 +295,18 @@ def _certificate_from_tracker(
     )
 
 
+def _alone_oracle(matroid: MatroidOracle, n: int):
+    """is_independent({v}) that asks the matroid at most once per element."""
+    answers: dict[ElementId, bool] = {}
+
+    def independent_alone(v: ElementId) -> bool:
+        if v not in answers:
+            answers[v] = matroid.is_independent(ElementSet(n, 1 << v))
+        return answers[v]
+
+    return independent_alone
+
+
 # ----- deterministic search -----
 
 
@@ -314,6 +326,14 @@ def deterministic_local_search(
     first pair clearing the threshold is swapped in. A scan with no
     accepted swap ends the search. Each swap raises f(S) by at least the
     threshold, so scans are bounded by ceil(3 r / eps) + 1.
+
+    Two shortcuts skip queries without changing the trajectory. The binary
+    search runs only when the upper bound gain_add - min(drop) clears the
+    threshold: the feasible drop weighs at least the minimum, and float
+    subtraction and the policy's comparisons are monotone, so a candidate
+    failing the bound fails the exact test too. Each candidate's singleton
+    independence is asked once per call, the first time a scan reaches it,
+    so loops (elements dependent on their own) cost one query in all.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -323,6 +343,10 @@ def deterministic_local_search(
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
 
+    def accepts(gain: float) -> bool:
+        return policy.ge(gain, threshold) if threshold > 0 else policy.gt(gain, 0.0)
+
+    independent_alone = _alone_oracle(matroid, n)
     iterations = 0
     while True:
         iterations += 1
@@ -333,16 +357,19 @@ def deterministic_local_search(
             )
         s = tracker.current
         drop_w = {u: tracker.marginal_drop(u) for u in s}
+        min_drop = min(drop_w.values(), default=0.0)
         swapped = False
         for v in range(n):
             if v in s:
                 continue
-            if not matroid.is_independent(ElementSet(n, 1 << v)):
+            if not independent_alone(v):
                 continue
             gain_add = tracker.marginal_add(v)
+            if not accepts(gain_add - min_drop):
+                continue
             u_v = min_weight_exchange(matroid, s, s, v, drop_w)
             gain = gain_add - drop_w[u_v]
-            if policy.ge(gain, threshold) if threshold > 0 else policy.gt(gain, 0.0):
+            if accepts(gain):
                 tracker.apply(add=v, drop=u_v)
                 swapped = True
                 break
@@ -387,33 +414,48 @@ def randomized_local_search(
     """Sampled-swap search, amplified over attempts; the first passing
     attempt wins.
 
-    Each attempt warm-starts, extends to a base, and runs
-    k = ceil(18 r / eps) iterations that each sample a drop pool R1 from the
-    solution (size min(r, ceil(sqrt n))) and a candidate pool R2 from the
-    ground set (size max(ceil(n / r), ceil(sqrt n))), then apply the best
-    feasible swap if its gain is non-negative. One trajectory index i in
-    [k] is then drawn uniformly; S_{i-1} is tested against the challenger
-    certificate at threshold eps * f(S0) and returned when it passes.
+    The search warm-starts and extends to a base once. Each attempt starts
+    there and runs k = ceil(18 r / eps) iterations that each sample a drop
+    pool R1 from the solution (size min(r, ceil(sqrt n))) and a candidate
+    pool R2 from the ground set (size max(ceil(n / r), ceil(sqrt n))), then
+    apply the best feasible swap if its gain is non-negative. One trajectory
+    index i in [k] is then drawn uniformly; S_{i-1} is tested against the
+    challenger certificate at threshold eps * f(S0) and returned when it
+    passes.
 
     attempts defaults to ceil(log3(1/eps)); attempts=1 is a single run. All
-    attempts draw from the one generator, so replay is deterministic. The
-    result's iterations count every attempt made. Returns None only when
-    every attempt fails.
+    attempts draw from the one generator, so replay is deterministic (the
+    warm start draws no randomness, so running it once leaves the stream as
+    it was). The result's iterations count every attempt made. Returns None
+    only when every attempt fails.
+
+    Two shortcuts skip queries without changing the trajectory. A
+    candidate's exchange binary search is skipped when the upper bound
+    gain_add - min(drop) over R1 fails the acceptance test or does not beat
+    the best gain so far: its true gain is no larger, so the applied swap,
+    ties included, is the one the full search picks. When R1 is the whole
+    solution, the feasibility test is a singleton query, asked at most once
+    per element per call.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if attempts is None:
         attempts = amplification_attempts(eps)
+    if attempts < 1:
+        return None
     n = f.ground_size
     root = _ceil_sqrt(n)
     ground = ElementSet.full(n)
+    independent_alone = _alone_oracle(matroid, n)
+    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant, policy)
+    base = tracker.current
+    r = len(base)
+    k = randomized_iterations(r, eps)
+    r1_size = min(r, root)
+    r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
     for attempt in range(1, attempts + 1):
-        tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant, policy)
-        r = len(tracker.current)
-        k = randomized_iterations(r, eps)
-        r1_size = min(r, root)
-        r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
-
+        if attempt > 1:
+            tracker = make_tracker(f, base)
         trajectory = [tracker.current]
         for _ in range(k):
             s = tracker.current
@@ -424,20 +466,29 @@ def randomized_local_search(
                 v
                 for v in r2
                 if v not in s
-                and matroid.is_independent(ElementSet(n, stripped | (1 << v)))
+                and (
+                    independent_alone(v)
+                    if stripped == 0
+                    else matroid.is_independent(ElementSet(n, stripped | (1 << v)))
+                )
             ]
             if feasible and len(r1) > 0:
                 drop_w = {u: tracker.marginal_drop(u) for u in r1}
+                min_drop = min(drop_w.values())
                 best: tuple[float, ElementId, ElementId] | None = None
                 for v in feasible:  # ascending; first best kept on ties
                     gain_add = tracker.marginal_add(v)
+                    upper = gain_add - min_drop
+                    if not policy.ge(upper, 0.0) or (
+                        best is not None and not upper > best[0]
+                    ):
+                        continue
                     u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
                     gain = gain_add - drop_w[u_v]
                     if best is None or gain > best[0]:
                         best = (gain, v, u_v)
-                gain, v, u = best
-                if policy.ge(gain, 0.0):
-                    tracker.apply(add=v, drop=u)
+                if best is not None and policy.ge(best[0], 0.0):
+                    tracker.apply(add=best[1], drop=best[2])
             trajectory.append(tracker.current)
 
         tested = trajectory[rng.randrange(k)]

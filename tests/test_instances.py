@@ -1,0 +1,141 @@
+"""Instance loader: malformed documents are rejected with a ValueError that
+names the field, never with an AttributeError, KeyError or TypeError."""
+
+from __future__ import annotations
+
+import copy
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nols.instances import InstanceFile, generate_instance
+
+
+def _load(doc) -> InstanceFile:
+    inst = InstanceFile.from_document(doc)
+    inst.build_objective()
+    inst.build_matroid()
+    inst.build_regularizer()
+    return inst
+
+
+def _valid_documents() -> list[dict]:
+    docs = [generate_instance(fam, 6, 2, 0).to_document() for fam in
+            ("coverage", "partition", "graphic", "modular")]
+    docs.append({
+        "format_version": 1, "name": "extra", "n": 3, "r": 1,
+        "objective": {"kind": "concave_modular", "weights": [1, 2, 3],
+                      "shape": "cap", "cap": 4},
+        "matroid": {"kind": "explicit", "independent": [[], [0], [1], 4]},
+        "regularizer": {"weights": [1, -1, 0.5]},
+    })
+    docs.append({
+        "format_version": 1, "name": "weighted", "n": 2, "r": 1,
+        "objective": {"kind": "coverage", "universe": 3, "covers": [[0], [1, 2]],
+                      "point_weights": [1, 2.5, 0]},
+        "matroid": {"kind": "uniform", "k": 1},
+    })
+    return docs
+
+
+VALID = _valid_documents()
+
+
+def test_valid_documents_load():
+    for doc in VALID:
+        _load(json.loads(json.dumps(doc)))
+
+
+def _doc(**changes) -> dict:
+    doc = copy.deepcopy(VALID[0])  # coverage objective, uniform matroid
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([1, 2], "instance document"),
+        ("text", "instance document"),
+        (_doc(n=2.5), "n"),
+        (_doc(n=-1), "n"),
+        (_doc(n=True), "n"),
+        (_doc(r="2"), "r"),
+        (_doc(r=-3), "r"),
+        (_doc(objective=[1]), "objective"),
+        (_doc(objective={"universe": 3}), "objective"),
+        (_doc(matroid="uniform"), "matroid"),
+        (_doc(matroid={"k": 2}), "matroid"),
+        (_doc(objective={"kind": "coverage", "covers": []}), "universe"),
+        (_doc(objective={"kind": "modular"}), "weights"),
+        (_doc(matroid={"kind": "uniform"}), "'k'"),
+        (_doc(matroid={"kind": "partition", "blocks": []}), "capacities"),
+        (_doc(matroid={"kind": "graphic", "edges": []}), "vertices"),
+        (_doc(matroid={"kind": "explicit"}), "independent"),
+        (_doc(regularizer={}), "weights"),
+        (_doc(regularizer=[1, 2]), "regularizer"),
+        (_doc(objective={"kind": "modular", "weights": [1, "x"]}),
+         "objective.weights[1]"),
+        (_doc(matroid={"kind": "graphic", "vertices": 3, "edges": [[0, 1], 7]}),
+         "matroid.edges[1]"),
+    ],
+)
+def test_malformed_documents_name_the_field(doc, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        _load(doc)
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)  # small, so a bitmask built from one stays small
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _mutate(doc, path, value):
+    """Replace (or with value None at an object key, maybe delete) the node
+    the path of indices selects."""
+    node = doc
+    for step in path:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            break
+        key = keys[step % len(keys)]
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or step % 3 == 0:
+            if isinstance(node, dict) and value is None and step % 2:
+                del node[key]
+            else:
+                node[key] = value
+            return doc
+        node = child
+    return doc
+
+
+@given(
+    st.sampled_from(range(len(VALID))), st.lists(st.integers(0, 50), max_size=4), _json
+)
+@settings(max_examples=400, deadline=None)
+def test_mutated_documents_load_or_raise_value_error(which, path, value):
+    doc = _mutate(copy.deepcopy(VALID[which]), path, value)
+    try:
+        _load(doc)
+    except ValueError:
+        pass
+
+
+@given(_json)
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_json_loads_or_raises_value_error(doc):
+    try:
+        _load(doc)
+    except ValueError:
+        pass

@@ -265,3 +265,84 @@ def test_lifted_guide_monotone_in_members(L, raw_mask, x):
     s = ElementSet(n2, mask)
     x = x % n2
     assert guide.eval(s.add(x)) >= guide.eval(s) - 1e-12
+
+
+class _RecordingOracle:
+    """Pass-through value oracle that records every set it is asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+        self.seen = []
+
+    def eval(self, s):
+        self.seen.append(s.mask)
+        return self.inner.eval(s)
+
+
+_BASE_N = 5
+_COVERS = [[0, 1], [1, 2, 3], [3], [4, 5, 0], [5, 6, 7, 2]]
+
+
+@given(
+    L=st.integers(1, 4),
+    point_weights=st.none() | st.lists(st.integers(0, 9), min_size=8, max_size=8),
+    reg_weights=st.none()
+    | st.lists(st.integers(-3, 5), min_size=_BASE_N, max_size=_BASE_N),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "drop", "swap"]),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps):
+    # after any add/drop/swap sequence the memoized tracker answers exactly
+    # like a fresh one, and its inner oracle never sees a set twice between
+    # two applies (the memo is per state and never stale)
+    f = CoverageFunction(8, _COVERS, point_weights=point_weights)
+    reg = None if reg_weights is None else LinearRegularizer(reg_weights)
+    recorder = _RecordingOracle(f)
+    tracked = LiftedGuide(recorder, guide_weights(L), reg)
+    fresh_guide = LiftedGuide(f, guide_weights(L), reg)
+    n2 = tracked.ground_size
+    tracker = make_tracker(tracked, ElementSet.empty(n2))
+
+    def check():
+        fresh = make_tracker(fresh_guide, tracker.current)
+        assert tracker.value == fresh.value
+        for _ in range(2):  # a repeated ask is answered from the memo
+            for x in range(n2):
+                if x in tracker.current:
+                    assert tracker.marginal_drop(x) == fresh.marginal_drop(x)
+                else:
+                    assert tracker.marginal_add(x) == fresh.marginal_add(x)
+        assert len(recorder.seen) == len(set(recorder.seen))
+
+    check()
+    for op, a, b in steps:
+        s = tracker.current
+        held = {x // L for x in s}
+        members = list(s)
+        addable = [x for x in range(n2) if x // L not in held]
+        if op == "add" and addable:
+            recorder.seen.clear()
+            tracker.apply(add=addable[a % len(addable)])
+        elif op == "drop" and members:
+            recorder.seen.clear()
+            tracker.apply(drop=members[a % len(members)])
+        elif op == "swap" and members:
+            u = members[a % len(members)]
+            # the added element may move u's base element to another level
+            others = held - {u // L}
+            outside = [x for x in range(n2) if x not in s and x // L not in others]
+            if not outside:
+                continue
+            recorder.seen.clear()
+            tracker.apply(add=outside[b % len(outside)], drop=u)
+        else:
+            continue
+        check()

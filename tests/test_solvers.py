@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from nols.solvers import (
     warm_start,
 )
 from nols.verify import brute_force_opt
-from suite import tiny_coverage
+from suite import TINY_UNIVERSE, bait_chain, tiny_coverage
 
 
 def _es(n, items):
@@ -307,3 +308,61 @@ def test_partition_constraint_respected_end_to_end():
         rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=variant, seed=4))
         assert m.is_independent(rep.output_set)
         assert rep.objective_value == 6  # one two-point element per block
+
+
+class _SingletonRecorder:
+    """Pass-through matroid that counts singleton queries per element."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+        self.singletons = Counter()
+
+    def is_independent(self, s):
+        if len(s) == 1:
+            self.singletons[s.to_list()[0]] += 1
+        return self.inner.is_independent(s)
+
+
+def _with_loops(f, loops, capacity, loop_cover):
+    """f's elements plus loops: a partition matroid whose zero-capacity
+    block holds the loops, each covering loop_cover."""
+    n = f.ground_size + len(loops)
+    rest = iter(range(f.ground_size))
+    covers = [loop_cover if u in loops else f.covers(next(rest)) for u in range(n)]
+    g = CoverageFunction(f.universe_size, covers)
+    others = [u for u in range(n) if u not in loops]
+    return g, PartitionMatroid(n, [others, sorted(loops)], [capacity, 0])
+
+
+def test_solves_never_output_a_loop():
+    base, _ = tiny_coverage()
+    # the loops cover every point, so they would be the best picks if allowed
+    loops = {0, 3, 6}
+    f, m = _with_loops(base, loops, 2, list(range(TINY_UNIVERSE)))
+    for variant in (DETERMINISTIC, RANDOMIZED):
+        for seed in range(4):
+            config = SolverConfig(eps=0.5, variant=variant, seed=seed)
+            rep = non_oblivious_solve(f, m, config)
+            assert not rep.failed
+            assert not set(rep.output_set) & loops
+            assert m.is_independent(rep.output_set)
+            assert len(rep.output_set) == 2
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_deterministic_search_asks_each_loop_once(levels):
+    # zero-value loops: the warm start and the certificate's greedy never
+    # reach them while their sets are empty, so every singleton query of a
+    # loop comes from the swap scans, which must ask it once per call
+    bait, _ = bait_chain(32, 5, 0)
+    loops = {3, 8, 15, 32, 36}
+    f, m = _with_loops(bait, loops, 5, [])
+    recorder = _SingletonRecorder(lift(m, levels))
+    guide = LiftedGuide(f, guide_weights(levels))
+    res = deterministic_local_search(guide, recorder, 0.1)
+    assert res.iterations >= 2
+    for u in loops:
+        for level in range(levels):
+            assert recorder.singletons[u * levels + level] == 1
+    assert not set(project_all(res.solution, levels)) & loops
