@@ -10,9 +10,6 @@ CLI (``nols``).
 
 from .core import (
     ElementSet,
-    EXACT_POLICY,
-    FLOAT_POLICY,
-    NumericPolicy,
     QueryLedger,
     RandomSource,
     sample_without_replacement,
@@ -76,9 +73,6 @@ from .instances import (
 
 __all__ = [
     "ElementSet",
-    "EXACT_POLICY",
-    "FLOAT_POLICY",
-    "NumericPolicy",
     "QueryLedger",
     "RandomSource",
     "sample_without_replacement",

@@ -22,13 +22,18 @@ from .core import ElementSet
 from .instances import (
     FAMILIES,
     InstanceFile,
+    _get,
+    _int,
+    _int_list,
+    _number,
+    _object,
     dumps_canonical,
     generate_instance,
     load_instance,
     save_instance,
 )
 from .matroids import lift
-from .objectives import LiftedGuide, guide_weights, project_all
+from .objectives import MAX_LEVELS, LiftedGuide, guide_weights, project_all
 from .solvers import (
     DETERMINISTIC,
     PLAIN_GREEDY,
@@ -116,6 +121,48 @@ def report_document(
     }
 
 
+def _members(value, name: str, size: int) -> ElementSet:
+    for i, u in enumerate(_int_list(value, name)):
+        if u >= size:
+            raise ValueError(f"{name}[{i}] must be below {size}, got {u}")
+    return ElementSet.from_iterable(size, value)
+
+
+def parse_report(doc, n: int):
+    """(output set, lifted solution, certificate) of a report over an n-element
+    instance; the last two are None for a failed run. Every field verify reads
+    is checked first: a malformed one raises a ValueError that names it."""
+    _object(doc, "report")
+
+    def field(key, check=None, *extra, spec=doc, where="report"):
+        value = _get(spec, key, where)
+        return value if check is None else check(value, f"{where}.{key}", *extra)
+
+    output = field("output_set", _members, n)
+    field("objective_value", _number)
+    if type(field("failed")) is not bool:
+        raise ValueError("report.failed must be true or false")
+    cert = field("certificate")
+    if doc["failed"]:
+        return output, None, None
+    levels = field("levels", _int)
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"report.levels must be in [1, {MAX_LEVELS}], got {levels}")
+    lifted_solution = field("lifted_solution", _members, n * levels)
+    field("eps", _number)
+    for key in ("iterations", "eps_inner", "variant", "seed", "rank", "warm_value"):
+        field(key)
+    where = "report.certificate"
+    _object(cert, where)
+    witness = field("witness", _members, n * levels, spec=cert, where=where)
+    gap, bound, eps, warm_value = (
+        field(key, _number, spec=cert, where=where)
+        for key in ("gap", "bound", "eps", "warm_value")
+    )
+    certificate = LocalOptCertificate(witness, gap, bound, eps, warm_value)
+    return output, lifted_solution, certificate
+
+
 def cmd_gen(args) -> int:
     instance = generate_instance(args.family, args.n, args.r, args.seed)
     save_instance(instance, args.out)
@@ -156,7 +203,12 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    doc = json.loads(Path(args.report).read_text())
+    try:
+        doc = json.loads(Path(args.report).read_text())
+        output, lifted_solution, certificate = parse_report(doc, instance.n)
+    except ValueError as err:  # malformed JSON included
+        print(f"malformed report: {err}", file=sys.stderr)
+        return 1
     problems: list[str] = []
 
     def check(ok: bool, label: str):
@@ -170,7 +222,6 @@ def cmd_verify(args) -> int:
     f = instance.build_objective()
     matroid = instance.build_matroid()
     n = instance.n
-    output = ElementSet.from_iterable(n, doc["output_set"])
     check(
         f.eval(output) == doc["objective_value"],
         "objective value matches the output set",
@@ -193,7 +244,6 @@ def cmd_verify(args) -> int:
         regularizer = None
     guide = LiftedGuide(f, guide_weights(levels), regularizer)
     lifted_matroid = lift(matroid, levels)
-    lifted_solution = ElementSet.from_iterable(n * levels, doc["lifted_solution"])
     check(
         lifted_matroid.is_independent(lifted_solution),
         "lifted solution is independent in the lifted matroid",
@@ -201,14 +251,6 @@ def cmd_verify(args) -> int:
     check(
         project_all(lifted_solution, levels) == output,
         "output set is the projection of the lifted solution",
-    )
-    cert_doc = doc["certificate"]
-    certificate = LocalOptCertificate(
-        witness=ElementSet.from_iterable(n * levels, cert_doc["witness"]),
-        gap=cert_doc["gap"],
-        bound=cert_doc["bound"],
-        eps=cert_doc["eps"],
-        warm_value=cert_doc["warm_value"],
     )
     issues = check_certificate(certificate, guide, lifted_matroid, lifted_solution)
     check(not issues, "certificate recomputation matches" + (
@@ -335,9 +377,9 @@ def bench_grid(
 
 
 def cmd_bench(args) -> int:
-    ns = _int_list(args.n)
+    ns = _comma_ints(args.n)
     if args.r:
-        rs = _int_list(args.r)
+        rs = _comma_ints(args.r)
         if len(rs) == 1:
             rs = rs * len(ns)
         if len(rs) != len(ns):
@@ -347,7 +389,7 @@ def cmd_bench(args) -> int:
         rs = [_ceil_sqrt(n) for n in ns]
     cells = list(zip(ns, rs))
     eps_list = [float(x) for x in args.eps.split(",") if x] if args.eps else []
-    seeds = _int_list(args.seeds) if args.seeds else []
+    seeds = _comma_ints(args.seeds) if args.seeds else []
     variants = [v for v in args.variants.split(",") if v] if args.variants else []
     for v in variants:
         if v not in (DETERMINISTIC, RANDOMIZED):
@@ -366,7 +408,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _int_list(text: str) -> list[int]:
+def _comma_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 

@@ -1,14 +1,16 @@
-"""Shared primitives: ground sets, query accounting, randomness, numeric policy.
+"""Shared primitives: ground sets, query accounting, randomness, comparisons.
 
 Everything downstream manipulates subsets of a ground set {0, ..., n-1}
 through :class:`ElementSet`, counts oracle traffic through
 :class:`QueryLedger`, and draws randomness through :class:`RandomSource`
-so that every run is replayable from a single integer seed.
+so that every run is replayable from a single integer seed. Objective
+values are compared through :func:`ge` and :func:`gt`, which share one
+fixed relative slack, ``COMPARISON_SLACK``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 ElementId = int
@@ -179,10 +181,6 @@ class RandomSource:
             if x < limit:
                 return x % bound
 
-    def uniform(self) -> float:
-        # 53 bits of mantissa, in [0, 1)
-        return (self.next_u64() >> 11) * (2.0**-53)
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
@@ -207,34 +205,20 @@ def sample_without_replacement(
     return ElementSet.from_iterable(pool.n, items[:k])
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Comparison policy for objective values.
-
-    comparison_slack is a relative tolerance: ge(a, b) accepts when
-    a >= b - slack * max(1, |a|, |b|). The default 0 gives exact
-    comparisons, right for integer-valued objectives. Solvers working in
-    floats use FLOAT_POLICY.
-    """
-
-    comparison_slack: float = 0.0
-
-    def _scale(self, lhs: float, rhs: float) -> float:
-        return self.comparison_slack * max(1.0, abs(lhs), abs(rhs))
-
-    def ge(self, lhs: float, rhs: float) -> bool:
-        return lhs >= rhs - self._scale(lhs, rhs)
-
-    def gt(self, lhs: float, rhs: float) -> bool:
-        """Strict comparison with the slack on the other side.
-
-        Used where accepting a rounding-noise improvement would break
-        termination (zero-threshold loops)."""
-        return lhs > rhs + self._scale(lhs, rhs)
+COMPARISON_SLACK = 1e-9  # relative; objective values are floats
 
 
-EXACT_POLICY = NumericPolicy(0.0)
-FLOAT_POLICY = NumericPolicy(1e-9)
+def ge(lhs: float, rhs: float) -> bool:
+    """lhs >= rhs up to the slack, scaled by max(1, |lhs|, |rhs|)."""
+    return lhs >= rhs - COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
+
+
+def gt(lhs: float, rhs: float) -> bool:
+    """Strict comparison with the slack on the other side.
+
+    Used where accepting a rounding-noise improvement would break
+    termination (zero-threshold loops)."""
+    return lhs > rhs + COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
 
 
 @runtime_checkable

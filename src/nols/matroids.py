@@ -2,9 +2,9 @@
 
 All matroids answer through ``is_independent(S)`` only; solvers never peek
 at internal structure. The exchange helpers (``extend_to_base``,
-``max_weight_independent``, ``min_weight_exchange``, ``exchange_bijection``)
-are written against that interface so they work unchanged on counted
-oracles and on lifted matroids.
+``max_weight_independent``, ``min_weight_exchange``) are written against
+that interface so they work unchanged on counted oracles and on lifted
+matroids. The test-scale ``exchange_bijection`` lives in ``nols.verify``.
 """
 
 from __future__ import annotations
@@ -323,50 +323,3 @@ def min_weight_exchange(
         else:
             lo = mid
     return labels[hi - 2]
-
-
-def exchange_bijection(
-    matroid: MatroidOracle, a: ElementSet, b: ElementSet
-) -> dict[ElementId, ElementId]:
-    """Bijection h from base a onto base b with b - h(u) + u independent for
-    every u in a, fixing a's overlap with b pointwise.
-
-    Computed as a perfect matching on the swap-feasibility graph between
-    a - b and b - a (Kuhn's augmenting paths). Intended for verification
-    at test scale; call with uncounted oracles to keep it out of ledgers.
-    Raises RuntimeError if no perfect matching exists, which for genuine
-    bases of a matroid cannot happen.
-    """
-    if len(a) != len(b):
-        raise ValueError("bases must have equal size")
-    left = [u for u in a if u not in b]
-    right = [x for x in b if x not in a]
-    adj: list[list[int]] = []
-    for u in left:
-        row = []
-        for j, x in enumerate(right):
-            if matroid.is_independent(b.remove(x).add(u)):
-                row.append(j)
-        adj.append(row)
-
-    match_right: list[int | None] = [None] * len(right)
-
-    def try_augment(i: int, visited: set[int]) -> bool:
-        for j in adj[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if match_right[j] is None or try_augment(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(len(left)):
-        if not try_augment(i, set()):
-            raise RuntimeError("no perfect exchange matching; inputs are not bases")
-
-    h = {u: u for u in a if u in b}
-    for j, i in enumerate(match_right):
-        assert i is not None
-        h[left[i]] = right[j]
-    return h

@@ -20,12 +20,12 @@ from .core import (
     CountingValueOracle,
     ElementId,
     ElementSet,
-    FLOAT_POLICY,
     MatroidOracle,
-    NumericPolicy,
     QueryLedger,
     RandomSource,
     ValueOracle,
+    ge,
+    gt,
     sample_without_replacement,
 )
 from .matroids import extend_to_base, lift, max_weight_independent, min_weight_exchange
@@ -68,7 +68,7 @@ class SolverConfig:
             raise ValueError("eps must be in (0, 1)")
         if self.variant not in (DETERMINISTIC, RANDOMIZED):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.warm_start not in (THRESHOLD_GREEDY, PLAIN_GREEDY):
+        if self.warm_start not in _WARM_STARTS:
             raise ValueError(f"unknown warm start {self.warm_start!r}")
         if self.levels_override is None:
             if default_levels(self.eps) > MAX_LEVELS:
@@ -98,8 +98,8 @@ class LocalOptCertificate:
     eps: float
     warm_value: float
 
-    def passes(self, policy: NumericPolicy = FLOAT_POLICY) -> bool:
-        return policy.ge(self.bound, self.gap)
+    def passes(self) -> bool:
+        return ge(self.bound, self.gap)
 
 
 @dataclass
@@ -165,7 +165,7 @@ def amplification_attempts(eps: float) -> int:
 # ----- warm start -----
 
 
-def _threshold_greedy_warm(tracker, matroid: MatroidOracle, policy: NumericPolicy):
+def _threshold_greedy_warm(tracker, matroid: MatroidOracle):
     """Descending-thresholds greedy, in place on the tracker.
 
     tau starts at the largest singleton value and decays by (1 - 1/8) until
@@ -190,11 +190,11 @@ def _threshold_greedy_warm(tracker, matroid: MatroidOracle, policy: NumericPolic
         for u in range(n):
             if u in tracker.current or (dead >> u) & 1:
                 continue
-            if not policy.ge(ub[u], tau):
+            if not ge(ub[u], tau):
                 continue
             m = tracker.marginal_add(u)
             ub[u] = m
-            if policy.ge(m, tau):
+            if ge(m, tau):
                 if matroid.is_independent(tracker.current.add(u)):
                     tracker.apply(add=u)
                 else:
@@ -202,7 +202,7 @@ def _threshold_greedy_warm(tracker, matroid: MatroidOracle, policy: NumericPolic
         tau *= 1.0 - _DECAY
 
 
-def _plain_greedy_warm(tracker, matroid: MatroidOracle, policy: NumericPolicy):
+def _plain_greedy_warm(tracker, matroid: MatroidOracle):
     """Exact best-marginal insertion until a base; ties to the smaller id."""
     n = tracker.ground_size
     dead = 0
@@ -225,41 +225,40 @@ def _plain_greedy_warm(tracker, matroid: MatroidOracle, policy: NumericPolicy):
             return
 
 
-def _run_warm_start(tracker, matroid, variant: str, policy: NumericPolicy):
-    if variant == THRESHOLD_GREEDY:
-        _threshold_greedy_warm(tracker, matroid, policy)
-    elif variant == PLAIN_GREEDY:
-        _plain_greedy_warm(tracker, matroid, policy)
-    else:
+_WARM_STARTS = {
+    THRESHOLD_GREEDY: _threshold_greedy_warm, PLAIN_GREEDY: _plain_greedy_warm
+}
+
+
+def _warm_tracker(f: ValueOracle, matroid: MatroidOracle, variant: str):
+    """Tracker grown from the empty set by the named warm start; an unknown
+    name is rejected before any oracle query."""
+    routine = _WARM_STARTS.get(variant)
+    if routine is None:
         raise ValueError(f"unknown warm start {variant!r}")
+    tracker = make_tracker(f, ElementSet.empty(f.ground_size))
+    routine(tracker, matroid)
+    return tracker
 
 
 def warm_start(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    variant: str = THRESHOLD_GREEDY,
-    policy: NumericPolicy = FLOAT_POLICY,
+    f: ValueOracle, matroid: MatroidOracle, variant: str = THRESHOLD_GREEDY
 ) -> ElementSet:
     """Independent set worth at least a third of the optimum.
 
     The contract is enforced by the brute-force acceptance suite rather
     than assumed from the internals.
     """
-    tracker = make_tracker(f, ElementSet.empty(f.ground_size))
-    _run_warm_start(tracker, matroid, variant, policy)
-    return tracker.current
+    return _warm_tracker(f, matroid, variant).current
 
 
-def _warm_base(
-    f: ValueOracle, matroid: MatroidOracle, warm_variant: str, policy: NumericPolicy
-):
+def _warm_base(f: ValueOracle, matroid: MatroidOracle, warm_variant: str):
     """Warm-start a tracker from the empty set, then extend it to a base.
 
     Returns (tracker at the base, warm set, warm value); no randomness, so
     every search attempt reaches the same base.
     """
-    tracker = make_tracker(f, ElementSet.empty(f.ground_size))
-    _run_warm_start(tracker, matroid, warm_variant, policy)
+    tracker = _warm_tracker(f, matroid, warm_variant)
     warm_set = tracker.current
     warm_value = tracker.value
     base = extend_to_base(matroid, warm_set)
@@ -295,6 +294,13 @@ def _certificate_from_tracker(
     )
 
 
+def _clears(value: float, threshold: float) -> bool:
+    """The searches' acceptance test: value reaches a positive threshold up
+    to the slack; with a zero threshold it must beat 0 strictly, since
+    accepting rounding noise there could swap forever."""
+    return ge(value, threshold) if threshold > 0 else gt(value, 0.0)
+
+
 def _alone_oracle(matroid: MatroidOracle, n: int):
     """is_independent({v}) that asks the matroid at most once per element."""
     answers: dict[ElementId, bool] = {}
@@ -316,7 +322,6 @@ def deterministic_local_search(
     eps: float,
     *,
     warm_variant: str = THRESHOLD_GREEDY,
-    policy: NumericPolicy = FLOAT_POLICY,
 ) -> LocalSearchResult:
     """Swap local search with acceptance threshold (eps / r) * f(S0).
 
@@ -330,7 +335,7 @@ def deterministic_local_search(
     Two shortcuts skip queries without changing the trajectory. The binary
     search runs only when the upper bound gain_add - min(drop) clears the
     threshold: the feasible drop weighs at least the minimum, and float
-    subtraction and the policy's comparisons are monotone, so a candidate
+    subtraction and the slack comparisons are monotone, so a candidate
     failing the bound fails the exact test too. Each candidate's singleton
     independence is asked once per call, the first time a scan reaches it,
     so loops (elements dependent on their own) cost one query in all.
@@ -338,14 +343,10 @@ def deterministic_local_search(
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = f.ground_size
-    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant, policy)
+    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
-
-    def accepts(gain: float) -> bool:
-        return policy.ge(gain, threshold) if threshold > 0 else policy.gt(gain, 0.0)
-
     independent_alone = _alone_oracle(matroid, n)
     iterations = 0
     while True:
@@ -365,11 +366,11 @@ def deterministic_local_search(
             if not independent_alone(v):
                 continue
             gain_add = tracker.marginal_add(v)
-            if not accepts(gain_add - min_drop):
+            if not _clears(gain_add - min_drop, threshold):
                 continue
             u_v = min_weight_exchange(matroid, s, s, v, drop_w)
             gain = gain_add - drop_w[u_v]
-            if accepts(gain):
+            if _clears(gain, threshold):
                 tracker.apply(add=v, drop=u_v)
                 swapped = True
                 break
@@ -409,7 +410,6 @@ def randomized_local_search(
     *,
     attempts: int | None = None,
     warm_variant: str = THRESHOLD_GREEDY,
-    policy: NumericPolicy = FLOAT_POLICY,
 ) -> LocalSearchResult | None:
     """Sampled-swap search, amplified over attempts; the first passing
     attempt wins.
@@ -447,7 +447,7 @@ def randomized_local_search(
     root = _ceil_sqrt(n)
     ground = ElementSet.full(n)
     independent_alone = _alone_oracle(matroid, n)
-    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant, policy)
+    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant)
     base = tracker.current
     r = len(base)
     k = randomized_iterations(r, eps)
@@ -479,7 +479,7 @@ def randomized_local_search(
                 for v in feasible:  # ascending; first best kept on ties
                     gain_add = tracker.marginal_add(v)
                     upper = gain_add - min_drop
-                    if not policy.ge(upper, 0.0) or (
+                    if not ge(upper, 0.0) or (
                         best is not None and not upper > best[0]
                     ):
                         continue
@@ -487,7 +487,7 @@ def randomized_local_search(
                     gain = gain_add - drop_w[u_v]
                     if best is None or gain > best[0]:
                         best = (gain, v, u_v)
-                if best is not None and policy.ge(best[0], 0.0):
+                if best is not None and ge(best[0], 0.0):
                     tracker.apply(add=best[1], drop=best[2])
             trajectory.append(tracker.current)
 
@@ -495,13 +495,7 @@ def randomized_local_search(
         if tested != tracker.current:
             tracker = make_tracker(f, tested)
         certificate = _certificate_from_tracker(tracker, matroid, eps, warm_value)
-        threshold = certificate.bound
-        failed = (
-            policy.ge(certificate.gap, threshold)
-            if threshold > 0
-            else policy.gt(certificate.gap, 0.0)
-        )
-        if not failed:
+        if not _clears(certificate.gap, certificate.bound):
             return LocalSearchResult(
                 solution=tested,
                 value=tracker.value,
@@ -647,7 +641,6 @@ def non_oblivious_solve(
     *,
     regularizer: LinearRegularizer | None = None,
     retry_budget: int | None = None,
-    policy: NumericPolicy = FLOAT_POLICY,
 ) -> RunReport:
     """End-to-end solve: lift, search the guide, project back.
 
@@ -684,8 +677,7 @@ def non_oblivious_solve(
 
     if config.variant == DETERMINISTIC:
         result: LocalSearchResult | None = deterministic_local_search(
-            guide, lifted_matroid, eps_in, warm_variant=config.warm_start,
-            policy=policy,
+            guide, lifted_matroid, eps_in, warm_variant=config.warm_start
         )
     else:
         attempts = (
@@ -698,52 +690,41 @@ def non_oblivious_solve(
             RandomSource(config.seed),
             attempts=attempts,
             warm_variant=config.warm_start,
-            policy=policy,
         )
 
-    n = f.ground_size
-    if result is None:
-        output = ElementSet.empty(n)
-        rank = matroid_rank(matroid)  # uncounted; reporting only
-        return RunReport(
-            output_set=output,
-            objective_value=f.eval(output),
-            ledger=ledger,
-            # every attempt reaches the same base, so each ran k iterations
-            iterations=attempts * randomized_iterations(rank, eps_in),
-            failed=True,
-            certificate=None,
-            eps=config.eps,
-            eps_inner=eps_in,
-            levels=levels,
-            variant=config.variant,
-            seed=config.seed,
-            rank=rank,
-            lifted_solution=None,
-            warm_value=0.0,
-        )
-    certificate = result.certificate
-    if not certificate.passes(policy):
+    certificate = None if result is None else result.certificate
+    if certificate is not None and not certificate.passes():
         raise RuntimeError(
             f"solve produced a certificate that does not pass (gap {certificate.gap!r}"
             f" > bound {certificate.bound!r}); the value oracle is likely not "
             "monotone submodular or returned a non-finite value"
         )
-
-    output = project_all(result.solution, levels)
+    if result is None:
+        output = ElementSet.empty(f.ground_size)
+        rank = matroid_rank(matroid)  # uncounted; reporting only
+        # every attempt reaches the same base, so each ran k iterations
+        iterations = attempts * randomized_iterations(rank, eps_in)
+        lifted_solution = None
+        warm_value = 0.0
+    else:
+        lifted_solution = result.solution
+        output = project_all(lifted_solution, levels)
+        rank = len(lifted_solution)
+        iterations = result.iterations
+        warm_value = result.warm_value
     return RunReport(
         output_set=output,
         objective_value=f.eval(output),  # uncounted; reporting only
         ledger=ledger,
-        iterations=result.iterations,
-        failed=False,
+        iterations=iterations,
+        failed=result is None,
         certificate=certificate,
         eps=config.eps,
         eps_inner=eps_in,
         levels=levels,
         variant=config.variant,
         seed=config.seed,
-        rank=len(result.solution),
-        lifted_solution=result.solution,
-        warm_value=result.warm_value,
+        rank=rank,
+        lifted_solution=lifted_solution,
+        warm_value=warm_value,
     )

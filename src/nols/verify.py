@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COMPARISON_SLACK,
+    ElementId,
     ElementSet,
-    FLOAT_POLICY,
     MatroidOracle,
-    NumericPolicy,
     RandomSource,
     ValueOracle,
+    ge,
 )
 from .objectives import make_tracker
 from .solvers import LocalOptCertificate, RunReport, _certificate_from_tracker
@@ -131,6 +132,53 @@ def exhaustive_gap(
     return sum(w[v] for v in ElementSet(n, best_mask)) - base_sum
 
 
+def exchange_bijection(
+    matroid: MatroidOracle, a: ElementSet, b: ElementSet
+) -> dict[ElementId, ElementId]:
+    """Bijection h from base a onto base b with b - h(u) + u independent for
+    every u in a, fixing a's overlap with b pointwise.
+
+    Computed as a perfect matching on the swap-feasibility graph between
+    a - b and b - a (Kuhn's augmenting paths). Intended for verification
+    at test scale; call with uncounted oracles to keep it out of ledgers.
+    Raises RuntimeError if no perfect matching exists, which for genuine
+    bases of a matroid cannot happen.
+    """
+    if len(a) != len(b):
+        raise ValueError("bases must have equal size")
+    left = [u for u in a if u not in b]
+    right = [x for x in b if x not in a]
+    adj: list[list[int]] = []
+    for u in left:
+        row = []
+        for j, x in enumerate(right):
+            if matroid.is_independent(b.remove(x).add(u)):
+                row.append(j)
+        adj.append(row)
+
+    match_right: list[int | None] = [None] * len(right)
+
+    def try_augment(i: int, visited: set[int]) -> bool:
+        for j in adj[i]:
+            if j in visited:
+                continue
+            visited.add(j)
+            if match_right[j] is None or try_augment(match_right[j], visited):
+                match_right[j] = i
+                return True
+        return False
+
+    for i in range(len(left)):
+        if not try_augment(i, set()):
+            raise RuntimeError("no perfect exchange matching; inputs are not bases")
+
+    h = {u: u for u in a if u in b}
+    for j, i in enumerate(match_right):
+        assert i is not None
+        h[left[i]] = right[j]
+    return h
+
+
 def check_matroid_axioms(
     matroid: MatroidOracle, max_ground: int = 12, max_reports: int = 20
 ) -> list[str]:
@@ -205,7 +253,6 @@ def check_value_oracle(
     max_exhaustive: int = 10,
     trials: int = 10_000,
     rng: RandomSource | None = None,
-    policy: NumericPolicy = FLOAT_POLICY,
     max_reports: int = 20,
 ) -> list[str]:
     """Non-negativity, monotonicity, submodularity check.
@@ -224,12 +271,11 @@ def check_value_oracle(
 
     if n <= max_exhaustive:
         vals = np.array([f.eval(ElementSet(n, m)) for m in range(1 << n)])
-        slack = policy.comparison_slack
 
         def holds(left, right):
-            # vectorized policy.ge: left >= right - slack*max(1,|l|,|r|)
-            pad = slack * np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
-            return left >= right - pad
+            # vectorized core.ge: left >= right - slack*max(1,|l|,|r|)
+            scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+            return left >= right - COMPARISON_SLACK * scale
 
         masks = np.arange(1 << n, dtype=np.int64)
         bad = np.nonzero(~holds(vals, 0.0))[0]
@@ -273,7 +319,7 @@ def check_value_oracle(
         if ft < 0 or fs < 0:
             if report("negative value on sampled set"):
                 return issues
-        if not policy.ge(ft, fs):
+        if not ge(ft, fs):
             if report(f"monotonicity fails: f({_fmt(t_mask, n)}) < f({_fmt(s_mask, n)})"):
                 return issues
         outside = ElementSet(n, ((1 << n) - 1) & ~t_mask)
@@ -281,7 +327,7 @@ def check_value_oracle(
             continue
         members = outside.to_list()
         u = members[rng.randrange(len(members))]
-        if not policy.ge(
+        if not ge(
             f.eval(s.add(u)) - fs,
             f.eval(t.add(u)) - ft,
         ):
@@ -303,9 +349,7 @@ class ApproximationReport:
 
 
 def approximation_report(
-    run: RunReport,
-    truth: BruteForceResult,
-    policy: NumericPolicy = FLOAT_POLICY,
+    run: RunReport, truth: BruteForceResult
 ) -> ApproximationReport:
     """Achieved ratio vs the level-dependent target (1-(1+1/L)^-L) - eps.
 
@@ -323,7 +367,7 @@ def approximation_report(
     return ApproximationReport(
         ratio=ratio,
         target=target,
-        passed=policy.ge(ratio, target),
+        passed=ge(ratio, target),
         run_value=run.objective_value,
         opt_value=truth.opt_value,
     )
@@ -344,7 +388,6 @@ def check_certificate(
     f: ValueOracle,
     matroid: MatroidOracle,
     s: ElementSet,
-    policy: NumericPolicy = FLOAT_POLICY,
 ) -> list[str]:
     """Recompute a certificate against a solution and compare field by field.
 
@@ -367,7 +410,7 @@ def check_certificate(
             f"bound mismatch: stored {certificate.bound!r}, "
             f"eps * warm_value = {expected_bound!r}"
         )
-    if math.isfinite(certificate.gap) and not certificate.passes(policy):
+    if math.isfinite(certificate.gap) and not certificate.passes():
         issues.append(
             f"certificate does not pass: gap {certificate.gap!r} exceeds "
             f"bound {certificate.bound!r}"

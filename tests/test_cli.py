@@ -94,6 +94,44 @@ def test_verify_rejects_forged_certificate(tmp_path, capsys):
     assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 1
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), [], "report must be a JSON object"),
+        (("levels",), _DROP, "report missing 'levels'"),
+        (("output_set",), [99], "report.output_set[0] must be below 12"),
+        (("lifted_solution",), None, "report.lifted_solution must be a list"),
+        (("certificate",), [1.0], "report.certificate must be a JSON object"),
+        (("certificate", "gap"), "0", "report.certificate.gap must be a number"),
+    ],
+    ids=["list", "no-levels", "output-range", "null-lifted", "cert-list", "cert-gap"],
+)
+def test_verify_rejects_malformed_report(tmp_path, capsys, path, value, message):
+    inst = _gen(tmp_path)
+    rep = tmp_path / "report.json"
+    main(["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)])
+    doc = json.loads(rep.read_text())
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""  # rejected before any other check
+    assert message in out.err
+
+
 def test_verify_certificate_only_skips_brute_force(tmp_path, capsys):
     inst = _gen(tmp_path, n=30, r=4, seed=1)
     rep = tmp_path / "report.json"

@@ -10,13 +10,13 @@ from nols.matroids import (
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
-    exchange_bijection,
     extend_to_base,
     lift,
     max_weight_independent,
     min_weight_exchange,
     rank,
 )
+from nols.verify import exchange_bijection
 from suite import greedy_independent
 
 

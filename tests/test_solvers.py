@@ -3,8 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nols.core import ElementSet, FLOAT_POLICY, QueryLedger, RandomSource, with_counting
+from nols.core import ElementSet, QueryLedger, RandomSource, with_counting
 from nols.matroids import UniformMatroid, PartitionMatroid, lift, rank
 from nols.objectives import (
     CoverageFunction,
@@ -28,7 +30,8 @@ from nols.solvers import (
     reference_local_search,
     warm_start,
 )
-from nols.verify import brute_force_opt
+from nols.instances import generate_instance
+from nols.verify import brute_force_opt, check_certificate
 from suite import TINY_UNIVERSE, bait_chain, tiny_coverage
 
 
@@ -118,7 +121,7 @@ def test_deterministic_search_finds_modular_optimum():
     m = UniformMatroid(6, 3)
     res = deterministic_local_search(f, m, eps=0.5)
     assert res.value == 12  # weights 3, 4, 5
-    assert res.certificate.passes(FLOAT_POLICY)
+    assert res.certificate.passes()
     assert res.iterations >= 1
 
 
@@ -366,3 +369,30 @@ def test_deterministic_search_asks_each_loop_once(levels):
         for level in range(levels):
             assert recorder.singletons[u * levels + level] == 1
     assert not set(project_all(res.solution, levels)) & loops
+
+
+@given(
+    family=st.sampled_from(["coverage", "partition", "graphic"]),
+    n=st.integers(2, 10),
+    r=st.integers(1, 4),
+    seed=st.integers(0, 50),
+    eps=st.sampled_from([0.5, 0.25]),
+    variant=st.sampled_from([DETERMINISTIC, RANDOMIZED]),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_passed_solve_carries_a_passing_certificate(
+    family, n, r, seed, eps, variant
+):
+    # fail closed: a report with failed=False always holds a certificate that
+    # passes and that an independent recomputation on the lifted instance
+    # reproduces exactly
+    inst = generate_instance(family, n, min(r, n), seed)
+    f, m = inst.build_objective(), inst.build_matroid()
+    rep = non_oblivious_solve(f, m, SolverConfig(eps=eps, variant=variant, seed=seed))
+    if rep.failed:
+        assert rep.certificate is None
+        return
+    assert rep.certificate.passes()
+    guide = LiftedGuide(f, guide_weights(rep.levels))
+    lifted = lift(m, rep.levels)
+    assert check_certificate(rep.certificate, guide, lifted, rep.lifted_solution) == []

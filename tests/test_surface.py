@@ -1,15 +1,18 @@
 """Public-surface lock.
 
-Pins ``nols.__all__`` and checks that every name the benchmark harness in
-``perfbench/`` imports, reads or patches still resolves, so a refactor
-cannot silently break the harness.
+Pins ``nols.__all__`` and the knobs of the solve and verify entry points,
+and checks that every name the benchmark harness in ``perfbench/``
+imports, reads or patches still resolves, so a refactor cannot silently
+break the harness.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import nols
@@ -20,9 +23,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EXPECTED_ALL = [
     # core
     "ElementSet",
-    "EXACT_POLICY",
-    "FLOAT_POLICY",
-    "NumericPolicy",
     "QueryLedger",
     "RandomSource",
     "sample_without_replacement",
@@ -84,6 +84,26 @@ def test_public_names_are_pinned():
     assert nols.__all__ == EXPECTED_ALL
     for name in nols.__all__:
         assert hasattr(nols, name), name
+
+
+# every parameter and config field is a knob; adding one must show up here
+EXPECTED_PARAMETERS = {
+    "non_oblivious_solve": ["f", "matroid", "config", "regularizer", "retry_budget"],
+    "deterministic_local_search": ["f", "matroid", "eps", "warm_variant"],
+    "randomized_local_search": ["f", "matroid", "eps", "rng", "attempts", "warm_variant"],
+    "warm_start": ["f", "matroid", "variant"],
+    "check_certificate": ["certificate", "f", "matroid", "s"],
+    "approximation_report": ["run", "truth"],
+    "check_value_oracle": ["f", "max_exhaustive", "trials", "rng", "max_reports"],
+}
+EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override", "warm_start"]
+
+
+def test_entry_point_knobs_are_pinned():
+    for name, params in EXPECTED_PARAMETERS.items():
+        assert list(inspect.signature(getattr(nols, name)).parameters) == params, name
+    fields = [field.name for field in dataclasses.fields(nols.SolverConfig)]
+    assert fields == EXPECTED_CONFIG_FIELDS
 
 
 def _harness_trees():

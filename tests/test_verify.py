@@ -1,6 +1,6 @@
 import pytest
 
-from nols.core import ElementSet, EXACT_POLICY, FLOAT_POLICY, RandomSource
+from nols.core import ElementSet, RandomSource
 from nols.matroids import ExplicitMatroid, UniformMatroid, lift
 from nols.objectives import (
     LiftedGuide,
@@ -111,7 +111,7 @@ def test_solver_gap_within_eps_of_warm_value():
         cert = rep.certificate
         assert cert.gap <= cert.bound + 1e-9
         assert cert.bound == pytest.approx(rep.eps_inner * rep.warm_value)
-        assert cert.passes(FLOAT_POLICY)
+        assert cert.passes()
 
 
 def test_matroid_axiom_checker_accepts_real_matroids():
