@@ -4,15 +4,15 @@ Every command is a deterministic function of its arguments, the seed, and
 the instance bytes (bench's wall_time column is the one exception), so
 reports and instances can be diffed byte for byte across runs.
 
-Exit codes: 0 success, 1 verification failure or bad input, 2 randomized
-solve that exhausted its retry budget.
+Exit codes: 0 success, 1 verification failure or bad input (one line on
+stderr names the problem), 2 randomized solve that exhausted its retry
+budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -30,18 +30,17 @@ from .instances import (
     dumps_canonical,
     generate_instance,
     load_instance,
+    read_json,
     save_instance,
 )
 from .matroids import lift
-from .objectives import MAX_LEVELS, LiftedGuide, guide_weights, project_all
+from .objectives import MAX_LEVELS, GuideWeights, LiftedGuide, project_all
 from .solvers import (
     DETERMINISTIC,
-    PLAIN_GREEDY,
     RANDOMIZED,
     LocalOptCertificate,
     RunReport,
     SolverConfig,
-    THRESHOLD_GREEDY,
     _ceil_sqrt,
     non_oblivious_solve,
 )
@@ -81,7 +80,7 @@ def rand_normalizer(n: int, r: int) -> float:
 
 
 def report_document(
-    report: RunReport, instance: InstanceFile, config: SolverConfig, regularized: bool
+    report: RunReport, instance: InstanceFile, regularized: bool
 ) -> dict:
     cert = None
     if report.certificate is not None:
@@ -103,7 +102,7 @@ def report_document(
         "levels": report.levels,
         "variant": report.variant,
         "seed": report.seed,
-        "warm_start": config.warm_start,
+        "warm_start": "threshold_greedy",  # the one warm start
         "regularized": regularized,
         "failed": report.failed,
         "output_set": report.output_set.to_list(),
@@ -149,7 +148,9 @@ def parse_report(doc, n: int):
     if not 1 <= levels <= MAX_LEVELS:
         raise ValueError(f"report.levels must be in [1, {MAX_LEVELS}], got {levels}")
     lifted_solution = field("lifted_solution", _members, n * levels)
-    field("eps", _number)
+    eps = field("eps", _number)
+    if not 0 < eps < 1:
+        raise ValueError(f"report.eps must be in (0, 1), got {eps!r}")
     for key in ("iterations", "eps_inner", "variant", "seed", "rank", "warm_value"):
         field(key)
     where = "report.certificate"
@@ -180,7 +181,6 @@ def cmd_solve(args) -> int:
         variant=args.variant,
         seed=args.seed,
         levels_override=args.levels,
-        warm_start=args.warm_start,
     )
     report = non_oblivious_solve(
         f,
@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
         regularizer=regularizer,
         retry_budget=args.retry_budget,
     )
-    doc = report_document(report, instance, config, regularizer is not None)
+    doc = report_document(report, instance, regularizer is not None)
     text = dumps_canonical(doc)
     if args.out:
         Path(args.out).write_text(text)
@@ -203,12 +203,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    try:
-        doc = json.loads(Path(args.report).read_text())
-        output, lifted_solution, certificate = parse_report(doc, instance.n)
-    except ValueError as err:  # malformed JSON included
-        print(f"malformed report: {err}", file=sys.stderr)
-        return 1
+    doc = read_json(args.report)
+    output, lifted_solution, certificate = parse_report(doc, instance.n)
     problems: list[str] = []
 
     def check(ok: bool, label: str):
@@ -242,7 +238,7 @@ def cmd_verify(args) -> int:
         check(regularizer is not None, "instance carries the regularizer")
     else:
         regularizer = None
-    guide = LiftedGuide(f, guide_weights(levels), regularizer)
+    guide = LiftedGuide(f, GuideWeights(levels), regularizer)
     lifted_matroid = lift(matroid, levels)
     check(
         lifted_matroid.is_independent(lifted_solution),
@@ -440,11 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--levels", type=int, default=None, help="override the level count"
     )
-    p_solve.add_argument(
-        "--warm-start",
-        choices=(THRESHOLD_GREEDY, PLAIN_GREEDY),
-        default=THRESHOLD_GREEDY,
-    )
     p_solve.add_argument("--out", default=None, help="report path (stdout if unset)")
     p_solve.add_argument(
         "--retry-budget", type=int, default=None, help=argparse.SUPPRESS
@@ -481,7 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        # bad input: a malformed or missing file, or an out-of-range value
+        print(f"nols {args.command}: error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -224,8 +224,18 @@ def save_instance(instance: InstanceFile, path: str | Path) -> None:
     Path(path).write_text(dumps_canonical(instance.to_document()))
 
 
+def read_json(path: str | Path):
+    """The JSON document in a file; invalid JSON raises a ValueError that
+    names the file."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path} is not valid JSON: {err}") from None
+
+
 def load_instance(path: str | Path) -> InstanceFile:
-    return InstanceFile.from_document(json.loads(Path(path).read_text()))
+    return InstanceFile.from_document(read_json(path))
 
 
 # ----- generators -----

@@ -174,6 +174,7 @@ class GuideWeights:
 
 
 def guide_weights(levels: int) -> GuideWeights:
+    """GuideWeights(levels); kept because the benchmark harness imports it."""
     return GuideWeights(levels)
 
 

@@ -34,7 +34,7 @@ from .objectives import (
     LiftedGuide,
     LinearRegularizer,
     MAX_LEVELS,
-    guide_weights,
+    GuideWeights,
     make_tracker,
     project_all,
     subset_unions,
@@ -42,9 +42,6 @@ from .objectives import (
 
 DETERMINISTIC = "deterministic"
 RANDOMIZED = "randomized"
-
-THRESHOLD_GREEDY = "threshold_greedy"
-PLAIN_GREEDY = "plain_greedy"
 
 _DECAY = 0.125  # warm-start threshold decay step
 
@@ -54,22 +51,19 @@ class SolverConfig:
     """Knobs shared by the solve entry points.
 
     levels_override replaces the eps-derived level count (1 gives ordinary
-    local search on f itself). warm_start picks the warm-start routine.
+    local search on f itself).
     """
 
     eps: float = 0.25
     variant: str = DETERMINISTIC
     seed: int = 0
     levels_override: int | None = None
-    warm_start: str = THRESHOLD_GREEDY
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0, 1)")
         if self.variant not in (DETERMINISTIC, RANDOMIZED):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.warm_start not in _WARM_STARTS:
-            raise ValueError(f"unknown warm start {self.warm_start!r}")
         if self.levels_override is None:
             if default_levels(self.eps) > MAX_LEVELS:
                 raise ValueError(
@@ -165,24 +159,27 @@ def amplification_attempts(eps: float) -> int:
 # ----- warm start -----
 
 
-def _threshold_greedy_warm(tracker, matroid: MatroidOracle):
-    """Descending-thresholds greedy, in place on the tracker.
+def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
+    """Descending-thresholds greedy from the empty set; returns its tracker.
 
     tau starts at the largest singleton value and decays by (1 - 1/8) until
     below (1/8) * max / n; each sweep adds any independent element whose
     marginal clears tau. Lazy upper bounds skip re-evaluations (marginals
     only shrink as S grows) and elements whose addition went dependent stay
     dead for good (downward closure), so the output matches the eager sweep
-    exactly at a fraction of the queries.
+    exactly at a fraction of the queries. There are O(log n) sweeps of at
+    most n value queries each, so the warm start stays inside both
+    searches' query bounds.
     """
-    n = tracker.ground_size
+    n = f.ground_size
+    tracker = make_tracker(f, ElementSet.empty(n))
     if n == 0:
-        return
+        return tracker
     empty_value = tracker.value
     ub = [tracker.marginal_add(u) for u in range(n)]
     tau_max = max(empty_value + m for m in ub)  # largest singleton value
     if tau_max <= 0:
-        return
+        return tracker
     floor = _DECAY * tau_max / n
     dead = 0
     tau = tau_max
@@ -200,65 +197,26 @@ def _threshold_greedy_warm(tracker, matroid: MatroidOracle):
                 else:
                     dead |= 1 << u
         tau *= 1.0 - _DECAY
-
-
-def _plain_greedy_warm(tracker, matroid: MatroidOracle):
-    """Exact best-marginal insertion until a base; ties to the smaller id."""
-    n = tracker.ground_size
-    dead = 0
-    while True:
-        ranked = sorted(
-            (
-                (-tracker.marginal_add(u), u)
-                for u in range(n)
-                if u not in tracker.current and not (dead >> u) & 1
-            ),
-        )
-        added = False
-        for _, u in ranked:
-            if matroid.is_independent(tracker.current.add(u)):
-                tracker.apply(add=u)
-                added = True
-                break
-            dead |= 1 << u
-        if not added:
-            return
-
-
-_WARM_STARTS = {
-    THRESHOLD_GREEDY: _threshold_greedy_warm, PLAIN_GREEDY: _plain_greedy_warm
-}
-
-
-def _warm_tracker(f: ValueOracle, matroid: MatroidOracle, variant: str):
-    """Tracker grown from the empty set by the named warm start; an unknown
-    name is rejected before any oracle query."""
-    routine = _WARM_STARTS.get(variant)
-    if routine is None:
-        raise ValueError(f"unknown warm start {variant!r}")
-    tracker = make_tracker(f, ElementSet.empty(f.ground_size))
-    routine(tracker, matroid)
     return tracker
 
 
-def warm_start(
-    f: ValueOracle, matroid: MatroidOracle, variant: str = THRESHOLD_GREEDY
-) -> ElementSet:
-    """Independent set worth at least a third of the optimum.
+def warm_start(f: ValueOracle, matroid: MatroidOracle) -> ElementSet:
+    """Independent set worth at least a third of the optimum, by
+    descending-thresholds greedy.
 
     The contract is enforced by the brute-force acceptance suite rather
     than assumed from the internals.
     """
-    return _warm_tracker(f, matroid, variant).current
+    return _threshold_greedy_warm(f, matroid).current
 
 
-def _warm_base(f: ValueOracle, matroid: MatroidOracle, warm_variant: str):
+def _warm_base(f: ValueOracle, matroid: MatroidOracle):
     """Warm-start a tracker from the empty set, then extend it to a base.
 
     Returns (tracker at the base, warm set, warm value); no randomness, so
     every search attempt reaches the same base.
     """
-    tracker = _warm_tracker(f, matroid, warm_variant)
+    tracker = _threshold_greedy_warm(f, matroid)
     warm_set = tracker.current
     warm_value = tracker.value
     base = extend_to_base(matroid, warm_set)
@@ -320,8 +278,6 @@ def deterministic_local_search(
     f: ValueOracle,
     matroid: MatroidOracle,
     eps: float,
-    *,
-    warm_variant: str = THRESHOLD_GREEDY,
 ) -> LocalSearchResult:
     """Swap local search with acceptance threshold (eps / r) * f(S0).
 
@@ -343,7 +299,7 @@ def deterministic_local_search(
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = f.ground_size
-    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant)
+    tracker, warm_set, warm_value = _warm_base(f, matroid)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
@@ -409,7 +365,6 @@ def randomized_local_search(
     rng: RandomSource,
     *,
     attempts: int | None = None,
-    warm_variant: str = THRESHOLD_GREEDY,
 ) -> LocalSearchResult | None:
     """Sampled-swap search, amplified over attempts; the first passing
     attempt wins.
@@ -447,7 +402,7 @@ def randomized_local_search(
     root = _ceil_sqrt(n)
     ground = ElementSet.full(n)
     independent_alone = _alone_oracle(matroid, n)
-    tracker, warm_set, warm_value = _warm_base(f, matroid, warm_variant)
+    tracker, warm_set, warm_value = _warm_base(f, matroid)
     base = tracker.current
     r = len(base)
     k = randomized_iterations(r, eps)
@@ -539,7 +494,7 @@ def reference_local_search(
     n = f.ground_size
     if n > max_ground:
         raise ValueError(f"reference search capped at n <= {max_ground}")
-    weights = guide_weights(levels)
+    weights = GuideWeights(levels)
     base = extend_to_base(matroid, ElementSet.empty(n))
     r = len(base)
     if r > max_rank:
@@ -671,13 +626,13 @@ def non_oblivious_solve(
         if config.levels_override is not None
         else default_levels(config.eps)
     )
-    guide = LiftedGuide(f_counted, guide_weights(levels), regularizer)
+    guide = LiftedGuide(f_counted, GuideWeights(levels), regularizer)
     lifted_matroid = lift(m_counted, levels)
     eps_in = inner_eps(config.eps, levels)
 
     if config.variant == DETERMINISTIC:
         result: LocalSearchResult | None = deterministic_local_search(
-            guide, lifted_matroid, eps_in, warm_variant=config.warm_start
+            guide, lifted_matroid, eps_in
         )
     else:
         attempts = (
@@ -689,7 +644,6 @@ def non_oblivious_solve(
             eps_in,
             RandomSource(config.seed),
             attempts=attempts,
-            warm_variant=config.warm_start,
         )
 
     certificate = None if result is None else result.certificate

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from hypothesis import strategies as st
+
 from nols.core import ElementSet, RandomSource
 from nols.instances import InstanceFile, generate_instance
 from nols.matroids import UniformMatroid
@@ -94,3 +96,36 @@ def greedy_independent(matroid, n: int, rng: RandomSource) -> ElementSet:
         if matroid.is_independent(cand):
             s = cand
     return s
+
+
+# arbitrary JSON values for fuzzing the document loaders
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)  # small, so a bitmask built from one stays small
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def mutate(doc, path, value):
+    """Replace (or with value None at an object key, maybe delete) the node
+    the path of indices selects."""
+    node = doc
+    for step in path:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            break
+        key = keys[step % len(keys)]
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or step % 3 == 0:
+            if isinstance(node, dict) and value is None and step % 2:
+                del node[key]
+            else:
+                node[key] = value
+            return doc
+        node = child
+    return doc

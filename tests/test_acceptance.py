@@ -173,15 +173,14 @@ def test_criterion_02_single_level_recovers_half(suite):
 def test_criterion_03_warm_start_competitive(suite):
     worst = None
     for inst, f, m, truth in suite:
-        for variant in ("threshold_greedy", "plain_greedy"):
-            s0 = warm_start(f, m, variant)
-            slack = 3 * Fraction(f.eval(s0)) - Fraction(truth.opt_value)
-            worst = slack if worst is None or slack < worst else worst
+        s0 = warm_start(f, m)
+        slack = 3 * Fraction(f.eval(s0)) - Fraction(truth.opt_value)
+        worst = slack if worst is None or slack < worst else worst
     ok = worst >= 0
     line = _report(
         3,
         ok,
-        f"3*f(S0) >= OPT for both warm variants on 32 instances, worst slack "
+        f"3*f(S0) >= OPT for the warm start on 32 instances, worst slack "
         f"{float(worst):.3f}",
     )
     assert ok, line

@@ -1,13 +1,19 @@
+import copy
 import csv
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nols.cli import BENCH_COLUMNS, main
 from nols.instances import generate_instance, load_instance
 from nols.matroids import rank
+from suite import json_values, mutate
 
 
 def _gen(tmp_path, family="coverage", n=12, r=3, seed=7):
@@ -211,11 +217,93 @@ def test_console_module_entry_point(tmp_path):
     assert doc["instance"] == "coverage-n8-r2-s0"
 
 
-def test_gen_rejects_bad_shapes(tmp_path):
+def test_gen_rejects_bad_shapes(tmp_path, capsys):
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit):
         main(["gen", "--family", "nosuch", "--n", "8", "--r", "2",
               "--out", str(out)])
-    with pytest.raises(ValueError):
-        main(["gen", "--family", "coverage", "--n", "4", "--r", "9",
-              "--out", str(out)])
+    assert main(["gen", "--family", "coverage", "--n", "4", "--r", "9",
+                 "--out", str(out)]) == 1
+    assert "rank cannot exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "case", ["instance-list", "instance-not-json", "instance-missing", "eps-2"]
+)
+def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, case):
+    inst = _gen(tmp_path)
+    rep = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]) == 0
+    eps = "0.5"
+    if case == "instance-list":
+        inst.write_text("[]")
+    elif case == "instance-not-json":
+        inst.write_text("{")
+    elif case == "instance-missing":
+        inst = tmp_path / "missing.json"
+    else:  # solve takes eps as a flag, verify reads it from the report
+        eps = "2"
+        doc = json.loads(rep.read_text())
+        doc["eps"] = 2.0
+        rep.write_text(json.dumps(doc))
+    argv = ["--eps", eps] if command == "solve" else ["--report", str(rep)]
+    capsys.readouterr()
+    assert main([command, "--instance", str(inst), *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert "Traceback" not in out.err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """An instance, its passed and failed reports, and a scratch report path."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    inst = _gen(tmp, n=8, r=2)
+    docs = []
+    for flags, code in (([], 0), (["--variant", "randomized", "--retry-budget", "0"], 2)):
+        rep = tmp / "report.json"
+        argv = ["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]
+        assert main([*argv, *flags]) == code
+        docs.append(json.loads(rep.read_text()))
+    return inst, docs, tmp / "fuzz.json"
+
+
+def _verify_completes_or_rejects(inst, rep, doc):
+    """Run nols verify on doc: it either completes its checks, printing one
+    ok/FAIL line each, or rejects the report with one stderr line and exit
+    1 before any check. Any other exception escapes and fails the test."""
+    rep.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--instance", str(inst), "--report", str(rep)])
+    lines = out.getvalue().splitlines()
+    if err.getvalue():
+        assert code == 1 and lines == []
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    fails = [line for line in lines if line.startswith("FAIL: ")]
+    assert code == (1 if fails else 0)
+    assert all(line.startswith(("ok: ", "FAIL: ")) for line in lines[:-1])
+    assert fails or lines[-1].startswith("verified")
+
+
+@given(
+    st.sampled_from([0, 1]), st.lists(st.integers(0, 50), max_size=4), json_values
+)
+@settings(max_examples=300, deadline=None)
+def test_verify_survives_mutated_reports(fuzz_inputs, which, path, value):
+    inst, docs, rep = fuzz_inputs
+    doc = mutate(copy.deepcopy(docs[which]), path, value)
+    _verify_completes_or_rejects(inst, rep, doc)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_survives_arbitrary_json(fuzz_inputs, data):
+    inst, docs, rep = fuzz_inputs
+    # arbitrary values, and objects built from the report's own keys
+    report_keys = st.sampled_from(sorted(docs[0]))
+    doc = data.draw(json_values | st.dictionaries(report_keys, json_values))
+    _verify_completes_or_rejects(inst, rep, doc)

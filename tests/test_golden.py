@@ -26,9 +26,7 @@ from nols.core import QueryLedger, RandomSource, with_counting
 from nols.instances import InstanceFile, generate_instance, save_instance
 from nols.matroids import UniformMatroid
 from nols.solvers import (
-    PLAIN_GREEDY,
     RANDOMIZED,
-    THRESHOLD_GREEDY,
     SolverConfig,
     deterministic_local_search,
     non_oblivious_solve,
@@ -170,7 +168,7 @@ def _library_cell(name: str):
             )
             for seed in range(4)
         }
-    s = warm_start(f, m, THRESHOLD_GREEDY if kind == "warm" else PLAIN_GREEDY)
+    s = warm_start(f, m)
     return {
         "solution": s.to_list(),
         "value_queries": ledger.value_queries,
@@ -180,7 +178,7 @@ def _library_cell(name: str):
 
 LIBRARY_CELLS = [
     f"{kind}:{key}"
-    for kind in ("search", "warm", "greedy")
+    for kind in ("search", "warm")
     for key in ("bait", "coverage-12-3-3", "partition-12-3-2", "graphic-12-3-3", "modular-12-3-3")
 ] + ["random1:coverage-12-3-11", "random2:bait", "failed:0", "failed:1"]
 

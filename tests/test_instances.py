@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nols.instances import InstanceFile, generate_instance
+from suite import json_values, mutate
 
 
 def _load(doc) -> InstanceFile:
@@ -88,51 +89,21 @@ def test_malformed_documents_name_the_field(doc, field):
         _load(doc)
 
 
-_json = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 12)  # small, so a bitmask built from one stays small
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=12,
-)
-
-
-def _mutate(doc, path, value):
-    """Replace (or with value None at an object key, maybe delete) the node
-    the path of indices selects."""
-    node = doc
-    for step in path:
-        keys = list(node) if isinstance(node, dict) else range(len(node))
-        if not keys:
-            break
-        key = keys[step % len(keys)]
-        child = node[key]
-        if not isinstance(child, (dict, list)) or not child or step % 3 == 0:
-            if isinstance(node, dict) and value is None and step % 2:
-                del node[key]
-            else:
-                node[key] = value
-            return doc
-        node = child
-    return doc
-
-
 @given(
-    st.sampled_from(range(len(VALID))), st.lists(st.integers(0, 50), max_size=4), _json
+    st.sampled_from(range(len(VALID))),
+    st.lists(st.integers(0, 50), max_size=4),
+    json_values,
 )
 @settings(max_examples=400, deadline=None)
 def test_mutated_documents_load_or_raise_value_error(which, path, value):
-    doc = _mutate(copy.deepcopy(VALID[which]), path, value)
+    doc = mutate(copy.deepcopy(VALID[which]), path, value)
     try:
         _load(doc)
     except ValueError:
         pass
 
 
-@given(_json)
+@given(json_values)
 @settings(max_examples=200, deadline=None)
 def test_arbitrary_json_loads_or_raises_value_error(doc):
     try:

@@ -9,10 +9,10 @@ from nols.core import ElementSet, QueryLedger, RandomSource, with_counting
 from nols.objectives import (
     ConcaveOfModular,
     CoverageFunction,
+    GuideWeights,
     LiftedGuide,
     LinearRegularizer,
     ModularFunction,
-    guide_weights,
     make_tracker,
     project,
     project_all,
@@ -61,36 +61,36 @@ def test_modular_and_concave_functions():
 
 
 def test_guide_weight_schedule_exact():
-    assert guide_weights(1).fractions[1:2] == (Fraction(1),)
-    assert guide_weights(2).fractions[1:3] == (Fraction(1), Fraction(3, 2))
-    w3 = guide_weights(3)
+    assert GuideWeights(1).fractions[1:2] == (Fraction(1),)
+    assert GuideWeights(2).fractions[1:3] == (Fraction(1), Fraction(3, 2))
+    w3 = GuideWeights(3)
     assert w3.fractions[1:4] == (Fraction(1), Fraction(2, 3), Fraction(16, 9))
     assert w3.fractions[0] == 0
-    assert guide_weights(2).top == 1.5
+    assert GuideWeights(2).top == 1.5
 
 
 def test_guide_weight_recurrence():
     # the schedule satisfies a_{i+1} * (L - i) = a_i * i * (1 + 1/L), which
     # is what makes the per-level contributions telescope
     for L in range(1, 13):
-        w = guide_weights(L).fractions
+        w = GuideWeights(L).fractions
         for i in range(1, L):
             assert w[i + 1] * (L - i) == w[i] * i * (1 + Fraction(1, L))
-        floats = guide_weights(L).floats
+        floats = GuideWeights(L).floats
         for i in range(1, L + 1):
             assert abs(floats[i] - float(w[i])) <= 1e-12 * float(w[i])
 
 
 def test_guide_weights_level_cap():
     with pytest.raises(ValueError):
-        guide_weights(0)
+        GuideWeights(0)
     with pytest.raises(ValueError):
-        guide_weights(21)
+        GuideWeights(21)
 
 
 def test_guide_value_cardinality_example():
     f = ModularFunction([1, 1, 1, 1])
-    guide = LiftedGuide(f, guide_weights(2))
+    guide = LiftedGuide(f, GuideWeights(2))
     s = _es(8, [0, 5])  # S1 = {0} on level 1, S2 = {2} on level 2
     # 1*(f(S1)+f(S2)) + 1.5*f(S1 u S2) = (1+1) + 1.5*2 = 5
     assert guide.eval(s) == 5.0
@@ -113,7 +113,7 @@ def test_lifted_guide_eval_and_query_cost():
     raw, _ = tiny_coverage()
     for L in (1, 2, 3):
         ledger = QueryLedger()
-        guide = LiftedGuide(with_counting(raw, ledger), guide_weights(L))
+        guide = LiftedGuide(with_counting(raw, ledger), GuideWeights(L))
         assert guide.ground_size == 4 * L
         s = _es(4 * L, [0, 4 * L - 1])
         before = ledger.value_queries
@@ -121,7 +121,7 @@ def test_lifted_guide_eval_and_query_cost():
         assert ledger.value_queries - before == 2**L - 1
         # manual recomputation from the definition
         want = 0.0
-        fracs = guide_weights(L).floats
+        fracs = GuideWeights(L).floats
         for j in range(1, 1 << L):
             levels = [i + 1 for i in range(L) if j >> i & 1]
             want += fracs[len(levels)] * raw.eval(project(s, L, levels))
@@ -134,7 +134,7 @@ def test_lifted_guide_marginal_matches_eval_difference():
     raw, _ = tiny_coverage()
     rng = RandomSource(31)
     for L in (1, 2, 3):
-        guide = LiftedGuide(raw, guide_weights(L))
+        guide = LiftedGuide(raw, GuideWeights(L))
         n2 = guide.ground_size
         for _ in range(200):
             s = _lifted_no_duplicates(rng, 4, L)
@@ -151,7 +151,7 @@ def test_lifted_guide_marginal_matches_eval_difference():
 
 def test_lifted_guide_level_permutation_symmetry():
     raw, _ = tiny_coverage()
-    guide = LiftedGuide(raw, guide_weights(3))
+    guide = LiftedGuide(raw, GuideWeights(3))
     s = _es(12, [0, 4, 8, 11])  # levels 1, 2, 3, 3 over bases 0,1,2,3
     swapped = _es(12, [1, 3, 8, 11])  # levels of bases 0 and 1 exchanged
     assert guide.eval(s) == pytest.approx(guide.eval(swapped), rel=1e-12)
@@ -172,7 +172,7 @@ def test_tracker_matches_fresh_evaluation():
     rng = RandomSource(77)
     for L in (1, 2, 3):
         ledger = QueryLedger()
-        guide = LiftedGuide(with_counting(raw, ledger), guide_weights(L))
+        guide = LiftedGuide(with_counting(raw, ledger), GuideWeights(L))
         n2 = guide.ground_size
         s = _lifted_no_duplicates(rng, 4, L)
         tracker = make_tracker(guide, s)
@@ -205,7 +205,7 @@ def test_tracker_matches_fresh_evaluation():
 
 def test_tracker_rejects_duplicate_base_levels():
     f = ModularFunction([1, 2])
-    guide = LiftedGuide(f, guide_weights(2))
+    guide = LiftedGuide(f, GuideWeights(2))
     with pytest.raises(ValueError):
         make_tracker(guide, _es(4, [0, 1]))  # both levels of base 0
     tracker = make_tracker(guide, _es(4, [0]))
@@ -227,9 +227,9 @@ def test_regularized_guide_adds_scaled_modular_term():
     raw, _ = tiny_coverage()
     reg = LinearRegularizer([1, 0, 2, 0])
     L = 2
-    plain = LiftedGuide(raw, guide_weights(L))
-    both = LiftedGuide(raw, guide_weights(L), reg)
-    scale = guide_weights(L).floats[L] * (L + 1)
+    plain = LiftedGuide(raw, GuideWeights(L))
+    both = LiftedGuide(raw, GuideWeights(L), reg)
+    scale = GuideWeights(L).floats[L] * (L + 1)
     s = _es(8, [0, 5])  # bases 0 and 2
     assert both.eval(s) == pytest.approx(plain.eval(s) + scale * 3, rel=1e-12)
     assert both.eval(ElementSet.empty(8)) == 0.0
@@ -246,7 +246,7 @@ def test_regularized_guide_adds_scaled_modular_term():
     tracker.apply(drop=0)
     assert tracker.value == pytest.approx(both.eval(_es(8, [4])), rel=1e-12)
     with pytest.raises(ValueError):
-        LiftedGuide(raw, guide_weights(L), LinearRegularizer([1, 2]))
+        LiftedGuide(raw, GuideWeights(L), LinearRegularizer([1, 2]))
 
 
 def test_regularizer_eval_allows_negative_weights():
@@ -259,7 +259,7 @@ def test_regularizer_eval_allows_negative_weights():
 @settings(max_examples=200)
 def test_lifted_guide_monotone_in_members(L, raw_mask, x):
     f = ModularFunction([2, 1, 3])
-    guide = LiftedGuide(f, guide_weights(L))
+    guide = LiftedGuide(f, GuideWeights(L))
     n2 = guide.ground_size
     mask = raw_mask & ((1 << n2) - 1)
     s = ElementSet(n2, mask)
@@ -306,8 +306,8 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
     f = CoverageFunction(8, _COVERS, point_weights=point_weights)
     reg = None if reg_weights is None else LinearRegularizer(reg_weights)
     recorder = _RecordingOracle(f)
-    tracked = LiftedGuide(recorder, guide_weights(L), reg)
-    fresh_guide = LiftedGuide(f, guide_weights(L), reg)
+    tracked = LiftedGuide(recorder, GuideWeights(L), reg)
+    fresh_guide = LiftedGuide(f, GuideWeights(L), reg)
     n2 = tracked.ground_size
     tracker = make_tracker(tracked, ElementSet.empty(n2))
 

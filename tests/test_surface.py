@@ -1,13 +1,14 @@
 """Public-surface lock.
 
-Pins ``nols.__all__`` and the knobs of the solve and verify entry points,
-and checks that every name the benchmark harness in ``perfbench/``
+Pins ``nols.__all__``, the knobs of the solve and verify entry points and
+the flags of each ``nols`` subcommand, and checks that every name the benchmark harness in ``perfbench/``
 imports, reads or patches still resolves, so a refactor cannot silently
 break the harness.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -89,14 +90,14 @@ def test_public_names_are_pinned():
 # every parameter and config field is a knob; adding one must show up here
 EXPECTED_PARAMETERS = {
     "non_oblivious_solve": ["f", "matroid", "config", "regularizer", "retry_budget"],
-    "deterministic_local_search": ["f", "matroid", "eps", "warm_variant"],
-    "randomized_local_search": ["f", "matroid", "eps", "rng", "attempts", "warm_variant"],
-    "warm_start": ["f", "matroid", "variant"],
+    "deterministic_local_search": ["f", "matroid", "eps"],
+    "randomized_local_search": ["f", "matroid", "eps", "rng", "attempts"],
+    "warm_start": ["f", "matroid"],
     "check_certificate": ["certificate", "f", "matroid", "s"],
     "approximation_report": ["run", "truth"],
     "check_value_oracle": ["f", "max_exhaustive", "trials", "rng", "max_reports"],
 }
-EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override", "warm_start"]
+EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override"]
 
 
 def test_entry_point_knobs_are_pinned():
@@ -104,6 +105,31 @@ def test_entry_point_knobs_are_pinned():
         assert list(inspect.signature(getattr(nols, name)).parameters) == params, name
     fields = [field.name for field in dataclasses.fields(nols.SolverConfig)]
     assert fields == EXPECTED_CONFIG_FIELDS
+
+
+# every command line flag is a knob too
+EXPECTED_FLAGS = {
+    "gen": ["-h", "--help", "--family", "--n", "--r", "--seed", "--out"],
+    "solve": [
+        "-h", "--help", "--instance", "--eps", "--variant", "--seed", "--levels",
+        "--out", "--retry-budget",
+    ],
+    "verify": ["-h", "--help", "--instance", "--report", "--certificate-only"],
+    "bench": [
+        "-h", "--help", "--family", "--n", "--r", "--eps", "--seeds", "--variants",
+        "--gen-seed", "--out",
+    ],
+}
+
+
+def test_cli_flags_are_pinned():
+    parser = nols.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        command: [flag for action in sub._actions for flag in action.option_strings]
+        for command, sub in subparsers.choices.items()
+    }
+    assert flags == EXPECTED_FLAGS
 
 
 def _harness_trees():

@@ -3,9 +3,9 @@ import pytest
 from nols.core import ElementSet, RandomSource
 from nols.matroids import ExplicitMatroid, UniformMatroid, lift
 from nols.objectives import (
+    GuideWeights,
     LiftedGuide,
     ModularFunction,
-    guide_weights,
     make_tracker,
 )
 from nols.solvers import DETERMINISTIC, SolverConfig, non_oblivious_solve
@@ -93,7 +93,7 @@ def test_exhaustive_gap_agrees_with_greedy_witness():
 def test_exhaustive_gap_on_lifted_instance():
     f, m = tiny_coverage()
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC, seed=0))
-    guide = LiftedGuide(f, guide_weights(rep.levels))
+    guide = LiftedGuide(f, GuideWeights(rep.levels))
     lifted_m = lift(m, rep.levels)
     cert = localopt_gap(guide, lifted_m, rep.lifted_solution)
     assert cert.gap == pytest.approx(rep.certificate.gap, abs=0)
@@ -140,7 +140,7 @@ def test_matroid_axiom_checker_catches_downward_violation():
 def test_value_oracle_checker_accepts_submodular():
     f, _ = tiny_coverage()
     assert check_value_oracle(f) == []
-    guide = LiftedGuide(f, guide_weights(2))
+    guide = LiftedGuide(f, GuideWeights(2))
     assert check_value_oracle(guide) == []
 
 
@@ -193,7 +193,7 @@ def test_projected_value_bound_matches_manual():
 def test_check_certificate_detects_tampering():
     f, m = tiny_coverage()
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC, seed=0))
-    guide = LiftedGuide(f, guide_weights(rep.levels))
+    guide = LiftedGuide(f, GuideWeights(rep.levels))
     lifted_m = lift(m, rep.levels)
     assert check_certificate(rep.certificate, guide, lifted_m, rep.lifted_solution) == []
     from dataclasses import replace
