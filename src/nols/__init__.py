@@ -13,7 +13,6 @@ from .core import (
     QueryLedger,
     RandomSource,
     sample_without_replacement,
-    with_counting,
 )
 from .matroids import (
     ExplicitMatroid,
@@ -51,7 +50,6 @@ from .solvers import (
     inner_eps,
     non_oblivious_solve,
     randomized_local_search,
-    reference_local_search,
     warm_start,
 )
 from .verify import (
@@ -63,6 +61,7 @@ from .verify import (
     check_value_oracle,
     exhaustive_gap,
     localopt_gap,
+    reference_local_search,
 )
 from .instances import (
     InstanceFile,
@@ -76,7 +75,6 @@ __all__ = [
     "QueryLedger",
     "RandomSource",
     "sample_without_replacement",
-    "with_counting",
     "ExplicitMatroid",
     "GraphicMatroid",
     "LiftedMatroid",
@@ -108,7 +106,6 @@ __all__ = [
     "inner_eps",
     "non_oblivious_solve",
     "randomized_local_search",
-    "reference_local_search",
     "warm_start",
     "BruteForceResult",
     "approximation_report",
@@ -118,6 +115,7 @@ __all__ = [
     "check_value_oracle",
     "exhaustive_gap",
     "localopt_gap",
+    "reference_local_search",
     "InstanceFile",
     "generate_instance",
     "load_instance",

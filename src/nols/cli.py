@@ -18,30 +18,24 @@ import sys
 import time
 from pathlib import Path
 
-from .core import ElementSet
 from .instances import (
     FAMILIES,
-    InstanceFile,
-    _get,
-    _int,
-    _int_list,
-    _number,
-    _object,
+    REPORT_FORMAT_VERSION,
     dumps_canonical,
     generate_instance,
     load_instance,
+    parse_report,
     read_json,
+    report_document,
     save_instance,
 )
 from .matroids import lift
-from .objectives import MAX_LEVELS, GuideWeights, LiftedGuide, project_all
+from .objectives import GuideWeights, LiftedGuide, project_all
 from .solvers import (
     DETERMINISTIC,
     RANDOMIZED,
-    LocalOptCertificate,
-    RunReport,
     SolverConfig,
-    _ceil_sqrt,
+    ceil_sqrt,
     non_oblivious_solve,
 )
 from .verify import (
@@ -50,8 +44,6 @@ from .verify import (
     brute_force_opt,
     check_certificate,
 )
-
-REPORT_FORMAT_VERSION = 1
 
 BENCH_COLUMNS = [
     "instance",
@@ -76,92 +68,7 @@ def det_normalizer(n: int, r: int) -> float:
 
 
 def rand_normalizer(n: int, r: int) -> float:
-    return (n + r * _ceil_sqrt(n)) * (1.0 + math.log2(r)) if r >= 1 else float(n)
-
-
-def report_document(
-    report: RunReport, instance: InstanceFile, regularized: bool
-) -> dict:
-    cert = None
-    if report.certificate is not None:
-        c = report.certificate
-        cert = {
-            "witness": c.witness.to_list(),
-            "gap": c.gap,
-            "bound": c.bound,
-            "eps": c.eps,
-            "warm_value": c.warm_value,
-        }
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "instance": instance.name,
-        "n": instance.n,
-        "rank": report.rank,
-        "eps": report.eps,
-        "eps_inner": report.eps_inner,
-        "levels": report.levels,
-        "variant": report.variant,
-        "seed": report.seed,
-        "warm_start": "threshold_greedy",  # the one warm start
-        "regularized": regularized,
-        "failed": report.failed,
-        "output_set": report.output_set.to_list(),
-        "objective_value": report.objective_value,
-        "value_queries": report.ledger.value_queries,
-        "independence_queries": report.ledger.independence_queries,
-        "iterations": report.iterations,
-        "lifted_solution": (
-            None
-            if report.lifted_solution is None
-            else report.lifted_solution.to_list()
-        ),
-        "warm_value": report.warm_value,
-        "certificate": cert,
-    }
-
-
-def _members(value, name: str, size: int) -> ElementSet:
-    for i, u in enumerate(_int_list(value, name)):
-        if u >= size:
-            raise ValueError(f"{name}[{i}] must be below {size}, got {u}")
-    return ElementSet.from_iterable(size, value)
-
-
-def parse_report(doc, n: int):
-    """(output set, lifted solution, certificate) of a report over an n-element
-    instance; the last two are None for a failed run. Every field verify reads
-    is checked first: a malformed one raises a ValueError that names it."""
-    _object(doc, "report")
-
-    def field(key, check=None, *extra, spec=doc, where="report"):
-        value = _get(spec, key, where)
-        return value if check is None else check(value, f"{where}.{key}", *extra)
-
-    output = field("output_set", _members, n)
-    field("objective_value", _number)
-    if type(field("failed")) is not bool:
-        raise ValueError("report.failed must be true or false")
-    cert = field("certificate")
-    if doc["failed"]:
-        return output, None, None
-    levels = field("levels", _int)
-    if not 1 <= levels <= MAX_LEVELS:
-        raise ValueError(f"report.levels must be in [1, {MAX_LEVELS}], got {levels}")
-    lifted_solution = field("lifted_solution", _members, n * levels)
-    eps = field("eps", _number)
-    if not 0 < eps < 1:
-        raise ValueError(f"report.eps must be in (0, 1), got {eps!r}")
-    for key in ("iterations", "eps_inner", "variant", "seed", "rank", "warm_value"):
-        field(key)
-    where = "report.certificate"
-    _object(cert, where)
-    witness = field("witness", _members, n * levels, spec=cert, where=where)
-    gap, bound, eps, warm_value = (
-        field(key, _number, spec=cert, where=where)
-        for key in ("gap", "bound", "eps", "warm_value")
-    )
-    certificate = LocalOptCertificate(witness, gap, bound, eps, warm_value)
-    return output, lifted_solution, certificate
+    return (n + r * ceil_sqrt(n)) * (1.0 + math.log2(r)) if r >= 1 else float(n)
 
 
 def cmd_gen(args) -> int:
@@ -261,23 +168,9 @@ def cmd_verify(args) -> int:
             )
         else:
             truth = brute_force_opt(f, matroid)
-            run = RunReport(
-                output_set=output,
-                objective_value=doc["objective_value"],
-                ledger=None,  # unused by the report
-                iterations=doc["iterations"],
-                failed=False,
-                certificate=certificate,
-                eps=doc["eps"],
-                eps_inner=doc["eps_inner"],
-                levels=levels,
-                variant=doc["variant"],
-                seed=doc["seed"],
-                rank=doc["rank"],
-                lifted_solution=lifted_solution,
-                warm_value=doc["warm_value"],
+            appr = approximation_report(
+                output, doc["objective_value"], levels, doc["eps"], truth
             )
-            appr = approximation_report(run, truth)
             check(
                 appr.passed,
                 f"approximation ratio {appr.ratio:.4f} meets target "
@@ -382,7 +275,7 @@ def cmd_bench(args) -> int:
             print("--r must have one value or match --n", file=sys.stderr)
             return 1
     else:
-        rs = [_ceil_sqrt(n) for n in ns]
+        rs = [ceil_sqrt(n) for n in ns]
     cells = list(zip(ns, rs))
     eps_list = [float(x) for x in args.eps.split(",") if x] if args.eps else []
     seeds = _comma_ints(args.seeds) if args.seeds else []

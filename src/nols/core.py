@@ -105,17 +105,9 @@ class ElementSet:
         self._check_universe(other)
         return ElementSet(self.n, self.mask & ~other.mask)
 
-    def issubset(self, other: "ElementSet") -> bool:
-        self._check_universe(other)
-        return self.mask & ~other.mask == 0
-
     __or__ = union
     __and__ = intersection
     __sub__ = difference
-    __le__ = issubset
-
-    def complement(self) -> "ElementSet":
-        return ElementSet(self.n, ((1 << self.n) - 1) & ~self.mask)
 
     def to_list(self) -> list[ElementId]:
         return list(self)
@@ -278,12 +270,3 @@ class CountingMatroidOracle:
     def is_independent(self, s: ElementSet) -> bool:
         self.ledger.independence_queries += 1
         return self.inner.is_independent(s)
-
-
-def with_counting(oracle, ledger: QueryLedger):
-    """Wrap a value or independence oracle so the ledger sees every call."""
-    if hasattr(oracle, "is_independent"):
-        return CountingMatroidOracle(oracle, ledger)
-    if hasattr(oracle, "eval"):
-        return CountingValueOracle(oracle, ledger)
-    raise TypeError(f"not an oracle: {oracle!r}")

@@ -1,9 +1,12 @@
-"""Instance files: a kind-tagged JSON document per problem instance.
+"""Instance and report files: the two JSON documents nols reads and writes.
 
-The document carries the ground-set size, an objective spec, a matroid
-spec, the declared rank, and an optional modular regularizer. Writing is
-canonical (sorted keys, two-space indent, trailing newline), so generating
-the same instance twice produces byte-identical files.
+An instance document carries the ground-set size, an objective spec, a
+matroid spec, the declared rank, and an optional modular regularizer. A
+report document records one solve of an instance: its output, query counts
+and certificate. Writing is canonical (sorted keys, two-space indent,
+trailing newline), so the same instance or solve produces byte-identical
+files. Both loaders check every field they read and reject a malformed one
+with a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ from .matroids import (
     rank as matroid_rank,
 )
 from .objectives import (
+    MAX_LEVELS,
     ConcaveOfModular,
     CoverageFunction,
     LinearRegularizer,
     ModularFunction,
 )
+from .solvers import DETERMINISTIC, RANDOMIZED, LocalOptCertificate, RunReport
 
 FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 1
 
 FAMILIES = ("coverage", "partition", "graphic", "modular")
 
@@ -236,6 +242,103 @@ def read_json(path: str | Path):
 
 def load_instance(path: str | Path) -> InstanceFile:
     return InstanceFile.from_document(read_json(path))
+
+
+# ----- solve reports -----
+
+
+def report_document(
+    report: RunReport, instance: InstanceFile, regularized: bool
+) -> dict:
+    cert = None
+    if report.certificate is not None:
+        c = report.certificate
+        cert = {
+            "witness": c.witness.to_list(),
+            "gap": c.gap,
+            "bound": c.bound,
+            "eps": c.eps,
+            "warm_value": c.warm_value,
+        }
+    return {
+        "format_version": REPORT_FORMAT_VERSION,
+        "instance": instance.name,
+        "n": instance.n,
+        "rank": report.rank,
+        "eps": report.eps,
+        "eps_inner": report.eps_inner,
+        "levels": report.levels,
+        "variant": report.variant,
+        "seed": report.seed,
+        "warm_start": "threshold_greedy",  # the one warm start
+        "regularized": regularized,
+        "failed": report.failed,
+        "output_set": report.output_set.to_list(),
+        "objective_value": report.objective_value,
+        "value_queries": report.ledger.value_queries,
+        "independence_queries": report.ledger.independence_queries,
+        "iterations": report.iterations,
+        "lifted_solution": (
+            None
+            if report.lifted_solution is None
+            else report.lifted_solution.to_list()
+        ),
+        "warm_value": report.warm_value,
+        "certificate": cert,
+    }
+
+
+def _members(value, name: str, size: int) -> ElementSet:
+    for i, u in enumerate(_int_list(value, name)):
+        if u >= size:
+            raise ValueError(f"{name}[{i}] must be below {size}, got {u}")
+    return ElementSet.from_iterable(size, value)
+
+
+def parse_report(doc, n: int):
+    """(output set, lifted solution, certificate) of a report over an n-element
+    instance; the last two are None for a failed run. Each field read here is
+    type-checked: a malformed one raises a ValueError that names it."""
+    _object(doc, "report")
+
+    def field(key, check=None, *extra, spec=doc, where="report"):
+        value = _get(spec, key, where)
+        return value if check is None else check(value, f"{where}.{key}", *extra)
+
+    output = field("output_set", _members, n)
+    field("objective_value", _number)
+    if type(field("failed")) is not bool:
+        raise ValueError("report.failed must be true or false")
+    field("iterations", _int)
+    cert = field("certificate")
+    if doc["failed"]:
+        return output, None, None
+    levels = field("levels", _int)
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"report.levels must be in [1, {MAX_LEVELS}], got {levels}")
+    lifted_solution = field("lifted_solution", _members, n * levels)
+    eps = field("eps", _number)
+    if not 0 < eps < 1:
+        raise ValueError(f"report.eps must be in (0, 1), got {eps!r}")
+    field("rank", _int)
+    field("eps_inner", _number)
+    field("warm_value", _number)
+    variant = field("variant")
+    if variant not in (DETERMINISTIC, RANDOMIZED):
+        raise ValueError(
+            f"report.variant must be {DETERMINISTIC!r} or {RANDOMIZED!r}, "
+            f"got {variant!r:.40}"
+        )
+    field("seed")
+    where = "report.certificate"
+    _object(cert, where)
+    witness = field("witness", _members, n * levels, spec=cert, where=where)
+    gap, bound, eps, warm_value = (
+        field(key, _number, spec=cert, where=where)
+        for key in ("gap", "bound", "eps", "warm_value")
+    )
+    certificate = LocalOptCertificate(witness, gap, bound, eps, warm_value)
+    return output, lifted_solution, certificate
 
 
 # ----- generators -----

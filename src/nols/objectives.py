@@ -164,11 +164,6 @@ class GuideWeights:
         self.fractions = tuple(fr)
         self.floats = tuple(float(a) for a in fr)
 
-    @property
-    def top(self) -> Fraction:
-        """Weight of the full level set, (1 + 1/levels)^(levels-1)."""
-        return self.fractions[self.levels]
-
     def __repr__(self):
         return f"GuideWeights(levels={self.levels})"
 

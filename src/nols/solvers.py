@@ -1,19 +1,17 @@
 """Local-search solvers and their run artifacts.
 
-Four searches live here. ``reference_local_search`` is the exact-arithmetic
-partitioned search used to sanity-check the guide machinery at toy scale.
-``deterministic_local_search`` and ``randomized_local_search`` are the real
-workers: swap searches over any (value oracle, matroid) pair that stop at an
-approximate local optimum certified by a greedy challenger set.
-``non_oblivious_solve`` composes them with the lifted guide (optionally
-carrying a modular regularizer) to reach the target approximation factor.
+Two searches live here. ``deterministic_local_search`` and
+``randomized_local_search`` are swap searches over any (value oracle,
+matroid) pair that stop at an approximate local optimum certified by a
+greedy challenger set (``LocalOptCertificate.at``). ``non_oblivious_solve``
+composes them with the lifted guide (optionally carrying a modular
+regularizer) to reach the target approximation factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     CountingMatroidOracle,
@@ -37,7 +35,6 @@ from .objectives import (
     GuideWeights,
     make_tracker,
     project_all,
-    subset_unions,
 )
 
 DETERMINISTIC = "deterministic"
@@ -94,6 +91,26 @@ class LocalOptCertificate:
 
     def passes(self) -> bool:
         return ge(self.bound, self.gap)
+
+    @classmethod
+    def at(
+        cls, tracker, matroid: MatroidOracle, eps: float, warm_value: float
+    ) -> "LocalOptCertificate":
+        """Greedy challenger certificate at the tracker's current solution.
+
+        Weights are f(v | S - v) for every ground element; the witness is the
+        greedy max-weight independent set, which is exact for linear
+        objectives over a matroid, so the gap equals the worst case over all
+        independent challengers. Sums run in ascending element order so
+        recomputation is float-identical.
+        """
+        s = tracker.current
+        w: dict[ElementId, float] = {}
+        for v in range(tracker.ground_size):
+            w[v] = tracker.marginal_drop(v) if v in s else tracker.marginal_add(v)
+        witness = max_weight_independent(matroid, w)
+        gap = sum(w[v] for v in witness) - sum(w[u] for u in s)
+        return cls(witness, gap, eps * warm_value, eps, warm_value)
 
 
 @dataclass
@@ -225,33 +242,6 @@ def _warm_base(f: ValueOracle, matroid: MatroidOracle):
     return tracker, warm_set, warm_value
 
 
-def _certificate_from_tracker(
-    tracker, matroid: MatroidOracle, eps: float, warm_value: float
-) -> LocalOptCertificate:
-    """Greedy challenger certificate at the tracker's current solution.
-
-    Weights are f(v | S - v) for every ground element; the witness is the
-    greedy max-weight independent set, which is exact for linear objectives
-    over a matroid, so the gap equals the worst case over all independent
-    challengers. Sums run in ascending element order so recomputation is
-    float-identical.
-    """
-    n = tracker.ground_size
-    s = tracker.current
-    w: dict[ElementId, float] = {}
-    for v in range(n):
-        w[v] = tracker.marginal_drop(v) if v in s else tracker.marginal_add(v)
-    witness = max_weight_independent(matroid, w)
-    gap = sum(w[v] for v in witness) - sum(w[u] for u in s)
-    return LocalOptCertificate(
-        witness=witness,
-        gap=gap,
-        bound=eps * warm_value,
-        eps=eps,
-        warm_value=warm_value,
-    )
-
-
 def _clears(value: float, threshold: float) -> bool:
     """The searches' acceptance test: value reaches a positive threshold up
     to the slack; with a zero threshold it must beat 0 strictly, since
@@ -333,7 +323,7 @@ def deterministic_local_search(
         if not swapped:
             break
 
-    certificate = _certificate_from_tracker(tracker, matroid, eps, warm_value)
+    certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
     return LocalSearchResult(
         solution=tracker.current,
         value=tracker.value,
@@ -347,7 +337,8 @@ def deterministic_local_search(
 # ----- randomized search -----
 
 
-def _ceil_sqrt(n: int) -> int:
+def ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) in exact integer arithmetic."""
     root = math.isqrt(n)
     return root + (1 if root * root < n else 0)
 
@@ -399,7 +390,7 @@ def randomized_local_search(
     if attempts < 1:
         return None
     n = f.ground_size
-    root = _ceil_sqrt(n)
+    root = ceil_sqrt(n)
     ground = ElementSet.full(n)
     independent_alone = _alone_oracle(matroid, n)
     tracker, warm_set, warm_value = _warm_base(f, matroid)
@@ -449,7 +440,7 @@ def randomized_local_search(
         tested = trajectory[rng.randrange(k)]
         if tested != tracker.current:
             tracker = make_tracker(f, tested)
-        certificate = _certificate_from_tracker(tracker, matroid, eps, warm_value)
+        certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
         if not _clears(certificate.gap, certificate.bound):
             return LocalSearchResult(
                 solution=tested,
@@ -460,130 +451,6 @@ def randomized_local_search(
                 certificate=certificate,
             )
     return None
-
-
-# ----- reference search (exact arithmetic, toy scale) -----
-
-
-@dataclass
-class ReferenceResult:
-    parts: list[ElementSet]
-    union: ElementSet
-    guide_value: Fraction
-    moves: int
-
-
-def reference_local_search(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    levels: int,
-    *,
-    max_ground: int = 16,
-    max_rank: int = 6,
-) -> ReferenceResult:
-    """Exhaustive partitioned local search in exact rational arithmetic.
-
-    State is a tuple of disjoint level sets whose union is a base. Moves
-    either relocate a member to another level or swap a member for an
-    outside element (at any level) keeping the union independent; the first
-    strictly improving move in scan order is taken until none exists.
-    Values are memoized Fractions, so termination and the no-improving-move
-    postcondition are exact. Intended for verification; enforced to toy
-    scale.
-    """
-    n = f.ground_size
-    if n > max_ground:
-        raise ValueError(f"reference search capped at n <= {max_ground}")
-    weights = GuideWeights(levels)
-    base = extend_to_base(matroid, ElementSet.empty(n))
-    r = len(base)
-    if r > max_rank:
-        raise ValueError(f"reference search capped at rank <= {max_rank}")
-
-    memo: dict[int, Fraction] = {}
-
-    def f_exact(mask: int) -> Fraction:
-        if mask not in memo:
-            memo[mask] = Fraction(f.eval(ElementSet(n, mask)))
-        return memo[mask]
-
-    wf = weights.fractions
-
-    def g_exact(parts: list[int]) -> Fraction:
-        union = subset_unions(parts)
-        total = Fraction(0)
-        for j in range(1, len(union)):
-            total += wf[j.bit_count()] * f_exact(union[j])
-        return total
-
-    parts = [base.mask] + [0] * (levels - 1)
-    current = g_exact(parts)
-    moves = 0
-
-    def union_mask() -> int:
-        m = 0
-        for p in parts:
-            m |= p
-        return m
-
-    improved = True
-    while improved:
-        improved = False
-        um = union_mask()
-        members = [
-            (u, lvl) for lvl in range(levels) for u in ElementSet(n, parts[lvl])
-        ]
-        members.sort()
-        # relocate u to a different level
-        for u, lvl in members:
-            for target in range(levels):
-                if target == lvl:
-                    continue
-                parts[lvl] &= ~(1 << u)
-                parts[target] |= 1 << u
-                cand = g_exact(parts)
-                if cand > current:
-                    current = cand
-                    moves += 1
-                    improved = True
-                    break
-                parts[target] &= ~(1 << u)
-                parts[lvl] |= 1 << u
-            if improved:
-                break
-        if improved:
-            continue
-        # swap u out for an outside v placed at any level
-        for u, lvl in members:
-            for v in range(n):
-                if um >> v & 1:
-                    continue
-                swapped_union = (um & ~(1 << u)) | (1 << v)
-                if not matroid.is_independent(ElementSet(n, swapped_union)):
-                    continue
-                for target in range(levels):
-                    parts[lvl] &= ~(1 << u)
-                    parts[target] |= 1 << v
-                    cand = g_exact(parts)
-                    if cand > current:
-                        current = cand
-                        moves += 1
-                        improved = True
-                        break
-                    parts[target] &= ~(1 << v)
-                    parts[lvl] |= 1 << u
-                if improved:
-                    break
-            if improved:
-                break
-
-    out_parts = [ElementSet(n, p) for p in parts]
-    return ReferenceResult(
-        parts=out_parts,
-        union=ElementSet(n, union_mask()),
-        guide_value=current,
-        moves=moves,
-    )
 
 
 # ----- full solvers -----
@@ -605,7 +472,8 @@ def non_oblivious_solve(
     decompose into base value queries through the tracker. The certificate
     lives on the lifted instance. A randomized run that exhausts its retry
     budget returns the empty set with failed=True. retry_budget is a test
-    hook overriding the amplification attempt count.
+    hook overriding the amplification attempt count; it must be
+    non-negative, and 0 forces the failed path.
 
     A regularizer folds its scaled modular term into the guide, so the
     output trades f against it: for every independent T, f(S) + reg(S) is
@@ -618,6 +486,8 @@ def non_oblivious_solve(
             f"objective ground size {f.ground_size} does not match matroid "
             f"ground size {matroid.ground_size}"
         )
+    if retry_budget is not None and retry_budget < 0:
+        raise ValueError(f"retry_budget must be non-negative, got {retry_budget}")
     ledger = QueryLedger()
     f_counted = CountingValueOracle(f, ledger)
     m_counted = CountingMatroidOracle(matroid, ledger)

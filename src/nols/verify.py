@@ -1,14 +1,18 @@
 """Ground-truth verification at desk scale.
 
-Brute force, axiom checkers, and certificate recomputation. Everything here
-is exhaustive or sampled against explicit definitions, never against the
-solvers' own bookkeeping, so these routines are the arbiter in tests.
+Brute force, the exact-arithmetic reference search, axiom checkers, and
+certificate recomputation. Everything here is exhaustive or sampled against
+explicit definitions, never against the solvers' own bookkeeping, so these
+routines are the arbiter in tests. The one piece shared with the solvers is
+the certificate constructor, ``LocalOptCertificate.at``, run here on a fresh
+tracker so a stored certificate can be compared float-exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,8 +25,9 @@ from .core import (
     ValueOracle,
     ge,
 )
-from .objectives import make_tracker
-from .solvers import LocalOptCertificate, RunReport, _certificate_from_tracker
+from .matroids import extend_to_base
+from .objectives import GuideWeights, make_tracker, subset_unions
+from .solvers import LocalOptCertificate
 
 MAX_BRUTE_FORCE = 22
 
@@ -77,6 +82,127 @@ def brute_force_opt(
     )
 
 
+@dataclass
+class ReferenceResult:
+    parts: list[ElementSet]
+    union: ElementSet
+    guide_value: Fraction
+    moves: int
+
+
+def reference_local_search(
+    f: ValueOracle,
+    matroid: MatroidOracle,
+    levels: int,
+    *,
+    max_ground: int = 16,
+    max_rank: int = 6,
+) -> ReferenceResult:
+    """Exhaustive partitioned local search in exact rational arithmetic.
+
+    State is a tuple of disjoint level sets whose union is a base. Moves
+    either relocate a member to another level or swap a member for an
+    outside element (at any level) keeping the union independent; the first
+    strictly improving move in scan order is taken until none exists.
+    Values are memoized Fractions, so termination and the no-improving-move
+    postcondition are exact. Intended for verification; enforced to toy
+    scale.
+    """
+    n = f.ground_size
+    if n > max_ground:
+        raise ValueError(f"reference search capped at n <= {max_ground}")
+    weights = GuideWeights(levels)
+    base = extend_to_base(matroid, ElementSet.empty(n))
+    r = len(base)
+    if r > max_rank:
+        raise ValueError(f"reference search capped at rank <= {max_rank}")
+
+    memo: dict[int, Fraction] = {}
+
+    def f_exact(mask: int) -> Fraction:
+        if mask not in memo:
+            memo[mask] = Fraction(f.eval(ElementSet(n, mask)))
+        return memo[mask]
+
+    wf = weights.fractions
+
+    def g_exact(parts: list[int]) -> Fraction:
+        union = subset_unions(parts)
+        total = Fraction(0)
+        for j in range(1, len(union)):
+            total += wf[j.bit_count()] * f_exact(union[j])
+        return total
+
+    parts = [base.mask] + [0] * (levels - 1)
+    current = g_exact(parts)
+    moves = 0
+
+    def union_mask() -> int:
+        m = 0
+        for p in parts:
+            m |= p
+        return m
+
+    improved = True
+    while improved:
+        improved = False
+        um = union_mask()
+        members = [
+            (u, lvl) for lvl in range(levels) for u in ElementSet(n, parts[lvl])
+        ]
+        members.sort()
+        # relocate u to a different level
+        for u, lvl in members:
+            for target in range(levels):
+                if target == lvl:
+                    continue
+                parts[lvl] &= ~(1 << u)
+                parts[target] |= 1 << u
+                cand = g_exact(parts)
+                if cand > current:
+                    current = cand
+                    moves += 1
+                    improved = True
+                    break
+                parts[target] &= ~(1 << u)
+                parts[lvl] |= 1 << u
+            if improved:
+                break
+        if improved:
+            continue
+        # swap u out for an outside v placed at any level
+        for u, lvl in members:
+            for v in range(n):
+                if um >> v & 1:
+                    continue
+                swapped_union = (um & ~(1 << u)) | (1 << v)
+                if not matroid.is_independent(ElementSet(n, swapped_union)):
+                    continue
+                for target in range(levels):
+                    parts[lvl] &= ~(1 << u)
+                    parts[target] |= 1 << v
+                    cand = g_exact(parts)
+                    if cand > current:
+                        current = cand
+                        moves += 1
+                        improved = True
+                        break
+                    parts[target] &= ~(1 << v)
+                    parts[lvl] |= 1 << u
+                if improved:
+                    break
+            if improved:
+                break
+
+    out_parts = [ElementSet(n, p) for p in parts]
+    return ReferenceResult(
+        parts=out_parts,
+        union=ElementSet(n, union_mask()),
+        guide_value=current,
+        moves=moves,
+    )
+
+
 def localopt_gap(
     f: ValueOracle,
     matroid: MatroidOracle,
@@ -87,13 +213,11 @@ def localopt_gap(
 ) -> LocalOptCertificate:
     """Challenger certificate for an arbitrary solution set.
 
-    Recomputes the weights f(v | S - v), the greedy witness, and the gap
-    with the same summation order the solvers use, so a solver-produced
-    certificate can be checked for float-exact equality. The stored bound
-    is eps * warm_value (zero unless provided).
+    Runs the solvers' certificate constructor on a fresh tracker at s, so a
+    solver-produced certificate can be checked for float-exact equality.
+    The stored bound is eps * warm_value (zero unless provided).
     """
-    tracker = make_tracker(f, s)
-    return _certificate_from_tracker(tracker, matroid, eps, warm_value)
+    return LocalOptCertificate.at(make_tracker(f, s), matroid, eps, warm_value)
 
 
 def exhaustive_gap(
@@ -349,38 +473,32 @@ class ApproximationReport:
 
 
 def approximation_report(
-    run: RunReport, truth: BruteForceResult
+    output_set: ElementSet,
+    objective_value: float,
+    levels: int,
+    eps: float,
+    truth: BruteForceResult,
 ) -> ApproximationReport:
-    """Achieved ratio vs the level-dependent target (1-(1+1/L)^-L) - eps.
+    """Achieved ratio of a solve's output vs the level-dependent target
+    (1-(1+1/L)^-L) - eps.
 
     Ratio is defined as 1 when the optimum is 0 (the output can do no
-    better). Raises on universe mismatch between the run and the truth.
+    better). Raises on universe mismatch between the output and the truth.
     """
-    if run.output_set.n != truth.opt_set.n:
+    if output_set.n != truth.opt_set.n:
         raise ValueError("run and brute-force truth use different universes")
     if truth.opt_value <= 0:
         ratio = 1.0
     else:
-        ratio = run.objective_value / truth.opt_value
-    ell = run.levels
-    target = 1.0 - (ell / (ell + 1.0)) ** ell - run.eps
+        ratio = objective_value / truth.opt_value
+    target = 1.0 - (levels / (levels + 1.0)) ** levels - eps
     return ApproximationReport(
         ratio=ratio,
         target=target,
         passed=ge(ratio, target),
-        run_value=run.objective_value,
+        run_value=objective_value,
         opt_value=truth.opt_value,
     )
-
-
-def projected_value_bound(
-    opt_value: float, empty_value: float, levels: int, eps: float
-) -> float:
-    """Solve-quality floor: (1 - q) f(OPT) + q f(empty) - eps f(OPT) with
-    q = (1 + 1/levels)^(-levels). Float version; acceptance tests redo it
-    in exact rationals."""
-    q = (levels / (levels + 1.0)) ** levels
-    return (1.0 - q) * opt_value + q * empty_value - eps * opt_value
 
 
 def check_certificate(

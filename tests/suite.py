@@ -7,8 +7,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import strategies as st
 
 from nols.core import ElementSet, RandomSource
@@ -48,11 +46,6 @@ def brute_forceable_suite() -> list[InstanceFile]:
 
 def small_suite(max_n: int = 10) -> list[InstanceFile]:
     return [inst for inst in brute_forceable_suite() if inst.n <= max_n]
-
-
-def ceil_sqrt(n: int) -> int:
-    root = math.isqrt(n)
-    return root + (1 if root * root < n else 0)
 
 
 def bait_chain(

@@ -112,8 +112,17 @@ _DROP = object()
         (("lifted_solution",), None, "report.lifted_solution must be a list"),
         (("certificate",), [1.0], "report.certificate must be a JSON object"),
         (("certificate", "gap"), "0", "report.certificate.gap must be a number"),
+        (("iterations",), -617, "report.iterations must be a non-negative integer"),
+        (("rank",), 2.5, "report.rank must be a non-negative integer"),
+        (("eps_inner",), "0.1", "report.eps_inner must be a number"),
+        (("warm_value",), None, "report.warm_value must be a number"),
+        (("variant",), "greedy", "report.variant must be 'deterministic' or"),
     ],
-    ids=["list", "no-levels", "output-range", "null-lifted", "cert-list", "cert-gap"],
+    ids=[
+        "list", "no-levels", "output-range", "null-lifted", "cert-list", "cert-gap",
+        "negative-iterations", "float-rank", "string-eps-inner", "null-warm-value",
+        "unknown-variant",
+    ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, path, value, message):
     inst = _gen(tmp_path)
@@ -163,6 +172,9 @@ def test_forced_randomized_failure_exits_two(tmp_path):
     assert doc["certificate"] is None
     # a failed report that is internally consistent still verifies
     assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 0
+    doc["iterations"] = -617  # checked on failed runs too
+    rep.write_text(json.dumps(doc))
+    assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 1
 
 
 def test_bench_tiny_grid(tmp_path, capsys):
@@ -229,14 +241,22 @@ def test_gen_rejects_bad_shapes(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize(
-    "case", ["instance-list", "instance-not-json", "instance-missing", "eps-2"]
+    "case",
+    ["instance-list", "instance-not-json", "instance-missing", "eps-2", "negative-budget"],
 )
 def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, case):
     inst = _gen(tmp_path)
     rep = tmp_path / "report.json"
     assert main(["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]) == 0
-    eps = "0.5"
-    if case == "instance-list":
+    eps, flags = "0.5", []
+    if case == "negative-budget":
+        # solve takes the budget as a flag; verify reads the iteration count
+        # such a budget once produced
+        flags = ["--variant", "randomized", "--retry-budget", "-1"]
+        doc = json.loads(rep.read_text())
+        doc["iterations"] = -617
+        rep.write_text(json.dumps(doc))
+    elif case == "instance-list":
         inst.write_text("[]")
     elif case == "instance-not-json":
         inst.write_text("{")
@@ -247,7 +267,7 @@ def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, cas
         doc = json.loads(rep.read_text())
         doc["eps"] = 2.0
         rep.write_text(json.dumps(doc))
-    argv = ["--eps", eps] if command == "solve" else ["--report", str(rep)]
+    argv = ["--eps", eps, *flags] if command == "solve" else ["--report", str(rep)]
     capsys.readouterr()
     assert main([command, "--instance", str(inst), *argv]) == 1
     out = capsys.readouterr()

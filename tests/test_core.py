@@ -3,13 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nols.core import (
+    CountingMatroidOracle,
+    CountingValueOracle,
     ElementSet,
     QueryLedger,
     RandomSource,
     ge,
     gt,
     sample_without_replacement,
-    with_counting,
 )
 from nols.matroids import UniformMatroid
 from nols.objectives import ModularFunction
@@ -27,7 +28,7 @@ def test_element_set_basics():
     assert (s | t).to_list() == [1, 2, 4]
     assert (s & t).to_list() == [1]
     assert (s - t).to_list() == [4]
-    assert s.complement().to_list() == [0, 2, 3, 5]
+    assert (ElementSet.full(6) - s).to_list() == [0, 2, 3, 5]
     assert ElementSet.full(3).to_list() == [0, 1, 2]
     assert len(ElementSet.empty(3)) == 0
     with pytest.raises(ValueError):
@@ -90,7 +91,7 @@ def test_sampling_edge_sizes():
     full = sample_without_replacement(rng, pool, 4)
     assert full == pool
     sub = sample_without_replacement(rng, pool, 2)
-    assert len(sub) == 2 and sub.issubset(pool)
+    assert len(sub) == 2 and sub.mask & ~pool.mask == 0
     with pytest.raises(ValueError):
         sample_without_replacement(rng, pool, 5)
 
@@ -109,8 +110,8 @@ def test_query_ledger_counts_every_oracle_call():
     f = ModularFunction([1, 2, 3, 4, 5])
     m = UniformMatroid(5, 3)
     ledger = QueryLedger()
-    cf = with_counting(f, ledger)
-    cm = with_counting(m, ledger)
+    cf = CountingValueOracle(f, ledger)
+    cm = CountingMatroidOracle(m, ledger)
     v_calls = i_calls = 0
     for _ in range(100):
         s = ElementSet(5, rng.randrange(32))
@@ -132,7 +133,7 @@ def test_counting_preserves_oracle_answers():
     f = ModularFunction([2, 0, 7])
     m = UniformMatroid(3, 1)
     ledger = QueryLedger()
-    cf, cm = with_counting(f, ledger), with_counting(m, ledger)
+    cf, cm = CountingValueOracle(f, ledger), CountingMatroidOracle(m, ledger)
     for mask in range(8):
         s = ElementSet(3, mask)
         assert cf.eval(s) == f.eval(s)

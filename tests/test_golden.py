@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from nols.cli import main as cli_main
-from nols.core import QueryLedger, RandomSource, with_counting
+from nols.core import CountingMatroidOracle, CountingValueOracle, QueryLedger, RandomSource
 from nols.instances import InstanceFile, generate_instance, save_instance
 from nols.matroids import UniformMatroid
 from nols.solvers import (
@@ -155,8 +155,8 @@ def _library_cell(name: str):
         }
     instance = _instance(key)
     ledger = QueryLedger()
-    f = with_counting(instance.build_objective(), ledger)
-    m = with_counting(instance.build_matroid(), ledger)
+    f = CountingValueOracle(instance.build_objective(), ledger)
+    m = CountingMatroidOracle(instance.build_matroid(), ledger)
     if kind == "search":
         return _search_doc(deterministic_local_search(f, m, 0.25), ledger)
     if kind.startswith("random"):

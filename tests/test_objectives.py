@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nols.core import ElementSet, QueryLedger, RandomSource, with_counting
+from nols.core import CountingValueOracle, ElementSet, QueryLedger, RandomSource
 from nols.objectives import (
     ConcaveOfModular,
     CoverageFunction,
@@ -66,7 +66,7 @@ def test_guide_weight_schedule_exact():
     w3 = GuideWeights(3)
     assert w3.fractions[1:4] == (Fraction(1), Fraction(2, 3), Fraction(16, 9))
     assert w3.fractions[0] == 0
-    assert GuideWeights(2).top == 1.5
+    assert GuideWeights(2).fractions[2] == 1.5  # the full level set's weight
 
 
 def test_guide_weight_recurrence():
@@ -113,7 +113,7 @@ def test_lifted_guide_eval_and_query_cost():
     raw, _ = tiny_coverage()
     for L in (1, 2, 3):
         ledger = QueryLedger()
-        guide = LiftedGuide(with_counting(raw, ledger), GuideWeights(L))
+        guide = LiftedGuide(CountingValueOracle(raw, ledger), GuideWeights(L))
         assert guide.ground_size == 4 * L
         s = _es(4 * L, [0, 4 * L - 1])
         before = ledger.value_queries
@@ -172,7 +172,7 @@ def test_tracker_matches_fresh_evaluation():
     rng = RandomSource(77)
     for L in (1, 2, 3):
         ledger = QueryLedger()
-        guide = LiftedGuide(with_counting(raw, ledger), GuideWeights(L))
+        guide = LiftedGuide(CountingValueOracle(raw, ledger), GuideWeights(L))
         n2 = guide.ground_size
         s = _lifted_no_duplicates(rng, 4, L)
         tracker = make_tracker(guide, s)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nols.core import ElementSet, QueryLedger, RandomSource, with_counting
+from nols.core import (
+    CountingMatroidOracle,
+    CountingValueOracle,
+    ElementSet,
+    QueryLedger,
+    RandomSource,
+)
 from nols.matroids import UniformMatroid, PartitionMatroid, lift, rank
 from nols.objectives import (
     CoverageFunction,
@@ -22,16 +28,16 @@ from nols.solvers import (
     RANDOMIZED,
     SolverConfig,
     amplification_attempts,
+    ceil_sqrt,
     default_levels,
     deterministic_local_search,
     inner_eps,
     non_oblivious_solve,
     randomized_local_search,
-    reference_local_search,
     warm_start,
 )
 from nols.instances import generate_instance
-from nols.verify import brute_force_opt, check_certificate
+from nols.verify import brute_force_opt, check_certificate, reference_local_search
 from suite import TINY_UNIVERSE, bait_chain, tiny_coverage
 
 
@@ -151,11 +157,9 @@ def test_deterministic_scan_budget_is_enforced():
 def test_randomized_sample_sizes():
     # n=100, r=10: R1 = min(10, ceil(sqrt(100))) = 10, R2 = max(10, 10) = 10
     # n=16, r=8: R1 = min(8, 4) = 4, R2 = max(2, 4) = 4
-    from nols.solvers import _ceil_sqrt
-
-    assert _ceil_sqrt(100) == 10
-    assert _ceil_sqrt(16) == 4
-    assert _ceil_sqrt(17) == 5
+    assert ceil_sqrt(100) == 10
+    assert ceil_sqrt(16) == 4
+    assert ceil_sqrt(17) == 5
     f = ModularFunction(list(range(1, 17)))
     m = UniformMatroid(16, 8)
     rng = RandomSource(0)
@@ -232,7 +236,7 @@ def test_non_oblivious_solve_failure_path():
 def test_solve_wires_counting_through_guide_and_matroid():
     f, m = tiny_coverage()
     ledger = QueryLedger()
-    cf, cm = with_counting(f, ledger), with_counting(m, ledger)
+    cf, cm = CountingValueOracle(f, ledger), CountingMatroidOracle(m, ledger)
     rep = non_oblivious_solve(cf, cm, SolverConfig(eps=0.5, variant=DETERMINISTIC, seed=0))
     # every algorithmic query reaches the base oracle; the only extra base
     # call is the single reporting eval of the final output set, which the

@@ -3,7 +3,8 @@
 Pins ``nols.__all__``, the knobs of the solve and verify entry points and
 the flags of each ``nols`` subcommand, and checks that every name the benchmark harness in ``perfbench/``
 imports, reads or patches still resolves, so a refactor cannot silently
-break the harness.
+break the harness. No module of the package, and no test, imports an
+underscore name from a ``nols`` module: each decision has one owner.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from pathlib import Path
 import nols
 import nols.cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 EXPECTED_ALL = [
     # core
@@ -27,7 +29,6 @@ EXPECTED_ALL = [
     "QueryLedger",
     "RandomSource",
     "sample_without_replacement",
-    "with_counting",
     # matroids
     "ExplicitMatroid",
     "GraphicMatroid",
@@ -62,7 +63,6 @@ EXPECTED_ALL = [
     "inner_eps",
     "non_oblivious_solve",
     "randomized_local_search",
-    "reference_local_search",
     "warm_start",
     # verify
     "BruteForceResult",
@@ -73,6 +73,7 @@ EXPECTED_ALL = [
     "check_value_oracle",
     "exhaustive_gap",
     "localopt_gap",
+    "reference_local_search",
     # instances
     "InstanceFile",
     "generate_instance",
@@ -94,7 +95,7 @@ EXPECTED_PARAMETERS = {
     "randomized_local_search": ["f", "matroid", "eps", "rng", "attempts"],
     "warm_start": ["f", "matroid"],
     "check_certificate": ["certificate", "f", "matroid", "s"],
-    "approximation_report": ["run", "truth"],
+    "approximation_report": ["output_set", "objective_value", "levels", "eps", "truth"],
     "check_value_oracle": ["f", "max_exhaustive", "trials", "rng", "max_reports"],
 }
 EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override"]
@@ -175,3 +176,23 @@ def test_harness_patch_targets_resolve():
     with spans.instrument(nols, spans.Tracer()):
         assert nols.cli.non_oblivious_solve is not before["non_oblivious_solve"]
     assert {name: getattr(nols.cli, name) for name in before} == before
+
+
+def test_no_private_cross_imports():
+    # a relative import inside the package, or a nols import in a test, may
+    # only name public (non-underscore) names
+    sources = sorted((ROOT / "src" / "nols").glob("*.py"))
+    sources += sorted((ROOT / "tests").glob("*.py"))
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("nols"):
+                continue
+            offenders += [
+                f"{path.name}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offenders == []

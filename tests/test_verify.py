@@ -17,7 +17,6 @@ from nols.verify import (
     check_value_oracle,
     exhaustive_gap,
     localopt_gap,
-    projected_value_bound,
 )
 from suite import tiny_coverage
 
@@ -162,11 +161,17 @@ def test_value_oracle_checker_sampled_mode():
     assert any("submodularity" in msg for msg in issues)
 
 
+def _approximation(rep, truth):
+    return approximation_report(
+        rep.output_set, rep.objective_value, rep.levels, rep.eps, truth
+    )
+
+
 def test_approximation_report_conventions():
     f, m = tiny_coverage()
     truth = brute_force_opt(f, m)
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.25, variant=DETERMINISTIC, seed=0))
-    report = approximation_report(rep, truth)
+    report = _approximation(rep, truth)
     assert report.passed
     assert report.ratio == pytest.approx(rep.objective_value / truth.opt_value)
     q = (rep.levels / (rep.levels + 1)) ** rep.levels
@@ -177,17 +182,9 @@ def test_approximation_report_conventions():
         UniformMatroid(2, 1),
         SolverConfig(eps=0.25, variant=DETERMINISTIC, seed=0),
     )
-    assert approximation_report(zero_rep, zero_truth).ratio == 1.0
+    assert _approximation(zero_rep, zero_truth).ratio == 1.0
     with pytest.raises(ValueError):
-        approximation_report(rep, zero_truth)
-
-
-def test_projected_value_bound_matches_manual():
-    # levels=1: floor is opt/2 + empty/2 - eps*opt
-    assert projected_value_bound(10.0, 0.0, 1, 0.1) == pytest.approx(4.0)
-    assert projected_value_bound(9.0, 3.0, 2, 0.0) == pytest.approx(
-        (1 - (2 / 3) ** 2) * 9 + (2 / 3) ** 2 * 3
-    )
+        _approximation(rep, zero_truth)
 
 
 def test_check_certificate_detects_tampering():
