@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
 
     levels = doc["levels"]
     regularizer = instance.build_regularizer()
-    if doc.get("regularized"):
+    if doc["regularized"]:
         check(regularizer is not None, "instance carries the regularizer")
     else:
         regularizer = None

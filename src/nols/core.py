@@ -186,10 +186,23 @@ def sample_without_replacement(
 
     Partial Fisher-Yates over the ascending member list: draw k swap
     positions, keep the prefix. k must satisfy 0 <= k <= |pool|.
+
+    When the pool is the whole universe, position i holds element i until a
+    swap moves it, so only the swapped positions are stored and the walk
+    costs O(k) instead of O(n). Both paths make the same draws and return
+    the same set.
     """
     m = len(pool)
     if not 0 <= k <= m:
         raise ValueError(f"cannot sample {k} elements from a pool of {m}")
+    if m == pool.n:
+        moved: dict[int, ElementId] = {}
+        mask = 0
+        for i in range(k):
+            j = i + rng.randrange(m - i)
+            mask |= 1 << moved.get(j, j)
+            moved[j] = moved.get(i, i)  # position i is never drawn again
+        return ElementSet(pool.n, mask)
     items = pool.to_list()
     for i in range(k):
         j = i + rng.randrange(m - i)
@@ -220,6 +233,12 @@ class ValueOracle(Protocol):
     eval must be a pure function of the set: the same set always gives the
     same value, with no side effect the solver relies on. The guide tracker
     memoizes answers per state on that basis.
+
+    An oracle may also offer an incremental pair, state(S) -> state and
+    extend(state, u) -> (state of S + u, value), which the guide tracker
+    uses for add-marginals. state(S) must be a pure function of the set,
+    and the value extend returns must equal eval(S + u) exactly. An extend
+    counts as one value query; state is not a query (it yields no value).
     """
 
     ground_size: int
@@ -237,13 +256,21 @@ class MatroidOracle(Protocol):
 
 
 class CountingValueOracle:
-    """Pass-through value oracle that charges one query per eval."""
+    """Pass-through value oracle that charges one query per eval.
 
-    __slots__ = ("inner", "ledger")
+    It offers the incremental pair exactly when its inner oracle does, and
+    charges one query per extend; state is passed through free. (An unset
+    slot is a missing attribute, so hasattr tells the two cases apart.)
+    """
+
+    __slots__ = ("inner", "ledger", "state", "extend")
 
     def __init__(self, inner: ValueOracle, ledger: QueryLedger):
         self.inner = inner
         self.ledger = ledger
+        if hasattr(inner, "extend"):
+            self.state = inner.state
+            self.extend = self._counted_extend
 
     @property
     def ground_size(self) -> int:
@@ -252,6 +279,10 @@ class CountingValueOracle:
     def eval(self, s: ElementSet) -> float:
         self.ledger.value_queries += 1
         return self.inner.eval(s)
+
+    def _counted_extend(self, state, u: ElementId):
+        self.ledger.value_queries += 1
+        return self.inner.extend(state, u)
 
 
 class CountingMatroidOracle:

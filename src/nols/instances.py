@@ -307,8 +307,11 @@ def parse_report(doc, n: int):
 
     output = field("output_set", _members, n)
     field("objective_value", _number)
-    if type(field("failed")) is not bool:
-        raise ValueError("report.failed must be true or false")
+    for key in ("failed", "regularized"):
+        if type(field(key)) is not bool:
+            raise ValueError(f"report.{key} must be true or false")
+    if type(field("seed")) is not int:  # bool is not an integer here
+        raise ValueError(f"report.seed must be an integer, got {doc['seed']!r:.40}")
     field("iterations", _int)
     cert = field("certificate")
     if doc["failed"]:
@@ -329,7 +332,6 @@ def parse_report(doc, n: int):
             f"report.variant must be {DETERMINISTIC!r} or {RANDOMIZED!r}, "
             f"got {variant!r:.40}"
         )
-    field("seed")
     where = "report.certificate"
     _object(cert, where)
     witness = field("witness", _members, n * levels, spec=cert, where=where)

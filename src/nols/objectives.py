@@ -27,6 +27,10 @@ class CoverageFunction:
 
     covers[u] lists the points element u covers. Weights default to 1, in
     which case values are plain ints.
+
+    The incremental pair keeps the covered-point mask as its state:
+    extend(state, u) ORs in u's points and prices the result with the same
+    formula eval uses, so its value equals eval(S + u) exactly.
     """
 
     __slots__ = ("ground_size", "universe_size", "_cover_masks", "_weights", "_unit")
@@ -60,9 +64,19 @@ class CoverageFunction:
             self._weights = np.asarray(point_weights, dtype=np.float64)
 
     def eval(self, s: ElementSet) -> float:
+        return self._value(self.state(s))
+
+    def state(self, s: ElementSet) -> int:
         covered = 0
         for u in s:
             covered |= self._cover_masks[u]
+        return covered
+
+    def extend(self, covered: int, u: ElementId) -> tuple[int, float]:
+        covered |= self._cover_masks[u]
+        return covered, self._value(covered)
+
+    def _value(self, covered: int) -> float:
         if self._unit:
             return covered.bit_count()
         nbytes = (self.universe_size + 7) // 8
@@ -289,11 +303,21 @@ class LiftedTracker:
     from the memo, then starts a new one holding only the new projections,
     which bounds memory by one state's evaluations. Reuse is exact because
     f is a pure function of the set (the ValueOracle contract).
+
+    When f offers the incremental pair (see ValueOracle), the tracker also
+    keeps f's state for each current projection, and a memo miss in
+    marginal_add is answered by extending that state by one element instead
+    of evaluating the whole set; the extend is charged as the eval would
+    have been, so query counts do not change. The states are recomputed
+    with state() at start and wherever apply() changes a projection, at no
+    charge; the memo charges an eval of each of those same sets in the same
+    place, so no value is learned for free. marginal_drop and the refresh
+    in apply() always use eval.
     """
 
     __slots__ = (
         "guide", "current", "value", "_proj", "_fval", "_with_level", "_reg_total",
-        "_memo",
+        "_memo", "_extend", "_state",
     )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
@@ -306,6 +330,9 @@ class LiftedTracker:
         self._proj = proj
         self._memo = {}
         self._fval = [0.0] + [self._f(p) for p in proj[1:]]
+        self._extend = getattr(guide.inner, "extend", None)
+        if self._extend is not None:
+            self._state = [self._state_of(p) for p in proj]
         self._with_level = tuple(
             tuple(j for j in range(1, len(proj)) if j >> lvl & 1) for lvl in range(ell)
         )
@@ -327,6 +354,10 @@ class LiftedTracker:
             value = self._memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
         return value
 
+    def _state_of(self, mask: int):
+        inner = self.guide.inner
+        return inner.state(ElementSet(inner.ground_size, mask))
+
     def _recompute_value(self):
         wj = self.guide._wj
         fv = self._fval
@@ -341,14 +372,23 @@ class LiftedTracker:
         if x in self.current:
             return 0.0
         ell = self.guide.levels
-        ubit = 1 << (x // ell)
+        u = x // ell
+        ubit = 1 << u
         wj = self.guide._wj
+        memo, extend = self._memo, self._extend
         total = 0.0
         for j in self._with_level[x % ell]:
             pj = self._proj[j]
             if pj & ubit:
                 continue
-            total += wj[j] * (self._f(pj | ubit) - self._fval[j])
+            mask = pj | ubit
+            value = memo.get(mask)
+            if value is None:
+                if extend is None:
+                    value = self._f(mask)
+                else:
+                    value = memo[mask] = extend(self._state[j], u)[1]
+            total += wj[j] * (value - self._fval[j])
         if self.guide.regularizer is not None:
             total += self.guide.reg_scale * self._reg_weight(x)
         return total
@@ -394,6 +434,8 @@ class LiftedTracker:
             refresh.update(self._with_level[add % ell])
         for j in sorted(refresh):
             self._fval[j] = self._f(self._proj[j])
+            if self._extend is not None:
+                self._state[j] = self._state_of(self._proj[j])
         self._memo = dict(zip(self._proj[1:], self._fval[1:]))
         self._recompute_value()
 

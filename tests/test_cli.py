@@ -117,11 +117,14 @@ _DROP = object()
         (("eps_inner",), "0.1", "report.eps_inner must be a number"),
         (("warm_value",), None, "report.warm_value must be a number"),
         (("variant",), "greedy", "report.variant must be 'deterministic' or"),
+        (("regularized",), "false", "report.regularized must be true or false"),
+        (("regularized",), 1, "report.regularized must be true or false"),
+        (("seed",), "0", "report.seed must be an integer"),
     ],
     ids=[
         "list", "no-levels", "output-range", "null-lifted", "cert-list", "cert-gap",
         "negative-iterations", "float-rank", "string-eps-inner", "null-warm-value",
-        "unknown-variant",
+        "unknown-variant", "string-regularized", "int-regularized", "string-seed",
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, path, value, message):
@@ -145,6 +148,7 @@ def test_verify_rejects_malformed_report(tmp_path, capsys, path, value, message)
     out = capsys.readouterr()
     assert out.out == ""  # rejected before any other check
     assert message in out.err
+    assert len(out.err.splitlines()) == 1
 
 
 def test_verify_certificate_only_skips_brute_force(tmp_path, capsys):

@@ -105,6 +105,31 @@ def test_sampling_hits_every_element():
     assert seen == set(range(8))
 
 
+def _list_path_sample(rng, pool, k):
+    # the partial Fisher-Yates over the member list, for any pool
+    items = pool.to_list()
+    for i in range(k):
+        j = i + rng.randrange(len(items) - i)
+        items[i], items[j] = items[j], items[i]
+    return ElementSet.from_iterable(pool.n, items[:k])
+
+
+def test_full_pool_sampling_matches_the_list_path():
+    # the O(k) path for a whole-universe pool draws the same numbers, leaves
+    # the generator in the same state and returns the same set
+    meta = RandomSource(2024)
+    for _ in range(2000):
+        n = 1 + meta.randrange(200)
+        k = meta.randrange(n + 1)
+        seed = meta.next_u64()
+        fast, slow = RandomSource(seed), RandomSource(seed)
+        pool = ElementSet.full(n)
+        assert sample_without_replacement(fast, pool, k) == _list_path_sample(
+            slow, pool, k
+        )
+        assert fast._state == slow._state
+
+
 def test_query_ledger_counts_every_oracle_call():
     rng = RandomSource(3)
     f = ModularFunction([1, 2, 3, 4, 5])

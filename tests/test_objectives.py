@@ -268,16 +268,32 @@ def test_lifted_guide_monotone_in_members(L, raw_mask, x):
 
 
 class _RecordingOracle:
-    """Pass-through value oracle that records every set it is asked."""
+    """Pass-through value oracle that records every set it is asked.
 
-    def __init__(self, inner):
+    With incremental=True it offers the inner oracle's state/extend pair;
+    its states carry the set's mask, so each extend records the set it
+    reaches."""
+
+    def __init__(self, inner, incremental):
         self.inner = inner
         self.ground_size = inner.ground_size
         self.seen = []
+        self.extends = 0
+        if incremental:
+            self.state = lambda s: (s.mask, inner.state(s))
+            self.extend = self._extend
 
     def eval(self, s):
         self.seen.append(s.mask)
         return self.inner.eval(s)
+
+    def _extend(self, state, u):
+        mask, inner_state = state
+        mask |= 1 << u
+        self.seen.append(mask)
+        self.extends += 1
+        inner_state, value = self.inner.extend(inner_state, u)
+        return (mask, inner_state), value
 
 
 _BASE_N = 5
@@ -302,38 +318,58 @@ _COVERS = [[0, 1], [1, 2, 3], [3], [4, 5, 0], [5, 6, 7, 2]]
 def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps):
     # after any add/drop/swap sequence the memoized tracker answers exactly
     # like a fresh one, and its inner oracle never sees a set twice between
-    # two applies (the memo is per state and never stale)
+    # two applies (the memo is per state and never stale). A tracker that
+    # answers add-marginals by extend and one that only evaluates agree
+    # float-exactly, ask the same sets in the same order, and are charged
+    # the same number of queries.
     f = CoverageFunction(8, _COVERS, point_weights=point_weights)
     reg = None if reg_weights is None else LinearRegularizer(reg_weights)
-    recorder = _RecordingOracle(f)
-    tracked = LiftedGuide(recorder, GuideWeights(L), reg)
+    recorders, ledgers, trackers = [], [], []
+    for incremental in (True, False):
+        recorder, ledger = _RecordingOracle(f, incremental), QueryLedger()
+        counted = CountingValueOracle(recorder, ledger)
+        assert hasattr(counted, "extend") is incremental
+        guide = LiftedGuide(counted, GuideWeights(L), reg)
+        recorders.append(recorder)
+        ledgers.append(ledger)
+        trackers.append(make_tracker(guide, ElementSet.empty(guide.ground_size)))
+    tracker, plain = trackers
     fresh_guide = LiftedGuide(f, GuideWeights(L), reg)
-    n2 = tracked.ground_size
-    tracker = make_tracker(tracked, ElementSet.empty(n2))
+    n2 = fresh_guide.ground_size
 
     def check():
         fresh = make_tracker(fresh_guide, tracker.current)
-        assert tracker.value == fresh.value
+        assert tracker.value == plain.value == fresh.value
         for _ in range(2):  # a repeated ask is answered from the memo
             for x in range(n2):
                 if x in tracker.current:
-                    assert tracker.marginal_drop(x) == fresh.marginal_drop(x)
+                    want = fresh.marginal_drop(x)
+                    assert tracker.marginal_drop(x) == plain.marginal_drop(x) == want
                 else:
-                    assert tracker.marginal_add(x) == fresh.marginal_add(x)
-        assert len(recorder.seen) == len(set(recorder.seen))
+                    want = fresh.marginal_add(x)
+                    assert tracker.marginal_add(x) == plain.marginal_add(x) == want
+        for recorder in recorders:
+            assert len(recorder.seen) == len(set(recorder.seen))
+        assert recorders[0].seen == recorders[1].seen
+        assert ledgers[0].snapshot() == ledgers[1].snapshot()
+
+    def apply(**move):
+        for recorder in recorders:
+            recorder.seen.clear()
+        for t in trackers:
+            t.apply(**move)
 
     check()
+    assert recorders[0].extends > 0 and recorders[1].extends == 0
     for op, a, b in steps:
         s = tracker.current
         held = {x // L for x in s}
         members = list(s)
         addable = [x for x in range(n2) if x // L not in held]
         if op == "add" and addable:
-            recorder.seen.clear()
-            tracker.apply(add=addable[a % len(addable)])
+            apply(add=addable[a % len(addable)])
         elif op == "drop" and members:
-            recorder.seen.clear()
-            tracker.apply(drop=members[a % len(members)])
+            apply(drop=members[a % len(members)])
         elif op == "swap" and members:
             u = members[a % len(members)]
             # the added element may move u's base element to another level
@@ -341,8 +377,7 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
             outside = [x for x in range(n2) if x not in s and x // L not in others]
             if not outside:
                 continue
-            recorder.seen.clear()
-            tracker.apply(add=outside[b % len(outside)], drop=u)
+            apply(add=outside[b % len(outside)], drop=u)
         else:
             continue
         check()

@@ -222,6 +222,41 @@ def test_non_oblivious_solve_replay_identical():
     assert a.certificate.gap == b.certificate.gap
 
 
+class EvalOnly:
+    """Value oracle that exposes only eval, hiding any incremental pair."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+
+    def eval(self, s):
+        return self.inner.eval(s)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_incremental_marginals_leave_the_solve_unchanged(weighted, variant, eps):
+    # add-marginals answered by extend give the same trajectory, answer,
+    # certificate and query counts as the eval-only path
+    instance = generate_instance("partition", 16, 4, 10)
+    f = instance.build_objective()
+    if weighted:
+        rng = RandomSource(5)
+        weights = [rng.randrange(10) for _ in range(f.universe_size)]
+        f = CoverageFunction(
+            f.universe_size, [f.covers(u) for u in range(f.ground_size)], weights
+        )
+    assert hasattr(f, "extend")
+    m = instance.build_matroid()
+    config = SolverConfig(eps=eps, variant=variant, seed=11)
+    fast = non_oblivious_solve(f, m, config)
+    plain = non_oblivious_solve(EvalOnly(f), m, config)
+    assert not fast.failed
+    # every field: output and lifted sets, certificate, iterations, ledger
+    assert fast == plain
+
+
 def test_non_oblivious_solve_failure_path():
     f, m = tiny_coverage()
     rep = non_oblivious_solve(
