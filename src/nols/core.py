@@ -187,27 +187,21 @@ def sample_without_replacement(
     Partial Fisher-Yates over the ascending member list: draw k swap
     positions, keep the prefix. k must satisfy 0 <= k <= |pool|.
 
-    When the pool is the whole universe, position i holds element i until a
-    swap moves it, so only the swapped positions are stored and the walk
-    costs O(k) instead of O(n). Both paths make the same draws and return
-    the same set.
+    Position p holds member p until a swap moves it, so only the swapped
+    positions are stored. For the whole universe the members are range(n),
+    and the walk costs O(k) with no member list built.
     """
     m = len(pool)
     if not 0 <= k <= m:
         raise ValueError(f"cannot sample {k} elements from a pool of {m}")
-    if m == pool.n:
-        moved: dict[int, ElementId] = {}
-        mask = 0
-        for i in range(k):
-            j = i + rng.randrange(m - i)
-            mask |= 1 << moved.get(j, j)
-            moved[j] = moved.get(i, i)  # position i is never drawn again
-        return ElementSet(pool.n, mask)
-    items = pool.to_list()
+    items = range(m) if m == pool.n else pool.to_list()
+    moved: dict[int, int] = {}
+    mask = 0
     for i in range(k):
         j = i + rng.randrange(m - i)
-        items[i], items[j] = items[j], items[i]
-    return ElementSet.from_iterable(pool.n, items[:k])
+        mask |= 1 << items[moved.get(j, j)]
+        moved[j] = moved.get(i, i)  # position i is never drawn again
+    return ElementSet(pool.n, mask)
 
 
 COMPARISON_SLACK = 1e-9  # relative; objective values are floats
@@ -235,10 +229,12 @@ class ValueOracle(Protocol):
     memoizes answers per state on that basis.
 
     An oracle may also offer an incremental pair, state(S) -> state and
-    extend(state, u) -> (state of S + u, value), which the guide tracker
-    uses for add-marginals. state(S) must be a pure function of the set,
-    and the value extend returns must equal eval(S + u) exactly. An extend
-    counts as one value query; state is not a query (it yields no value).
+    extend(state, u) -> value, which the guide tracker uses for
+    add-marginals. state(S) must be a pure function of the set, and
+    extend(state(S), u) must equal eval(S + u) exactly. An extend counts as
+    one value query. state is not charged, yet it may reveal f(S) (for
+    coverage it is the covered-point mask), so it may only be called on a
+    set whose value has already been charged, as the guide tracker does.
     """
 
     ground_size: int
@@ -259,8 +255,10 @@ class CountingValueOracle:
     """Pass-through value oracle that charges one query per eval.
 
     It offers the incremental pair exactly when its inner oracle does, and
-    charges one query per extend; state is passed through free. (An unset
-    slot is a missing attribute, so hasattr tells the two cases apart.)
+    charges one query per extend. state is passed through uncharged, so a
+    caller may only ask it of a set whose eval it has already been charged
+    for (see ValueOracle). An unset slot is a missing attribute, so hasattr
+    tells the two cases apart.
     """
 
     __slots__ = ("inner", "ledger", "state", "extend")
@@ -280,7 +278,7 @@ class CountingValueOracle:
         self.ledger.value_queries += 1
         return self.inner.eval(s)
 
-    def _counted_extend(self, state, u: ElementId):
+    def _counted_extend(self, state, u: ElementId) -> float:
         self.ledger.value_queries += 1
         return self.inner.extend(state, u)
 

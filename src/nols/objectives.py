@@ -30,7 +30,7 @@ class CoverageFunction:
 
     The incremental pair keeps the covered-point mask as its state:
     extend(state, u) ORs in u's points and prices the result with the same
-    formula eval uses, so its value equals eval(S + u) exactly.
+    formula eval uses, so it equals eval(S + u) exactly.
     """
 
     __slots__ = ("ground_size", "universe_size", "_cover_masks", "_weights", "_unit")
@@ -72,9 +72,8 @@ class CoverageFunction:
             covered |= self._cover_masks[u]
         return covered
 
-    def extend(self, covered: int, u: ElementId) -> tuple[int, float]:
-        covered |= self._cover_masks[u]
-        return covered, self._value(covered)
+    def extend(self, covered: int, u: ElementId) -> float:
+        return self._value(covered | self._cover_masks[u])
 
     def _value(self, covered: int) -> float:
         if self._unit:
@@ -375,7 +374,7 @@ class LiftedTracker:
         u = x // ell
         ubit = 1 << u
         wj = self.guide._wj
-        memo, extend = self._memo, self._extend
+        inner, memo, extend = self.guide.inner, self._memo, self._extend
         total = 0.0
         for j in self._with_level[x % ell]:
             pj = self._proj[j]
@@ -385,9 +384,10 @@ class LiftedTracker:
             value = memo.get(mask)
             if value is None:
                 if extend is None:
-                    value = self._f(mask)
+                    value = inner.eval(ElementSet(inner.ground_size, mask))
                 else:
-                    value = memo[mask] = extend(self._state[j], u)[1]
+                    value = extend(self._state[j], u)
+                memo[mask] = value
             total += wj[j] * (value - self._fval[j])
         if self.guide.regularizer is not None:
             total += self.guide.reg_scale * self._reg_weight(x)

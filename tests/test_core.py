@@ -114,16 +114,21 @@ def _list_path_sample(rng, pool, k):
     return ElementSet.from_iterable(pool.n, items[:k])
 
 
-def test_full_pool_sampling_matches_the_list_path():
-    # the O(k) path for a whole-universe pool draws the same numbers, leaves
-    # the generator in the same state and returns the same set
+def test_sparse_sampling_matches_the_list_path():
+    # the sparse walk draws the same numbers, leaves the generator in the
+    # same state and returns the same set as swapping a member list, both
+    # for the whole universe (its O(k) case) and for a strict subset
     meta = RandomSource(2024)
-    for _ in range(2000):
+    for trial in range(2000):
         n = 1 + meta.randrange(200)
-        k = meta.randrange(n + 1)
+        if trial % 2:
+            pool = ElementSet.full(n)
+        else:
+            words = (meta.next_u64() << 64 * w for w in range(4))
+            pool = ElementSet(n, sum(words) % (1 << n))
+        k = meta.randrange(len(pool) + 1)
         seed = meta.next_u64()
         fast, slow = RandomSource(seed), RandomSource(seed)
-        pool = ElementSet.full(n)
         assert sample_without_replacement(fast, pool, k) == _list_path_sample(
             slow, pool, k
         )

@@ -289,11 +289,9 @@ class _RecordingOracle:
 
     def _extend(self, state, u):
         mask, inner_state = state
-        mask |= 1 << u
-        self.seen.append(mask)
+        self.seen.append(mask | 1 << u)
         self.extends += 1
-        inner_state, value = self.inner.extend(inner_state, u)
-        return (mask, inner_state), value
+        return self.inner.extend(inner_state, u)
 
 
 _BASE_N = 5
