@@ -93,33 +93,20 @@ class ElementSet:
             raise KeyError(u)
         return ElementSet(self.n, self.mask & ~(1 << u))
 
-    def union(self, other: "ElementSet") -> "ElementSet":
-        self._check_universe(other)
-        return ElementSet(self.n, self.mask | other.mask)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        self._check_universe(other)
-        return ElementSet(self.n, self.mask & other.mask)
-
     def difference(self, other: "ElementSet") -> "ElementSet":
-        self._check_universe(other)
+        if self.n != other.n:
+            raise ValueError("sets live over different universes")
         return ElementSet(self.n, self.mask & ~other.mask)
 
-    __or__ = union
-    __and__ = intersection
     __sub__ = difference
 
     def to_list(self) -> list[ElementId]:
         return list(self)
 
-    def _check_universe(self, other: "ElementSet") -> None:
-        if self.n != other.n:
-            raise ValueError("sets live over different universes")
-
 
 @dataclass
 class QueryLedger:
-    """Counts oracle invocations. Never reset; snapshot and diff instead.
+    """Counts oracle invocations. Never reset.
 
     Counters are plain ints; a solver run owns its ledger, so no
     synchronization is done here. Share across threads only with external
@@ -128,12 +115,6 @@ class QueryLedger:
 
     value_queries: int = 0
     independence_queries: int = 0
-
-    def snapshot(self) -> tuple[int, int]:
-        return (self.value_queries, self.independence_queries)
-
-    def since(self, snap: tuple[int, int]) -> tuple[int, int]:
-        return (self.value_queries - snap[0], self.independence_queries - snap[1])
 
     @property
     def total(self) -> int:

@@ -5,11 +5,15 @@ at internal structure. The exchange helpers (``extend_to_base``,
 ``max_weight_independent``, ``min_weight_exchange``) are written against
 that interface so they work unchanged on counted oracles and on lifted
 matroids. The test-scale ``exchange_bijection`` lives in ``nols.verify``.
+
+``matroid_axiom_violations`` is the one matroid-axiom checker: it backs
+``ExplicitMatroid`` (at most 20 elements, checked at construction) and
+``nols.verify.check_matroid_axioms`` (any oracle, exhaustive to 16).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .core import ElementId, ElementSet, MatroidOracle
 
@@ -130,11 +134,12 @@ class GraphicMatroid:
 
 
 class ExplicitMatroid:
-    """Matroid given by the full list of independent sets. Test scale only.
+    """Matroid given by the full list of independent sets. Test scale only,
+    capped at n <= 20.
 
-    The family is validated against the matroid axioms at construction
-    (non-empty, downward closed, exchange). Pass validate=False to build a
-    deliberately broken family for negative tests.
+    The family is checked against the matroid axioms at construction by
+    ``matroid_axiom_violations``; a family that fails raises ValueError
+    naming the first axiom it violates.
     """
 
     MAX_GROUND = 20
@@ -142,10 +147,7 @@ class ExplicitMatroid:
     __slots__ = ("ground_size", "_family")
 
     def __init__(
-        self,
-        n: int,
-        independent: Sequence[Sequence[ElementId]] | Sequence[int],
-        validate: bool = True,
+        self, n: int, independent: Sequence[Sequence[ElementId]] | Sequence[int]
     ):
         if n > self.MAX_GROUND:
             raise ValueError(f"explicit matroid capped at n <= {self.MAX_GROUND}")
@@ -158,32 +160,11 @@ class ExplicitMatroid:
             else:
                 mask = ElementSet.from_iterable(n, s).mask
             masks.add(mask)
+        problem = next(matroid_axiom_violations(masks), None)
+        if problem is not None:
+            raise ValueError(f"independent family is not a matroid: {problem}")
         self.ground_size = n
         self._family = frozenset(masks)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        fam = self._family
-        if 0 not in fam:
-            raise ValueError("independent family must contain the empty set")
-        for mask in fam:
-            m = mask
-            while m:
-                lsb = m & -m
-                if mask ^ lsb not in fam:
-                    raise ValueError("family is not downward closed")
-                m ^= lsb
-        by_size: dict[int, list[int]] = {}
-        for mask in fam:
-            by_size.setdefault(mask.bit_count(), []).append(mask)
-        # exchange between sizes k and k+1 suffices; larger gaps follow by
-        # downward closure
-        for k, smaller in by_size.items():
-            for t in by_size.get(k + 1, ()):
-                for s in smaller:
-                    if not any(s | bit in fam for bit in _bits(t & ~s)):
-                        raise ValueError("family violates the exchange axiom")
 
     def is_independent(self, s: ElementSet) -> bool:
         return s.mask in self._family
@@ -192,11 +173,43 @@ class ExplicitMatroid:
         return f"ExplicitMatroid(n={self.ground_size}, sets={len(self._family)})"
 
 
-def _bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb
-        mask ^= lsb
+def mask_text(mask: int) -> str:
+    """The members of a bitmask as ``{0,2,5}``, ascending."""
+    return "{" + ",".join(str(u) for u in ElementSet(mask.bit_length(), mask)) + "}"
+
+
+def matroid_axiom_violations(family: Collection[int]) -> Iterator[str]:
+    """Yield every matroid-axiom violation of a family of independent masks.
+
+    The one axiom checker: ``ExplicitMatroid`` raises on the first
+    violation, ``nols.verify.check_matroid_axioms`` reports the first 20.
+    Checks, in this order: the empty set is in the family; downward closure
+    (masks ascending, removed element ascending); exchange between sizes k
+    and k+1 (k ascending, then the larger mask, then the smaller), which
+    implies the general form by downward closure.
+    """
+    family = set(family)
+    if 0 not in family:
+        yield "empty set is dependent"
+    by_size: dict[int, list[int]] = {}
+    addable: dict[int, int] = {}  # addable[s]: elements u with s + u independent
+    for m in sorted(family):
+        by_size.setdefault(m.bit_count(), []).append(m)
+        rem = m
+        while rem:
+            lsb = rem & -rem
+            rem ^= lsb
+            addable[m ^ lsb] = addable.get(m ^ lsb, 0) | lsb
+            if m ^ lsb not in family:
+                yield (
+                    f"downward closure fails: {mask_text(m)} independent but "
+                    f"{mask_text(m ^ lsb)} is not"
+                )
+    for k, smaller in sorted(by_size.items()):
+        for t in by_size.get(k + 1, ()):
+            for s in smaller:
+                if not t & ~s & addable.get(s, 0):
+                    yield f"exchange fails: {mask_text(s)} cannot grow from {mask_text(t)}"
 
 
 class LiftedMatroid:

@@ -6,6 +6,13 @@ explicit definitions, never against the solvers' own bookkeeping, so these
 routines are the arbiter in tests. The one piece shared with the solvers is
 the certificate constructor, ``LocalOptCertificate.at``, run here on a fresh
 tracker so a stored certificate can be compared float-exactly.
+
+Each check has a fixed scale cap, a module constant rather than a
+parameter: brute force to n = 22, the exhaustive gap to n = 64, the
+reference search to n = 16 and rank 6, and the matroid-axiom and
+value-oracle checks exhaustive to n = 16 (above that the axiom check
+refuses and the oracle check samples 10,000 triples from seed 0). The
+checkers report at most 20 violations.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -25,11 +34,17 @@ from .core import (
     ValueOracle,
     ge,
 )
-from .matroids import extend_to_base
+from .matroids import extend_to_base, mask_text, matroid_axiom_violations
 from .objectives import GuideWeights, make_tracker, subset_unions
 from .solvers import LocalOptCertificate
 
 MAX_BRUTE_FORCE = 22
+MAX_GAP_GROUND = 64
+MAX_REFERENCE_GROUND = 16
+MAX_REFERENCE_RANK = 6
+MAX_EXHAUSTIVE = 16  # axiom and value-oracle checks; the oracle check samples above
+SAMPLED_TRIALS = 10_000
+MAX_REPORTS = 20
 
 
 @dataclass(frozen=True)
@@ -45,38 +60,46 @@ class BruteForceResult:
     enumerated: int
 
 
-def brute_force_opt(
-    f: ValueOracle, matroid: MatroidOracle, max_ground: int = MAX_BRUTE_FORCE
-) -> BruteForceResult:
-    """DFS over independent sets in ascending element order.
+def _independent_masks(matroid: MatroidOracle) -> Iterator[int]:
+    """Yield the mask of every non-empty independent set, by a DFS in
+    ascending element order.
 
-    Dependent branches are pruned; by downward closure no independent set
-    is missed. Strictly better values replace the incumbent, so the
-    reported optimum is the lexicographically earliest maximizer.
+    Each popped set asks for its extensions by larger elements in ascending
+    order, yields the independent ones and pushes them; dependent branches
+    are pruned, and by downward closure no independent set is missed.
     """
-    n = f.ground_size
-    if n != matroid.ground_size:
-        raise ValueError("objective and matroid universes differ")
-    if n > max_ground:
-        raise ValueError(f"brute force capped at n <= {max_ground}")
-
-    best_mask = 0
-    best_value = f.eval(ElementSet.empty(n))
-    enumerated = 1
-
+    n = matroid.ground_size
     stack = [(0, 0)]  # (mask, next element to try)
     while stack:
         mask, start = stack.pop()
         for u in range(start, n):
             cand = mask | (1 << u)
-            if not matroid.is_independent(ElementSet(n, cand)):
-                continue
-            val = f.eval(ElementSet(n, cand))
-            enumerated += 1
-            if val > best_value:
-                best_value = val
-                best_mask = cand
-            stack.append((cand, u + 1))
+            if matroid.is_independent(ElementSet(n, cand)):
+                yield cand
+                stack.append((cand, u + 1))
+
+
+def brute_force_opt(f: ValueOracle, matroid: MatroidOracle) -> BruteForceResult:
+    """Exact optimum over every independent set, capped at n <= 22.
+
+    Strictly better values replace the incumbent in the order
+    ``_independent_masks`` walks, so ties keep the first maximizer found.
+    """
+    n = f.ground_size
+    if n != matroid.ground_size:
+        raise ValueError("objective and matroid universes differ")
+    if n > MAX_BRUTE_FORCE:
+        raise ValueError(f"brute force capped at n <= {MAX_BRUTE_FORCE}")
+
+    best_mask = 0
+    best_value = f.eval(ElementSet.empty(n))
+    enumerated = 1
+    for mask in _independent_masks(matroid):
+        val = f.eval(ElementSet(n, mask))
+        enumerated += 1
+        if val > best_value:
+            best_value = val
+            best_mask = mask
     return BruteForceResult(
         opt_set=ElementSet(n, best_mask), opt_value=best_value, enumerated=enumerated
     )
@@ -91,12 +114,7 @@ class ReferenceResult:
 
 
 def reference_local_search(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    levels: int,
-    *,
-    max_ground: int = 16,
-    max_rank: int = 6,
+    f: ValueOracle, matroid: MatroidOracle, levels: int
 ) -> ReferenceResult:
     """Exhaustive partitioned local search in exact rational arithmetic.
 
@@ -105,17 +123,17 @@ def reference_local_search(
     outside element (at any level) keeping the union independent; the first
     strictly improving move in scan order is taken until none exists.
     Values are memoized Fractions, so termination and the no-improving-move
-    postcondition are exact. Intended for verification; enforced to toy
-    scale.
+    postcondition are exact. Intended for verification; capped at
+    n <= 16 and rank <= 6.
     """
     n = f.ground_size
-    if n > max_ground:
-        raise ValueError(f"reference search capped at n <= {max_ground}")
+    if n > MAX_REFERENCE_GROUND:
+        raise ValueError(f"reference search capped at n <= {MAX_REFERENCE_GROUND}")
     weights = GuideWeights(levels)
     base = extend_to_base(matroid, ElementSet.empty(n))
     r = len(base)
-    if r > max_rank:
-        raise ValueError(f"reference search capped at rank <= {max_rank}")
+    if r > MAX_REFERENCE_RANK:
+        raise ValueError(f"reference search capped at rank <= {MAX_REFERENCE_RANK}")
 
     memo: dict[int, Fraction] = {}
 
@@ -220,19 +238,17 @@ def localopt_gap(
     return LocalOptCertificate.at(make_tracker(f, s), matroid, eps, warm_value)
 
 
-def exhaustive_gap(
-    f: ValueOracle, matroid: MatroidOracle, s: ElementSet, max_ground: int = 64
-) -> float:
-    """max over all independent T of sum_T f(v|S-v) - sum_S f(u|S-u).
+def exhaustive_gap(f: ValueOracle, matroid: MatroidOracle, s: ElementSet) -> float:
+    """max over all independent T of sum_T f(v|S-v) - sum_S f(u|S-u), capped
+    at n <= 64.
 
-    Enumerates independent sets only (pruned DFS), then recomputes the
-    winning difference with ascending-index sums, the same order
-    localopt_gap uses, so the cross-check against the greedy witness can
-    demand float-exact equality.
+    Walks the independent sets only (``_independent_masks``) and sums each
+    in ascending element order, the order localopt_gap uses, so the
+    cross-check against the greedy witness can demand float-exact equality.
     """
     n = f.ground_size
-    if n > max_ground:
-        raise ValueError(f"exhaustive gap capped at n <= {max_ground}")
+    if n > MAX_GAP_GROUND:
+        raise ValueError(f"exhaustive gap capped at n <= {MAX_GAP_GROUND}")
     tracker = make_tracker(f, s)
     w = [
         tracker.marginal_drop(v) if v in s else tracker.marginal_add(v)
@@ -241,18 +257,11 @@ def exhaustive_gap(
     base_sum = sum(w[u] for u in s)
     best = -base_sum  # T empty
     best_mask = 0
-    stack = [(0, 0, 0.0)]
-    while stack:
-        mask, start, total = stack.pop()
-        for u in range(start, n):
-            cand = mask | (1 << u)
-            if not matroid.is_independent(ElementSet(n, cand)):
-                continue
-            cand_total = total + w[u]
-            if cand_total - base_sum > best:
-                best = cand_total - base_sum
-                best_mask = cand
-            stack.append((cand, u + 1, cand_total))
+    for mask in _independent_masks(matroid):
+        gap = sum(w[v] for v in ElementSet(n, mask)) - base_sum
+        if gap > best:
+            best = gap
+            best_mask = mask
     return sum(w[v] for v in ElementSet(n, best_mask)) - base_sum
 
 
@@ -303,65 +312,64 @@ def exchange_bijection(
     return h
 
 
-def check_matroid_axioms(
-    matroid: MatroidOracle, max_ground: int = 12, max_reports: int = 20
-) -> list[str]:
-    """Exhaustive matroid axiom check; returns violation descriptions.
+def check_matroid_axioms(matroid: MatroidOracle) -> list[str]:
+    """Exhaustive matroid axiom check over all 2^n sets, capped at n <= 16.
 
-    Empty list means the oracle passed. Checks non-emptiness, downward
-    closure, and the exchange axiom (between sizes k and k+1, which
-    implies the general form by downward closure).
+    Returns the first 20 violations ``matroid_axiom_violations`` finds in
+    the oracle's independent family (empty set, downward closure, exchange);
+    an empty list means the oracle passed.
     """
     n = matroid.ground_size
-    if n > max_ground:
-        raise ValueError(f"axiom check capped at n <= {max_ground}")
-    ind = [matroid.is_independent(ElementSet(n, m)) for m in range(1 << n)]
-    issues: list[str] = []
-
-    def report(msg: str) -> bool:
-        issues.append(msg)
-        return len(issues) >= max_reports
-
-    if not ind[0]:
-        report("empty set is dependent")
-    for m in range(1, 1 << n):
-        if not ind[m]:
-            continue
-        rem = m
-        while rem:
-            lsb = rem & -rem
-            rem ^= lsb
-            if not ind[m ^ lsb]:
-                if report(
-                    f"downward closure fails: {_fmt(m, n)} independent but "
-                    f"{_fmt(m ^ lsb, n)} is not"
-                ):
-                    return issues
-    # addable[m] = elements whose addition keeps m independent
-    addable = [0] * (1 << n)
-    by_size: dict[int, list[int]] = {}
-    for m in range(1 << n):
-        if not ind[m]:
-            continue
-        by_size.setdefault(m.bit_count(), []).append(m)
-        a = 0
-        for u in range(n):
-            if not m >> u & 1 and ind[m | (1 << u)]:
-                a |= 1 << u
-        addable[m] = a
-    for k, smaller in sorted(by_size.items()):
-        for t in by_size.get(k + 1, ()):
-            for s in smaller:
-                if not t & ~s & addable[s]:
-                    if report(
-                        f"exchange fails: {_fmt(s, n)} cannot grow from {_fmt(t, n)}"
-                    ):
-                        return issues
-    return issues
+    if n > MAX_EXHAUSTIVE:
+        raise ValueError(f"axiom check capped at n <= {MAX_EXHAUSTIVE}")
+    family = [m for m in range(1 << n) if matroid.is_independent(ElementSet(n, m))]
+    return list(islice(matroid_axiom_violations(family), MAX_REPORTS))
 
 
-def _fmt(mask: int, n: int) -> str:
-    return "{" + ",".join(str(u) for u in ElementSet(n, mask)) + "}"
+def check_value_oracle(f: ValueOracle) -> list[str]:
+    """Non-negativity, monotonicity, submodularity check.
+
+    Exhaustive up to n = 16 ground elements (pairwise local submodularity
+    over all sets, which is equivalent to the lattice definition); above
+    that, 10,000 sampled S subset of T triples drawn from RandomSource(0).
+    Returns the first 20 violation descriptions, empty on pass.
+    """
+    if f.ground_size <= MAX_EXHAUSTIVE:
+        violations = _exhaustive_value_violations(f)
+    else:
+        violations = _sampled_value_violations(f)
+    return list(islice(violations, MAX_REPORTS))
+
+
+def _exhaustive_value_violations(f: ValueOracle) -> Iterator[str]:
+    n = f.ground_size
+    vals = np.array([f.eval(ElementSet(n, m)) for m in range(1 << n)])
+
+    def holds(left, right):
+        # vectorized core.ge: left >= right - slack*max(1,|l|,|r|)
+        scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+        return left >= right - COMPARISON_SLACK * scale
+
+    masks = np.arange(1 << n, dtype=np.int64)
+    for m in np.nonzero(~holds(vals, 0.0))[0]:
+        yield f"negative value at {mask_text(int(m))}"
+    for u in range(n):
+        without = masks[(masks >> u) & 1 == 0]
+        gain = vals[without | (1 << u)] - vals[without]
+        for i in np.nonzero(~holds(gain, 0.0))[0]:
+            yield f"monotonicity fails adding {u} to {mask_text(int(without[i]))}"
+        for v in range(n):
+            if v == u:
+                continue
+            both = without[(without >> v) & 1 == 0]
+            gain_small = vals[both | (1 << u)] - vals[both]
+            withv = both | (1 << v)
+            gain_large = vals[withv | (1 << u)] - vals[withv]
+            for i in np.nonzero(~holds(gain_small, gain_large))[0]:
+                yield (
+                    f"submodularity fails: element {u} gains more on "
+                    f"{mask_text(int(withv[i]))} than on {mask_text(int(both[i]))}"
+                )
 
 
 def _random_mask(rng: RandomSource, n: int) -> int:
@@ -371,69 +379,10 @@ def _random_mask(rng: RandomSource, n: int) -> int:
     return mask & ((1 << n) - 1)
 
 
-def check_value_oracle(
-    f: ValueOracle,
-    *,
-    max_exhaustive: int = 10,
-    trials: int = 10_000,
-    rng: RandomSource | None = None,
-    max_reports: int = 20,
-) -> list[str]:
-    """Non-negativity, monotonicity, submodularity check.
-
-    Exhaustive up to max_exhaustive ground elements (pairwise local
-    submodularity over all sets, which is equivalent to the lattice
-    definition); sampled S subset of T triples otherwise. Returns violation
-    descriptions, empty on pass.
-    """
+def _sampled_value_violations(f: ValueOracle) -> Iterator[str]:
     n = f.ground_size
-    issues: list[str] = []
-
-    def report(msg: str) -> bool:
-        issues.append(msg)
-        return len(issues) >= max_reports
-
-    if n <= max_exhaustive:
-        vals = np.array([f.eval(ElementSet(n, m)) for m in range(1 << n)])
-
-        def holds(left, right):
-            # vectorized core.ge: left >= right - slack*max(1,|l|,|r|)
-            scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
-            return left >= right - COMPARISON_SLACK * scale
-
-        masks = np.arange(1 << n, dtype=np.int64)
-        bad = np.nonzero(~holds(vals, 0.0))[0]
-        for m in bad[:max_reports]:
-            if report(f"negative value at {_fmt(int(m), n)}"):
-                return issues
-        for u in range(n):
-            without = masks[(masks >> u) & 1 == 0]
-            gain = vals[without | (1 << u)] - vals[without]
-            bad = np.nonzero(~holds(gain, 0.0))[0]
-            for i in bad[:max_reports]:
-                if report(
-                    f"monotonicity fails adding {u} to {_fmt(int(without[i]), n)}"
-                ):
-                    return issues
-            for v in range(n):
-                if v == u:
-                    continue
-                both = without[(without >> v) & 1 == 0]
-                gain_small = vals[both | (1 << u)] - vals[both]
-                withv = both | (1 << v)
-                gain_large = vals[withv | (1 << u)] - vals[withv]
-                bad = np.nonzero(~holds(gain_small, gain_large))[0]
-                for i in bad[:max_reports]:
-                    if report(
-                        f"submodularity fails: element {u} gains more on "
-                        f"{_fmt(int(withv[i]), n)} than on {_fmt(int(both[i]), n)}"
-                    ):
-                        return issues
-        return issues
-
-    if rng is None:
-        rng = RandomSource(0)
-    for _ in range(trials):
+    rng = RandomSource(0)
+    for _ in range(SAMPLED_TRIALS):
         t_mask = _random_mask(rng, n)
         s_mask = t_mask & _random_mask(rng, n)
         t = ElementSet(n, t_mask)
@@ -441,26 +390,19 @@ def check_value_oracle(
         ft = f.eval(t)
         fs = f.eval(s)
         if ft < 0 or fs < 0:
-            if report("negative value on sampled set"):
-                return issues
+            yield "negative value on sampled set"
         if not ge(ft, fs):
-            if report(f"monotonicity fails: f({_fmt(t_mask, n)}) < f({_fmt(s_mask, n)})"):
-                return issues
+            yield f"monotonicity fails: f({mask_text(t_mask)}) < f({mask_text(s_mask)})"
         outside = ElementSet(n, ((1 << n) - 1) & ~t_mask)
         if len(outside) == 0:
             continue
         members = outside.to_list()
         u = members[rng.randrange(len(members))]
-        if not ge(
-            f.eval(s.add(u)) - fs,
-            f.eval(t.add(u)) - ft,
-        ):
-            if report(
-                f"submodularity fails for element {u} between {_fmt(s_mask, n)} "
-                f"and {_fmt(t_mask, n)}"
-            ):
-                return issues
-    return issues
+        if not ge(f.eval(s.add(u)) - fs, f.eval(t.add(u)) - ft):
+            yield (
+                f"submodularity fails for element {u} between {mask_text(s_mask)} "
+                f"and {mask_text(t_mask)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,19 @@ def tiny_coverage() -> tuple[CoverageFunction, UniformMatroid]:
     return CoverageFunction(TINY_UNIVERSE, TINY_COVERS), UniformMatroid(4, 2)
 
 
+class FamilyMatroid:
+    """Independence oracle over a family of masks, taken as given: unlike
+    ExplicitMatroid it checks no axiom, so negative tests can build a
+    family that is not a matroid."""
+
+    def __init__(self, n: int, family):
+        self.ground_size = n
+        self.family = frozenset(family)
+
+    def is_independent(self, s: ElementSet) -> bool:
+        return s.mask in self.family
+
+
 SUITE_SHAPES = (
     (8, 2, 1),
     (10, 3, 2),

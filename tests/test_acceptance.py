@@ -343,9 +343,9 @@ def test_criterion_08_lifted_structure():
         base_rank = matroid_rank(m)
         for levels in range(1, 16 // n + 1):
             guide = LiftedGuide(f, GuideWeights(levels))
-            assert check_value_oracle(guide, max_exhaustive=16) == []
+            assert check_value_oracle(guide) == []
             lifted = LiftedMatroid(m, levels)
-            assert check_matroid_axioms(lifted, max_ground=16) == []
+            assert check_matroid_axioms(lifted) == []
             assert matroid_rank(lifted) == base_rank
             checked += 1
     ok = checked > 0

@@ -7,7 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nols.cli import BENCH_COLUMNS, main
@@ -210,8 +210,13 @@ def test_bench_empty_grid_writes_header_only(tmp_path):
 
 def test_bench_rejects_mismatched_rank_list(tmp_path, capsys):
     out = tmp_path / "bad.csv"
-    assert main(["bench", "--family", "coverage", "--n", "8,12,16", "--r", "2,3",
-                 "--out", str(out)]) == 1
+    for extra in (["--r", "2,3"], ["--variants", "foo"]):
+        assert main(["bench", "--family", "coverage", "--n", "8,12,16", *extra,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nols bench: error:")
+        assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_console_module_entry_point(tmp_path):
@@ -317,6 +322,7 @@ def _verify_completes_or_rejects(inst, rep, doc):
     st.sampled_from([0, 1]), st.lists(st.integers(0, 50), max_size=4), json_values
 )
 @settings(max_examples=300, deadline=None)
+@example(which=0, path=[29, 1], value=10)  # one base element on two levels
 def test_verify_survives_mutated_reports(fuzz_inputs, which, path, value):
     inst, docs, rep = fuzz_inputs
     doc = mutate(copy.deepcopy(docs[which]), path, value)

@@ -25,8 +25,6 @@ def test_element_set_basics():
     assert s.remove(4).to_list() == [1]
     assert s.add(1) == s
     t = ElementSet.from_iterable(6, [1, 2])
-    assert (s | t).to_list() == [1, 2, 4]
-    assert (s & t).to_list() == [1]
     assert (s - t).to_list() == [4]
     assert (ElementSet.full(6) - s).to_list() == [0, 2, 3, 5]
     assert ElementSet.full(3).to_list() == [0, 1, 2]
@@ -37,14 +35,12 @@ def test_element_set_basics():
 
 @given(
     st.integers(1, 12),
-    st.lists(st.tuples(st.sampled_from(["add", "remove", "union", "inter"]), st.integers(0, 11))),
+    st.lists(st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 11))),
 )
 @settings(max_examples=200)
 def test_element_set_matches_builtin_set(n, ops):
     s = ElementSet.empty(n)
     model: set[int] = set()
-    other = ElementSet.from_iterable(n, range(0, n, 2))
-    other_model = set(range(0, n, 2))
     for op, raw in ops:
         u = raw % n
         if op == "add":
@@ -55,10 +51,6 @@ def test_element_set_matches_builtin_set(n, ops):
                     s.remove(u)
                 continue
             s, model = s.remove(u), model - {u}
-        elif op == "union":
-            s, model = s | other, model | other_model
-        else:
-            s, model = s & other, model & other_model
         assert s.to_list() == sorted(model)
         assert len(s) == len(model)
         assert all((u in s) == (u in model) for u in range(n))
@@ -154,9 +146,8 @@ def test_query_ledger_counts_every_oracle_call():
     assert ledger.value_queries == v_calls
     assert ledger.independence_queries == i_calls
     assert ledger.total == v_calls + i_calls
-    snap = ledger.snapshot()
     cf.eval(ElementSet.empty(5))
-    assert ledger.since(snap) == (1, 0)
+    assert ledger == QueryLedger(v_calls + 1, i_calls)
 
 
 def test_counting_preserves_oracle_answers():

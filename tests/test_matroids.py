@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,8 @@ from nols.matroids import (
     min_weight_exchange,
     rank,
 )
-from nols.verify import exchange_bijection
-from suite import greedy_independent
+from nols.verify import check_matroid_axioms, exchange_bijection
+from suite import FamilyMatroid, greedy_independent
 
 
 def _es(n, items):
@@ -64,12 +65,50 @@ def test_graphic_matroid_multigraph():
 def test_explicit_matroid_validates_axioms():
     good = [0b00, 0b01, 0b10, 0b11]
     ExplicitMatroid(2, good)  # should not raise
-    with pytest.raises(ValueError):
-        ExplicitMatroid(2, [0b00, 0b11])  # not downward closed
-    with pytest.raises(ValueError):
-        ExplicitMatroid(3, [0b000, 0b001, 0b010, 0b100, 0b011])  # exchange fails
-    bad = ExplicitMatroid(2, [0b00, 0b11], validate=False)
-    assert bad.is_independent(_es(2, [0, 1]))  # stored as given, for negative tests
+    with pytest.raises(ValueError, match="empty set"):
+        ExplicitMatroid(2, [0b01])
+    with pytest.raises(ValueError, match="downward closure"):
+        ExplicitMatroid(2, [0b00, 0b11])
+    with pytest.raises(ValueError, match="exchange"):
+        ExplicitMatroid(3, [0b000, 0b001, 0b010, 0b100, 0b011])
+
+
+def _is_matroid(family: set[frozenset]) -> bool:
+    # the textbook definition, on Python sets: the empty set is independent,
+    # every subset of an independent set is, and any smaller independent A
+    # grows by some element of any larger independent B
+    if frozenset() not in family:
+        return False
+    for a in family:
+        for k in range(len(a)):
+            if any(frozenset(sub) not in family for sub in combinations(a, k)):
+                return False
+    return all(
+        any(a | {x} in family for x in b - a)
+        for a in family
+        for b in family
+        if len(a) < len(b)
+    )
+
+
+def test_axiom_checkers_agree_with_the_matroid_definition():
+    # every family of subsets of an n-set, n <= 3 (256 families at n = 3)
+    matroids = 0
+    for n in range(4):
+        for code in range(1 << (1 << n)):
+            masks = [m for m in range(1 << n) if code >> m & 1]
+            expected = _is_matroid(
+                {frozenset(u for u in range(n) if m >> u & 1) for m in masks}
+            )
+            try:
+                ExplicitMatroid(n, masks)
+                built = True
+            except ValueError:
+                built = False
+            assert built == expected, (n, masks)
+            assert (check_matroid_axioms(FamilyMatroid(n, masks)) == []) == expected
+            matroids += expected
+    assert matroids == 1 + 2 + 5 + 16  # labeled matroids on 0..3 points
 
 
 def test_extend_to_base_examples():

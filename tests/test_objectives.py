@@ -349,7 +349,7 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
         for recorder in recorders:
             assert len(recorder.seen) == len(set(recorder.seen))
         assert recorders[0].seen == recorders[1].seen
-        assert ledgers[0].snapshot() == ledgers[1].snapshot()
+        assert ledgers[0] == ledgers[1]
 
     def apply(**move):
         for recorder in recorders:

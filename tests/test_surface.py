@@ -1,9 +1,10 @@
 """Public-surface lock.
 
 Pins ``nols.__all__``, the knobs of the solve and verify entry points and
-the flags of each ``nols`` subcommand, and checks that every name the benchmark harness in ``perfbench/``
-imports, reads or patches still resolves, so a refactor cannot silently
-break the harness. No module of the package, and no test, imports an
+of ``ExplicitMatroid``, and the flags of each ``nols`` subcommand, and
+checks that every name the benchmark harness in ``perfbench/`` imports,
+reads or patches still resolves, so a refactor cannot silently break the
+harness. No module of the package, and no test, imports an
 underscore name from a ``nols`` module: each decision has one owner.
 """
 
@@ -96,7 +97,12 @@ EXPECTED_PARAMETERS = {
     "warm_start": ["f", "matroid"],
     "check_certificate": ["certificate", "f", "matroid", "s"],
     "approximation_report": ["output_set", "objective_value", "levels", "eps", "truth"],
-    "check_value_oracle": ["f", "max_exhaustive", "trials", "rng", "max_reports"],
+    "brute_force_opt": ["f", "matroid"],
+    "exhaustive_gap": ["f", "matroid", "s"],
+    "check_matroid_axioms": ["matroid"],
+    "check_value_oracle": ["f"],
+    "reference_local_search": ["f", "matroid", "levels"],
+    "ExplicitMatroid": ["n", "independent"],
 }
 EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override"]
 

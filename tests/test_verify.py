@@ -18,7 +18,7 @@ from nols.verify import (
     exhaustive_gap,
     localopt_gap,
 )
-from suite import tiny_coverage
+from suite import FamilyMatroid, tiny_coverage
 
 
 def _es(n, items):
@@ -122,16 +122,14 @@ def test_matroid_axiom_checker_accepts_real_matroids():
 def test_matroid_axiom_checker_catches_exchange_violation():
     # {0,1} independent but neither {2,0} nor {2,1} independent: the
     # singleton {2} cannot be grown, violating exchange
-    bad = ExplicitMatroid(
-        3, [0b000, 0b001, 0b010, 0b100, 0b011], validate=False
-    )
+    bad = FamilyMatroid(3, [0b000, 0b001, 0b010, 0b100, 0b011])
     issues = check_matroid_axioms(bad)
     assert issues
     assert any("exchange" in msg for msg in issues)
 
 
 def test_matroid_axiom_checker_catches_downward_violation():
-    bad = ExplicitMatroid(2, [0b00, 0b11], validate=False)
+    bad = FamilyMatroid(2, [0b00, 0b11])
     issues = check_matroid_axioms(bad)
     assert any("downward closure" in msg for msg in issues)
 
@@ -157,7 +155,7 @@ def test_value_oracle_checker_catches_non_monotone():
 
 def test_value_oracle_checker_sampled_mode():
     big = SquaredCardinality(40)  # too big for exhaustive, sampling must catch it
-    issues = check_value_oracle(big, trials=2000, rng=RandomSource(3))
+    issues = check_value_oracle(big)
     assert any("submodularity" in msg for msg in issues)
 
 
