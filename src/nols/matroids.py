@@ -249,17 +249,25 @@ def lift(matroid: MatroidOracle, levels: int) -> LiftedMatroid:
     return LiftedMatroid(matroid, levels)
 
 
-def extend_to_base(matroid: MatroidOracle, start: ElementSet) -> ElementSet:
+def extend_to_base(
+    matroid: MatroidOracle, start: ElementSet, dependent: ElementSet | None = None
+) -> ElementSet:
     """Grow an independent set into a base with one ascending pass.
 
     One pass suffices: if some element could still be added afterwards, it
     could already be added when visited (downward closure). Costs one
-    independence query per element outside the start set.
+    independence query per element outside the start set and outside
+    ``dependent``.
+
+    ``dependent`` (trusted, not queried) holds elements u already seen to
+    make some subset W of start dependent. They are skipped without a
+    query, which is exact by downward closure: W + u dependent and W within
+    every set the pass builds make each of those sets plus u dependent too.
     """
+    n = matroid.ground_size
     s = start
-    for u in range(matroid.ground_size):
-        if u in s:
-            continue
+    skipped = start.mask | (0 if dependent is None else dependent.mask)
+    for u in ElementSet(n, ((1 << n) - 1) & ~skipped):
         cand = s.add(u)
         if matroid.is_independent(cand):
             s = cand

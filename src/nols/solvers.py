@@ -10,6 +10,7 @@ regularizer) to reach the target approximation factor.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -177,44 +178,57 @@ def amplification_attempts(eps: float) -> int:
 
 
 def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
-    """Descending-thresholds greedy from the empty set; returns its tracker.
+    """Descending-thresholds greedy from the empty set; returns its tracker
+    and the set of elements it found dependent.
 
     tau starts at the largest singleton value and decays by (1 - 1/8) until
-    below (1/8) * max / n; each sweep adds any independent element whose
-    marginal clears tau. Lazy upper bounds skip re-evaluations (marginals
-    only shrink as S grows) and elements whose addition went dependent stay
+    below (1/8) * max / n; each sweep visits, in ascending id, every live
+    element whose upper bound clears tau, and adds it if its marginal clears
+    tau too and the set stays independent. Bounds are lazy (marginals only
+    shrink as S grows), and an element whose addition went dependent is
     dead for good (downward closure), so the output matches the eager sweep
     exactly at a fraction of the queries. There are O(log n) sweeps of at
     most n value queries each, so the warm start stays inside both
     searches' query bounds.
+
+    The live elements wait in a heap keyed by (-bound, id), so a sweep pops
+    the elements that clear tau instead of walking all n. It pops exactly
+    the ones the eager sweep would visit, and they are visited in the same
+    order: ge(x, tau) is monotone in x for tau > 0 (-inf is queued with
+    +inf, since the slack lets both clear), and a bound changes only when
+    its element is visited. So the same marginals, independence queries
+    and applies happen in the same order. An element whose bound is NaN
+    clears no threshold; it never enters the heap, just as the eager sweep
+    never visits it.
     """
     n = f.ground_size
     tracker = make_tracker(f, ElementSet.empty(n))
-    if n == 0:
-        return tracker
-    empty_value = tracker.value
     ub = [tracker.marginal_add(u) for u in range(n)]
-    tau_max = max(empty_value + m for m in ub)  # largest singleton value
-    if tau_max <= 0:
-        return tracker
-    floor = _DECAY * tau_max / n
+    tau = max((tracker.value + m for m in ub), default=0.0)  # largest singleton
+    floor = _DECAY * tau / n if tau > 0 else math.inf  # tau <= 0 or NaN: no sweep
+    live = [(_heap_key(m), u) for u, m in enumerate(ub) if not math.isnan(m)]
+    heapq.heapify(live)
     dead = 0
-    tau = tau_max
-    while tau >= floor:
-        for u in range(n):
-            if u in tracker.current or (dead >> u) & 1:
-                continue
-            if not ge(ub[u], tau):
-                continue
+    while live and tau >= floor:
+        clearing = []
+        while live and ge(-live[0][0], tau):
+            clearing.append(heapq.heappop(live)[1])
+        for u in sorted(clearing):
             m = tracker.marginal_add(u)
-            ub[u] = m
-            if ge(m, tau):
-                if matroid.is_independent(tracker.current.add(u)):
-                    tracker.apply(add=u)
-                else:
-                    dead |= 1 << u
+            if not ge(m, tau):
+                if not math.isnan(m):
+                    heapq.heappush(live, (_heap_key(m), u))
+            elif matroid.is_independent(tracker.current.add(u)):
+                tracker.apply(add=u)
+            else:
+                dead |= 1 << u
         tau *= 1.0 - _DECAY
-    return tracker
+    return tracker, ElementSet(n, dead)
+
+
+def _heap_key(bound: float) -> float:
+    # -inf clears every tau (its slack term is infinite), so it queues with +inf
+    return -math.inf if bound == -math.inf else -bound
 
 
 def warm_start(f: ValueOracle, matroid: MatroidOracle) -> ElementSet:
@@ -224,19 +238,20 @@ def warm_start(f: ValueOracle, matroid: MatroidOracle) -> ElementSet:
     The contract is enforced by the brute-force acceptance suite rather
     than assumed from the internals.
     """
-    return _threshold_greedy_warm(f, matroid).current
+    return _threshold_greedy_warm(f, matroid)[0].current
 
 
 def _warm_base(f: ValueOracle, matroid: MatroidOracle):
-    """Warm-start a tracker from the empty set, then extend it to a base.
+    """Warm-start a tracker from the empty set, then extend it to a base,
+    skipping the elements the warm start found dependent.
 
     Returns (tracker at the base, warm set, warm value); no randomness, so
     every search attempt reaches the same base.
     """
-    tracker = _threshold_greedy_warm(f, matroid)
+    tracker, dead = _threshold_greedy_warm(f, matroid)
     warm_set = tracker.current
     warm_value = tracker.value
-    base = extend_to_base(matroid, warm_set)
+    base = extend_to_base(matroid, warm_set, dead)
     for u in base.difference(warm_set):
         tracker.apply(add=u)
     return tracker, warm_set, warm_value

@@ -389,7 +389,7 @@ def _sampled_value_violations(f: ValueOracle) -> Iterator[str]:
         s = ElementSet(n, s_mask)
         ft = f.eval(t)
         fs = f.eval(s)
-        if ft < 0 or fs < 0:
+        if not (ge(ft, 0.0) and ge(fs, 0.0)):
             yield "negative value on sampled set"
         if not ge(ft, fs):
             yield f"monotonicity fails: f({mask_text(t_mask)}) < f({mask_text(s_mask)})"

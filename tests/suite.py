@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from nols.core import ElementSet, RandomSource
+from nols.core import ElementSet, RandomSource, ge
 from nols.instances import InstanceFile, generate_instance
 from nols.matroids import UniformMatroid
-from nols.objectives import CoverageFunction
+from nols.objectives import CoverageFunction, make_tracker
 
 # f({1}) = 2, f({3}) = 3, f({1,3}) = 5 = OPT under a rank-2 uniform matroid
 TINY_COVERS = [[0], [0, 1], [1, 2], [2, 3, 4]]
@@ -34,6 +34,80 @@ class FamilyMatroid:
 
     def is_independent(self, s: ElementSet) -> bool:
         return s.mask in self.family
+
+
+class RecordingOracle:
+    """Pass-through value oracle that records every set it is asked.
+
+    With incremental=True it offers the inner oracle's state/extend pair;
+    its states carry the set's mask, so each extend records the set it
+    reaches."""
+
+    def __init__(self, inner, incremental):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+        self.seen = []
+        self.extends = 0
+        if incremental:
+            self.state = lambda s: (s.mask, inner.state(s))
+            self.extend = self._extend
+
+    def eval(self, s):
+        self.seen.append(s.mask)
+        return self.inner.eval(s)
+
+    def _extend(self, state, u):
+        mask, inner_state = state
+        self.seen.append(mask | 1 << u)
+        self.extends += 1
+        return self.inner.extend(inner_state, u)
+
+
+class RecordingMatroid:
+    """Pass-through independence oracle that records every set it is asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+        self.seen = []
+
+    def is_independent(self, s: ElementSet) -> bool:
+        self.seen.append(s.mask)
+        return self.inner.is_independent(s)
+
+
+def eager_threshold_greedy(f, matroid):
+    """Reference descending-thresholds warm start: every sweep walks all n
+    elements and visits those whose lazy upper bound clears tau. The warm
+    start in nols.solvers must ask the same queries in the same order and
+    reach the same set. Returns the tracker at the warm set."""
+    n = f.ground_size
+    tracker = make_tracker(f, ElementSet.empty(n))
+    if n == 0:
+        return tracker
+    empty_value = tracker.value
+    ub = [tracker.marginal_add(u) for u in range(n)]
+    tau_max = max(empty_value + m for m in ub)  # largest singleton value
+    if tau_max <= 0:
+        return tracker
+    floor = 0.125 * tau_max / n
+    dead = 0
+    tau = tau_max
+    while tau >= floor:
+        for u in range(n):
+            if u in tracker.current or (dead >> u) & 1:
+                continue
+            if not ge(ub[u], tau):
+                continue
+            m = tracker.marginal_add(u)
+            ub[u] = m
+            if ge(m, tau):
+                if matroid.is_independent(tracker.current.add(u)):
+                    tracker.apply(add=u)
+                else:
+                    dead |= 1 << u
+        tau *= 1.0 - 0.125
+    return tracker
 
 
 SUITE_SHAPES = (

@@ -18,7 +18,7 @@ from nols.matroids import (
     rank,
 )
 from nols.verify import check_matroid_axioms, exchange_bijection
-from suite import FamilyMatroid, greedy_independent
+from suite import FamilyMatroid, RecordingMatroid, greedy_independent
 
 
 def _es(n, items):
@@ -117,34 +117,67 @@ def test_extend_to_base_examples():
     assert extend_to_base(m, _es(4, [1])) == _es(4, [1, 2])
 
 
+def _random_matroid(rng: RandomSource, kind: int):
+    """A uniform (kind 0), partition (1) or graphic (2) matroid on 2-10
+    elements."""
+    n = 2 + rng.randrange(9)
+    if kind == 0:
+        return UniformMatroid(n, 1 + rng.randrange(n))
+    if kind == 1:
+        r = 1 + rng.randrange(3)
+        blocks = [[u for u in range(n) if u % r == i] for i in range(r)]
+        return PartitionMatroid(n, blocks, [1 + rng.randrange(2) for _ in range(r)])
+    v = 2 + rng.randrange(min(4, n))
+    edges = [[rng.randrange(w), w] for w in range(1, v)]
+    while len(edges) < n:
+        a, b = rng.randrange(v), rng.randrange(v)
+        if a != b:
+            edges.append(sorted((a, b)))
+    return GraphicMatroid(v, edges)
+
+
+def _every_third_start(m) -> ElementSet:
+    start = ElementSet.empty(m.ground_size)
+    for u in range(0, m.ground_size, 3):
+        cand = start.add(u)
+        if m.is_independent(cand):
+            start = cand
+    return start
+
+
 def test_extend_to_base_always_reaches_rank():
     rng = RandomSource(17)
     for _ in range(200):
-        n = 2 + rng.randrange(9)
-        kind = rng.randrange(3)
-        if kind == 0:
-            m = UniformMatroid(n, 1 + rng.randrange(n))
-        elif kind == 1:
-            r = 1 + rng.randrange(3)
-            blocks = [[u for u in range(n) if u % r == i] for i in range(r)]
-            m = PartitionMatroid(n, blocks, [1 + rng.randrange(2) for _ in range(r)])
-        else:
-            v = 2 + rng.randrange(min(4, n))
-            edges = [[rng.randrange(w), w] for w in range(1, v)]
-            while len(edges) < n:
-                a, b = rng.randrange(v), rng.randrange(v)
-                if a != b:
-                    edges.append(sorted((a, b)))
-            m = GraphicMatroid(v, edges)
-        n = m.ground_size
-        start = ElementSet.empty(n)
-        for u in range(0, n, 3):
-            cand = start.add(u)
-            if m.is_independent(cand):
-                start = cand
+        m = _random_matroid(rng, rng.randrange(3))
+        start = _every_third_start(m)
         base = extend_to_base(m, start)
         assert start.mask & ~base.mask == 0
         assert len(base) == rank(m)
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["uniform", "partition", "graphic"])
+def test_extend_to_base_skips_elements_known_dependent(kind):
+    # elements dependent with the start set, all of them or a random part,
+    # are skipped without a query and the base does not change
+    rng = RandomSource(23 + kind)
+    skipped_some = False
+    for _ in range(100):
+        m = _random_matroid(rng, kind)
+        n = m.ground_size
+        start = _every_third_start(m)
+        outside = [u for u in range(n) if u not in start]
+        dependent = [u for u in outside if not m.is_independent(start.add(u))]
+        for part in (dependent, [u for u in dependent if rng.randrange(2)]):
+            mask = ElementSet.from_iterable(n, part)
+            recorder = RecordingMatroid(m)
+            ledger = QueryLedger()
+            base = extend_to_base(CountingMatroidOracle(recorder, ledger), start, mask)
+            assert base == extend_to_base(m, start)
+            asked = [(s & ~start.mask).bit_length() - 1 for s in recorder.seen]
+            assert asked == [u for u in outside if u not in mask]
+            assert ledger.independence_queries == n - len(start) - len(mask)
+            skipped_some |= len(mask) > 0
+    assert skipped_some
 
 
 def test_max_weight_independent_examples():

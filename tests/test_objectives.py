@@ -17,7 +17,7 @@ from nols.objectives import (
     project,
     project_all,
 )
-from suite import TINY_COVERS, TINY_UNIVERSE, tiny_coverage
+from suite import TINY_COVERS, TINY_UNIVERSE, RecordingOracle, tiny_coverage
 
 
 def _es(n, items):
@@ -267,33 +267,6 @@ def test_lifted_guide_monotone_in_members(L, raw_mask, x):
     assert guide.eval(s.add(x)) >= guide.eval(s) - 1e-12
 
 
-class _RecordingOracle:
-    """Pass-through value oracle that records every set it is asked.
-
-    With incremental=True it offers the inner oracle's state/extend pair;
-    its states carry the set's mask, so each extend records the set it
-    reaches."""
-
-    def __init__(self, inner, incremental):
-        self.inner = inner
-        self.ground_size = inner.ground_size
-        self.seen = []
-        self.extends = 0
-        if incremental:
-            self.state = lambda s: (s.mask, inner.state(s))
-            self.extend = self._extend
-
-    def eval(self, s):
-        self.seen.append(s.mask)
-        return self.inner.eval(s)
-
-    def _extend(self, state, u):
-        mask, inner_state = state
-        self.seen.append(mask | 1 << u)
-        self.extends += 1
-        return self.inner.extend(inner_state, u)
-
-
 _BASE_N = 5
 _COVERS = [[0, 1], [1, 2, 3], [3], [4, 5, 0], [5, 6, 7, 2]]
 
@@ -324,7 +297,7 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
     reg = None if reg_weights is None else LinearRegularizer(reg_weights)
     recorders, ledgers, trackers = [], [], []
     for incremental in (True, False):
-        recorder, ledger = _RecordingOracle(f, incremental), QueryLedger()
+        recorder, ledger = RecordingOracle(f, incremental), QueryLedger()
         counted = CountingValueOracle(recorder, ledger)
         assert hasattr(counted, "extend") is incremental
         guide = LiftedGuide(counted, GuideWeights(L), reg)

@@ -38,7 +38,14 @@ from nols.solvers import (
 )
 from nols.instances import generate_instance
 from nols.verify import brute_force_opt, check_certificate, reference_local_search
-from suite import TINY_UNIVERSE, bait_chain, tiny_coverage
+from suite import (
+    TINY_UNIVERSE,
+    RecordingMatroid,
+    RecordingOracle,
+    bait_chain,
+    eager_threshold_greedy,
+    tiny_coverage,
+)
 
 
 def _es(n, items):
@@ -115,6 +122,62 @@ def test_warm_start_on_modular_picks_top_weights():
     m = UniformMatroid(5, 2)
     s0 = warm_start(f, m)
     assert f.eval(s0) == 16  # elements 2 and 4
+
+
+_ODD_VALUES = (math.nan, -math.inf, -3.0, -0.5, 0.0, 1.0, 2.5, 4.0, 6.0, 9.0)
+
+
+class _OddOracle:
+    """Arbitrary values keyed by set, NaN and -inf among them, so marginals
+    can be NaN, negative or infinite. Not submodular, not even monotone."""
+
+    def __init__(self, n, seed):
+        self.ground_size = n
+        self.seed = seed
+
+    def eval(self, s):
+        return _ODD_VALUES[hash((self.seed, s.mask)) % len(_ODD_VALUES)]
+
+
+def _warm_instance(family, n, r, seed):
+    if family == "odd":
+        return _OddOracle(n, seed), UniformMatroid(n, r)
+    instance = generate_instance("coverage" if family == "weighted" else family, n, r, seed)
+    f = instance.build_objective()
+    if family == "weighted":
+        rng = RandomSource(seed)
+        weights = [rng.randrange(10) for _ in range(f.universe_size)]
+        f = CoverageFunction(f.universe_size, [f.covers(u) for u in range(n)], weights)
+    return f, instance.build_matroid()
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@given(
+    family=st.sampled_from(["coverage", "weighted", "partition", "graphic", "odd"]),
+    n=st.integers(2, 12),
+    r=st.integers(1, 4),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_heap_warm_start_matches_the_eager_sweep(family, n, r, levels, seed):
+    # the heap visits exactly the elements the eager sweep visits, in the
+    # same order: same value and independence queries, same set and value
+    f, m = _warm_instance(family, n, min(r, n), seed)
+    runs = []
+    for warm in (eager_threshold_greedy, warm_start):
+        recorder = RecordingOracle(f, hasattr(f, "extend"))
+        matroid = RecordingMatroid(lift(m, levels))
+        result = warm(LiftedGuide(recorder, GuideWeights(levels)), matroid)
+        runs.append((result, recorder.seen, matroid.seen))
+    (eager, eager_values, eager_indeps), (s, values, indeps) = runs
+    assert values == eager_values
+    assert indeps == eager_indeps
+    assert s == eager.current
+    assert _same_float(make_tracker(LiftedGuide(f, GuideWeights(levels)), s).value, eager.value)
 
 
 def test_deterministic_search_finds_modular_optimum():

@@ -103,6 +103,7 @@ EXPECTED_PARAMETERS = {
     "check_value_oracle": ["f"],
     "reference_local_search": ["f", "matroid", "levels"],
     "ExplicitMatroid": ["n", "independent"],
+    "extend_to_base": ["matroid", "start", "dependent"],
 }
 EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override"]
 

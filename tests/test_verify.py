@@ -159,6 +159,22 @@ def test_value_oracle_checker_sampled_mode():
     assert any("submodularity" in msg for msg in issues)
 
 
+class _SlightlyNegativeEmpty:
+    """f(empty) = -1e-12, f(S) = min(|S|, 1) otherwise: negative only by
+    rounding noise, well inside the comparison slack."""
+
+    def __init__(self, n):
+        self.ground_size = n
+
+    def eval(self, s):
+        return -1e-12 if len(s) == 0 else float(min(len(s), 1))
+
+
+@pytest.mark.parametrize("n", [16, 17])  # exhaustive, then sampled
+def test_value_oracle_checker_gives_one_negativity_verdict_at_every_size(n):
+    assert check_value_oracle(_SlightlyNegativeEmpty(n)) == []
+
+
 def _approximation(rep, truth):
     return approximation_report(
         rep.output_set, rep.objective_value, rep.levels, rep.eps, truth
