@@ -213,7 +213,9 @@ class ValueOracle(Protocol):
     extend(state, u) -> value, which the guide tracker uses for
     add-marginals. state(S) must be a pure function of the set, and
     extend(state(S), u) must equal eval(S + u) exactly. An extend counts as
-    one value query. state is not charged, yet it may reveal f(S) (for
+    one value query. Without the pair, the tracker keeps the set's mask as
+    the state and extends it by an eval of S + u, also one query per
+    extend. state is not charged, yet it may reveal f(S) (for
     coverage it is the covered-point mask), so it may only be called on a
     set whose value has already been charged, as the guide tracker does.
     """

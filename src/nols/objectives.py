@@ -241,10 +241,14 @@ class LiftedGuide:
     With non-negative regularizer weights the guide stays monotone
     submodular; negative weights are accepted but the solver guarantees are
     then not certified by this package's checks.
+
+    Tables for the tracker: reg_weights (zeros without a regularizer), the
+    weight per level-subset mask, and the level subsets holding each level.
     """
 
     __slots__ = (
-        "inner", "weights", "levels", "ground_size", "regularizer", "reg_scale", "_wj"
+        "inner", "weights", "levels", "ground_size", "regularizer", "reg_scale",
+        "reg_weights", "subset_weight", "with_level",
     )
 
     def __init__(
@@ -255,15 +259,17 @@ class LiftedGuide:
     ):
         if regularizer is not None and regularizer.ground_size != inner.ground_size:
             raise ValueError("regularizer universe does not match the objective")
+        ell = self.levels = weights.levels
         self.inner = inner
         self.weights = weights
-        self.levels = weights.levels
-        self.ground_size = inner.ground_size * weights.levels
+        self.ground_size = inner.ground_size * ell
         self.regularizer = regularizer
-        self.reg_scale = weights.floats[weights.levels] * (weights.levels + 1)
-        # weight per level-subset mask, indexed by the mask
-        self._wj = tuple(
-            weights.floats[j.bit_count()] for j in range(1 << self.levels)
+        self.reg_scale = weights.floats[ell] * (ell + 1)
+        zeros = (0.0,) * inner.ground_size
+        self.reg_weights = zeros if regularizer is None else regularizer.weights
+        self.subset_weight = tuple(weights.floats[j.bit_count()] for j in range(1 << ell))
+        self.with_level = tuple(
+            tuple(j for j in range(1, 1 << ell) if j >> lvl & 1) for lvl in range(ell)
         )
 
     def eval(self, s: ElementSet) -> float:
@@ -271,7 +277,7 @@ class LiftedGuide:
         n = self.inner.ground_size
         total = 0.0
         for j in range(1, len(union)):
-            total += self._wj[j] * self.inner.eval(ElementSet(n, union[j]))
+            total += self.subset_weight[j] * self.inner.eval(ElementSet(n, union[j]))
         if self.regularizer is not None:
             w = self.regularizer.weights
             total += self.reg_scale * sum(w[x // self.levels] for x in s)
@@ -286,7 +292,9 @@ class LiftedGuide:
 
 class LiftedTracker:
     """Incremental guide state: one projection and cached f value per level
-    subset, plus the running regularizer total when the guide has one.
+    subset, plus the running regularizer total. The regularizer term is
+    always added; without a regularizer its weights are zero, and adding
+    zero changes no float.
 
     A marginal at a lifted element touches only the 2^(levels-1) subsets
     containing its level and costs at most one inner query per touched
@@ -303,20 +311,20 @@ class LiftedTracker:
     which bounds memory by one state's evaluations. Reuse is exact because
     f is a pure function of the set (the ValueOracle contract).
 
-    When f offers the incremental pair (see ValueOracle), the tracker also
-    keeps f's state for each current projection, and a memo miss in
-    marginal_add is answered by extending that state by one element instead
-    of evaluating the whole set; the extend is charged as the eval would
-    have been, so query counts do not change. The states are recomputed
-    with state() at start and wherever apply() changes a projection, at no
-    charge; the memo charges an eval of each of those same sets in the same
-    place, so no value is learned for free. marginal_drop and the refresh
-    in apply() always use eval.
+    A memo miss in marginal_add extends the projection's stored state by
+    one element, with the pair chosen once at construction: f's own
+    state/extend when it offers them (see ValueOracle), else the projection
+    mask as the state and an eval of the grown set as the extend. Either
+    way an extend is charged as one value query, exactly where that eval
+    would be. The states are recomputed at start and wherever apply()
+    changes a projection, at no charge; the memo charges an eval of each of
+    those same sets in the same place, so no value is learned for free.
+    marginal_drop and the refresh in apply() always use eval.
     """
 
     __slots__ = (
-        "guide", "current", "value", "_proj", "_fval", "_with_level", "_reg_total",
-        "_memo", "_extend", "_state",
+        "guide", "current", "value", "_proj", "_fval", "_reg_total", "_memo",
+        "_state_of", "_extend", "_state",
     )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
@@ -329,15 +337,16 @@ class LiftedTracker:
         self._proj = proj
         self._memo = {}
         self._fval = [0.0] + [self._f(p) for p in proj[1:]]
-        self._extend = getattr(guide.inner, "extend", None)
-        if self._extend is not None:
-            self._state = [self._state_of(p) for p in proj]
-        self._with_level = tuple(
-            tuple(j for j in range(1, len(proj)) if j >> lvl & 1) for lvl in range(ell)
-        )
-        if guide.regularizer is not None:
-            w = guide.regularizer.weights
-            self._reg_total = sum(w[x // ell] for x in start)
+        inner = guide.inner
+        n = inner.ground_size
+        if hasattr(inner, "extend"):
+            self._state_of = lambda mask: inner.state(ElementSet(n, mask))
+            self._extend = inner.extend
+        else:
+            self._state_of = lambda mask: mask
+            self._extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
+        self._state = [self._state_of(p) for p in proj]
+        self._reg_total = sum(guide.reg_weights[x // ell] for x in start)
         self._recompute_value()
 
     @property
@@ -353,96 +362,75 @@ class LiftedTracker:
             value = self._memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
         return value
 
-    def _state_of(self, mask: int):
-        inner = self.guide.inner
-        return inner.state(ElementSet(inner.ground_size, mask))
-
     def _recompute_value(self):
-        wj = self.guide._wj
-        fv = self._fval
+        wj, fv = self.guide.subset_weight, self._fval
         self.value = sum(wj[j] * fv[j] for j in range(1, len(fv)))
-        if self.guide.regularizer is not None:
-            self.value += self.guide.reg_scale * self._reg_total
-
-    def _reg_weight(self, x: ElementId) -> float:
-        return self.guide.regularizer.weights[x // self.guide.levels]
+        self.value += self.guide.reg_scale * self._reg_total
 
     def marginal_add(self, x: ElementId) -> float:
         if x in self.current:
             return 0.0
-        ell = self.guide.levels
+        guide = self.guide
+        ell = guide.levels
         u = x // ell
         ubit = 1 << u
-        wj = self.guide._wj
-        inner, memo, extend = self.guide.inner, self._memo, self._extend
+        wj, memo, extend = guide.subset_weight, self._memo, self._extend
         total = 0.0
-        for j in self._with_level[x % ell]:
+        for j in guide.with_level[x % ell]:
             pj = self._proj[j]
             if pj & ubit:
                 continue
             mask = pj | ubit
             value = memo.get(mask)
             if value is None:
-                if extend is None:
-                    value = inner.eval(ElementSet(inner.ground_size, mask))
-                else:
-                    value = extend(self._state[j], u)
-                memo[mask] = value
+                value = memo[mask] = extend(self._state[j], u)
             total += wj[j] * (value - self._fval[j])
-        if self.guide.regularizer is not None:
-            total += self.guide.reg_scale * self._reg_weight(x)
-        return total
+        return total + guide.reg_scale * guide.reg_weights[u]
 
     def marginal_drop(self, x: ElementId) -> float:
         if x not in self.current:
             raise KeyError(x)
-        ell = self.guide.levels
+        guide = self.guide
+        ell = guide.levels
         ubit = 1 << (x // ell)
-        wj = self.guide._wj
+        wj = guide.subset_weight
         total = 0.0
-        for j in self._with_level[x % ell]:
+        for j in guide.with_level[x % ell]:
             total += wj[j] * (self._fval[j] - self._f(self._proj[j] & ~ubit))
-        if self.guide.regularizer is not None:
-            total += self.guide.reg_scale * self._reg_weight(x)
-        return total
+        return total + guide.reg_scale * guide.reg_weights[x // ell]
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
-        ell = self.guide.levels
-        regularized = self.guide.regularizer is not None
+        guide = self.guide
+        ell, with_level, w = guide.levels, guide.with_level, guide.reg_weights
         s = self.current
+        refresh = set()
         if drop is not None:
             s = s.remove(drop)
             ubit = 1 << (drop // ell)
-            for j in self._with_level[drop % ell]:
+            for j in with_level[drop % ell]:
                 self._proj[j] &= ~ubit
-            if regularized:
-                self._reg_total -= self._reg_weight(drop)
+            refresh.update(with_level[drop % ell])
+            self._reg_total -= w[drop // ell]
         if add is not None:
             s = s.add(add)
             ubit = 1 << (add // ell)
             if add not in self.current and self._proj[-1] & ubit:
                 raise ValueError("base element already tracked on another level")
-            for j in self._with_level[add % ell]:
+            for j in with_level[add % ell]:
                 self._proj[j] |= ubit
-            if regularized:
-                self._reg_total += self._reg_weight(add)
+            refresh.update(with_level[add % ell])
+            self._reg_total += w[add // ell]
         self.current = s
-        refresh = set()
-        if drop is not None:
-            refresh.update(self._with_level[drop % ell])
-        if add is not None:
-            refresh.update(self._with_level[add % ell])
         for j in sorted(refresh):
             self._fval[j] = self._f(self._proj[j])
-            if self._extend is not None:
-                self._state[j] = self._state_of(self._proj[j])
+            self._state[j] = self._state_of(self._proj[j])
         self._memo = dict(zip(self._proj[1:], self._fval[1:]))
         self._recompute_value()
 
 
 def make_tracker(oracle: ValueOracle, start: ElementSet) -> LiftedTracker:
-    """Marginal tracker for the oracle. A plain oracle is tracked as the
-    one-level guide, which is the oracle itself (its one weight is 1)."""
-    if not hasattr(oracle, "make_tracker"):
+    """Marginal tracker for the oracle. Any oracle but a LiftedGuide is
+    tracked as the one-level guide, which is the oracle itself (weight 1)."""
+    if not isinstance(oracle, LiftedGuide):
         oracle = LiftedGuide(oracle, GuideWeights(1))
-    return oracle.make_tracker(start)
+    return LiftedTracker(oracle, start)

@@ -205,11 +205,17 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     tracker = make_tracker(f, ElementSet.empty(n))
     ub = [tracker.marginal_add(u) for u in range(n)]
     tau = max((tracker.value + m for m in ub), default=0.0)  # largest singleton
-    floor = _DECAY * tau / n if tau > 0 else math.inf  # tau <= 0 or NaN: no sweep
+    if not 0 < tau < math.inf:  # NaN, non-positive or infinite: no sweep
+        return tracker, ElementSet.empty(n)
+    floor = _DECAY * tau / n
+    # the decay takes tau below the floor within this many sweeps, plus float
+    # slack; the cap alone ends a subnormal tau, whose floor underflows to 0
+    sweeps = math.floor(math.log(n / _DECAY) / -math.log1p(-_DECAY)) + 2
     live = [(_heap_key(m), u) for u, m in enumerate(ub) if not math.isnan(m)]
     heapq.heapify(live)
     dead = 0
-    while live and tau >= floor:
+    while live and tau >= floor and sweeps:
+        sweeps -= 1
         clearing = []
         while live and ge(-live[0][0], tau):
             clearing.append(heapq.heappop(live)[1])

@@ -292,37 +292,40 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
     # two applies (the memo is per state and never stale). A tracker that
     # answers add-marginals by extend and one that only evaluates agree
     # float-exactly, ask the same sets in the same order, and are charged
-    # the same number of queries.
+    # the same number of queries. Without a regularizer, a third tracker
+    # under an all-zero one must agree with them in the same way.
     f = CoverageFunction(8, _COVERS, point_weights=point_weights)
     reg = None if reg_weights is None else LinearRegularizer(reg_weights)
+    zero = LinearRegularizer([0.0] * _BASE_N) if reg is None else reg
     recorders, ledgers, trackers = [], [], []
-    for incremental in (True, False):
+    for incremental, r in ((True, reg), (False, reg), (True, zero)):
         recorder, ledger = RecordingOracle(f, incremental), QueryLedger()
         counted = CountingValueOracle(recorder, ledger)
         assert hasattr(counted, "extend") is incremental
-        guide = LiftedGuide(counted, GuideWeights(L), reg)
+        guide = LiftedGuide(counted, GuideWeights(L), r)
         recorders.append(recorder)
         ledgers.append(ledger)
         trackers.append(make_tracker(guide, ElementSet.empty(guide.ground_size)))
-    tracker, plain = trackers
+    tracker = trackers[0]
     fresh_guide = LiftedGuide(f, GuideWeights(L), reg)
     n2 = fresh_guide.ground_size
 
     def check():
         fresh = make_tracker(fresh_guide, tracker.current)
-        assert tracker.value == plain.value == fresh.value
+        assert [t.value for t in trackers] == [fresh.value] * len(trackers)
         for _ in range(2):  # a repeated ask is answered from the memo
             for x in range(n2):
                 if x in tracker.current:
+                    got = [t.marginal_drop(x) for t in trackers]
                     want = fresh.marginal_drop(x)
-                    assert tracker.marginal_drop(x) == plain.marginal_drop(x) == want
                 else:
+                    got = [t.marginal_add(x) for t in trackers]
                     want = fresh.marginal_add(x)
-                    assert tracker.marginal_add(x) == plain.marginal_add(x) == want
+                assert got == [want] * len(trackers)
         for recorder in recorders:
             assert len(recorder.seen) == len(set(recorder.seen))
-        assert recorders[0].seen == recorders[1].seen
-        assert ledgers[0] == ledgers[1]
+            assert recorder.seen == recorders[0].seen
+        assert all(ledger == ledgers[0] for ledger in ledgers)
 
     def apply(**move):
         for recorder in recorders:

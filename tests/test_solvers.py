@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -131,12 +133,13 @@ class _OddOracle:
     """Arbitrary values keyed by set, NaN and -inf among them, so marginals
     can be NaN, negative or infinite. Not submodular, not even monotone."""
 
-    def __init__(self, n, seed):
+    def __init__(self, n, seed, values=_ODD_VALUES):
         self.ground_size = n
         self.seed = seed
+        self.values = values
 
     def eval(self, s):
-        return _ODD_VALUES[hash((self.seed, s.mask)) % len(_ODD_VALUES)]
+        return self.values[hash((self.seed, s.mask)) % len(self.values)]
 
 
 def _warm_instance(family, n, r, seed):
@@ -178,6 +181,77 @@ def test_heap_warm_start_matches_the_eager_sweep(family, n, r, levels, seed):
     assert indeps == eager_indeps
     assert s == eager.current
     assert _same_float(make_tracker(LiftedGuide(f, GuideWeights(levels)), s).value, eager.value)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang in the block into a failure after this many seconds."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_fails_closed(f, matroid, variant, seconds):
+    # a solve either raises, returns failed=True, or returns a certificate
+    # that rechecks clean; it never hangs
+    config = SolverConfig(eps=0.5, variant=variant, seed=0)
+    with _deadline(seconds):
+        try:
+            report = non_oblivious_solve(f, matroid, config)
+        except (ValueError, RuntimeError):
+            return
+        if not report.failed:
+            guide = LiftedGuide(f, GuideWeights(report.levels))
+            lifted = lift(matroid, report.levels)
+            s = report.lifted_solution
+            assert check_certificate(report.certificate, guide, lifted, s) == []
+
+
+class _SetFunction:
+    def __init__(self, n, fn):
+        self.ground_size = n
+        self.eval = fn
+
+
+# the largest singleton value is +inf, a threshold that never decays
+_INF_SINGLETON = _SetFunction(4, lambda s: math.inf if 0 in s else float(len(s)))
+# the largest singleton value is subnormal: the floor underflows to 0.0 and
+# tau * 7/8 rounds back to tau, so element 1's bound never clears a sweep
+_SUBNORMAL_SINGLETON = _SetFunction(
+    4, lambda s: (5e-324 if 0 in s else 0.0) - (1.0 if 1 in s else 0.0)
+)
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+@pytest.mark.parametrize("f", [_INF_SINGLETON, _SUBNORMAL_SINGLETON])
+def test_warm_start_ends_on_infinite_or_subnormal_singletons(f, variant):
+    _assert_fails_closed(f, UniformMatroid(4, 2), variant, seconds=1)
+
+
+@given(
+    n=st.integers(1, 6),
+    r=st.integers(1, 3),
+    partition=st.booleans(),
+    variant=st.sampled_from([DETERMINISTIC, RANDOMIZED]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_solve_on_arbitrary_values_fails_closed(n, r, partition, variant, seed):
+    f = _OddOracle(n, seed, _ODD_VALUES + (math.inf, 5e-324))
+    if partition:
+        blocks = [list(range(b, n, r)) for b in range(min(r, n))]
+        m = PartitionMatroid(n, blocks, [1 + (seed >> b) % 2 for b in range(len(blocks))])
+    else:
+        m = UniformMatroid(n, min(r, n))
+    _assert_fails_closed(f, m, variant, seconds=5)
 
 
 def test_deterministic_search_finds_modular_optimum():

@@ -104,6 +104,8 @@ EXPECTED_PARAMETERS = {
     "reference_local_search": ["f", "matroid", "levels"],
     "ExplicitMatroid": ["n", "independent"],
     "extend_to_base": ["matroid", "start", "dependent"],
+    "make_tracker": ["oracle", "start"],
+    "LiftedGuide": ["inner", "weights", "regularizer"],
 }
 EXPECTED_CONFIG_FIELDS = ["eps", "variant", "seed", "levels_override"]
 
