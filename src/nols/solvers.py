@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    COMPARISON_SLACK,
     CountingMatroidOracle,
     CountingValueOracle,
     ElementId,
@@ -69,6 +70,10 @@ class SolverConfig:
                     f"than the cap of {MAX_LEVELS}; use eps >= 1/{MAX_LEVELS - 1} "
                     "or set levels_override"
                 )
+        elif type(self.levels_override) is not int:  # isinstance lets True in
+            raise ValueError(
+                f"levels_override must be an int, got {self.levels_override!r}"
+            )
         elif not 1 <= self.levels_override <= MAX_LEVELS:
             raise ValueError(
                 f"levels_override={self.levels_override} outside [1, {MAX_LEVELS}]"
@@ -285,6 +290,15 @@ def _alone_oracle(matroid: MatroidOracle, n: int):
 # ----- deterministic search -----
 
 
+def _regularizer_term(f: ValueOracle):
+    """x -> the regularizer's term in every marginal at lifted element x,
+    as the tracker adds it. It is zero unless f is a guide with a
+    regularizer: make_tracker tracks any other oracle without one."""
+    if not isinstance(f, LiftedGuide):
+        return lambda x: 0.0
+    return lambda x: f.reg_scale * f.reg_weights[x // f.levels]
+
+
 def deterministic_local_search(
     f: ValueOracle,
     matroid: MatroidOracle,
@@ -299,13 +313,26 @@ def deterministic_local_search(
     accepted swap ends the search. Each swap raises f(S) by at least the
     threshold, so scans are bounded by ceil(3 r / eps) + 1.
 
-    Two shortcuts skip queries without changing the trajectory. The binary
-    search runs only when the upper bound gain_add - min(drop) clears the
-    threshold: the feasible drop weighs at least the minimum, and float
-    subtraction and the slack comparisons are monotone, so a candidate
-    failing the bound fails the exact test too. Each candidate's singleton
-    independence is asked once per call, the first time a scan reaches it,
-    so loops (elements dependent on their own) cost one query in all.
+    Three shortcuts skip queries without changing the trajectory. The
+    binary search runs only when the upper bound gain_add - min(drop)
+    clears the threshold: the feasible drop weighs at least the minimum,
+    and float subtraction and the slack comparisons are monotone, so a
+    candidate failing the bound fails the exact test too. Each candidate's
+    singleton independence is asked once per call, the first time a scan
+    reaches it, so loops (elements dependent on their own) cost one query
+    in all.
+
+    The add-marginal itself is skipped when a bound carried across swaps
+    shows the candidate cannot clear gain_add - min(drop). For the monotone
+    submodular guide part g, a swap adding w and dropping u at S gives
+    g(v | S - u + w) <= g(v | S - u) <= g(v | S) + g(u | S - u), also for
+    v = u and for members, whose marginal is 0. So with D the running sum
+    of the dropped elements' guide-part drop marginals, m_v + (D - D_v)
+    bounds v's marginal, where m_v was computed when D was D_v. The
+    regularizer term is modular: it stays in m_v and is kept out of D. The
+    bound is padded by the comparison slack against rounding; a skipped
+    candidate would have failed the exact test, so the same swaps are made.
+    Bounds start empty on each call.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -315,6 +342,9 @@ def deterministic_local_search(
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
     independent_alone = _alone_oracle(matroid, n)
+    regularizer_term = _regularizer_term(f)
+    carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
+    dropped = 0.0  # D
     iterations = 0
     while True:
         iterations += 1
@@ -332,13 +362,25 @@ def deterministic_local_search(
                 continue
             if not independent_alone(v):
                 continue
+            known = carried.get(v)
+            if known is not None:
+                bound = known[0] + (dropped - known[1])
+                # padded, a bound that reaches a positive threshold clears
+                # it; at a zero threshold this only skips less
+                if bound - min_drop < threshold:
+                    bound += COMPARISON_SLACK * max(1.0, abs(bound))
+                    if not _clears(bound - min_drop, threshold):
+                        continue
             gain_add = tracker.marginal_add(v)
+            if math.isfinite(gain_add):
+                carried[v] = (gain_add, dropped)
             if not _clears(gain_add - min_drop, threshold):
                 continue
             u_v = min_weight_exchange(matroid, s, s, v, drop_w)
             gain = gain_add - drop_w[u_v]
             if _clears(gain, threshold):
                 tracker.apply(add=v, drop=u_v)
+                dropped += drop_w[u_v] - regularizer_term(u_v)
                 swapped = True
                 break
         if not swapped:

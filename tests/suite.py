@@ -7,12 +7,15 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
-from nols.core import ElementSet, RandomSource, ge
+from nols.core import ElementSet, RandomSource, ge, gt
 from nols.instances import InstanceFile, generate_instance
-from nols.matroids import UniformMatroid
+from nols.matroids import UniformMatroid, extend_to_base, min_weight_exchange
 from nols.objectives import CoverageFunction, make_tracker
+from nols.solvers import LocalOptCertificate, LocalSearchResult
 
 # f({1}) = 2, f({3}) = 3, f({1,3}) = 5 = OPT under a rank-2 uniform matroid
 TINY_COVERS = [[0], [0, 1], [1, 2], [2, 3, 4]]
@@ -81,17 +84,22 @@ def eager_threshold_greedy(f, matroid):
     elements and visits those whose lazy upper bound clears tau. The warm
     start in nols.solvers must ask the same queries in the same order and
     reach the same set. Returns the tracker at the warm set."""
+    return _eager_warm(f, matroid)[0]
+
+
+def _eager_warm(f, matroid):
+    # eager_threshold_greedy, plus the mask of elements found dependent
     n = f.ground_size
     tracker = make_tracker(f, ElementSet.empty(n))
+    dead = 0
     if n == 0:
-        return tracker
+        return tracker, dead
     empty_value = tracker.value
     ub = [tracker.marginal_add(u) for u in range(n)]
     tau_max = max(empty_value + m for m in ub)  # largest singleton value
     if tau_max <= 0:
-        return tracker
+        return tracker, dead
     floor = 0.125 * tau_max / n
-    dead = 0
     tau = tau_max
     while tau >= floor:
         for u in range(n):
@@ -107,7 +115,56 @@ def eager_threshold_greedy(f, matroid):
                 else:
                     dead |= 1 << u
         tau *= 1.0 - 0.125
-    return tracker
+    return tracker, dead
+
+
+def eager_local_search(f, matroid, eps):
+    """Reference deterministic search: the eager warm start, the base
+    extension, then swap scans that ask every candidate's add-marginal,
+    with no bound carried across swaps, and the certificate.
+    deterministic_local_search must make the same swaps in the same scans,
+    ask the same independence queries and reach the same result, while in
+    each state it asks no value query this search does not."""
+    n = f.ground_size
+    tracker, dead = _eager_warm(f, matroid)
+    warm_set, warm_value = tracker.current, tracker.value
+    for u in extend_to_base(matroid, warm_set, ElementSet(n, dead)).difference(warm_set):
+        tracker.apply(add=u)
+    r = len(tracker.current)
+    threshold = (eps / r) * warm_value if r > 0 else 0.0
+
+    def clears(value):
+        return ge(value, threshold) if threshold > 0 else gt(value, 0.0)
+
+    alone = {}
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > math.ceil(3 * r / eps) + 1:
+            raise RuntimeError("swap-count invariant violated")
+        s = tracker.current
+        drop_w = {u: tracker.marginal_drop(u) for u in s}
+        min_drop = min(drop_w.values(), default=0.0)
+        for v in range(n):
+            if v in s:
+                continue
+            if v not in alone:
+                alone[v] = matroid.is_independent(ElementSet(n, 1 << v))
+            if not alone[v]:
+                continue
+            gain_add = tracker.marginal_add(v)
+            if not clears(gain_add - min_drop):
+                continue
+            u_v = min_weight_exchange(matroid, s, s, v, drop_w)
+            if clears(gain_add - drop_w[u_v]):
+                tracker.apply(add=v, drop=u_v)
+                break
+        else:
+            break
+    certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+    return LocalSearchResult(
+        tracker.current, tracker.value, warm_set, warm_value, iterations, certificate
+    )
 
 
 SUITE_SHAPES = (
@@ -164,6 +221,23 @@ def bait_chain(
     for i in range(r):
         covers.append(list(range(i * patch, (i + 1) * patch)))
     return CoverageFunction(universe, covers), UniformMatroid(n, r)
+
+
+def relay() -> tuple[CoverageFunction, UniformMatroid]:
+    """Four elements, rank 2, where a candidate's add-marginal rises past
+    the acceptance threshold only because of an earlier swap.
+
+    b (element 0) covers 113 points of its own, a (1) covers X (100
+    points), v (2) covers X and 12 more, w (3) covers 106 others. The warm
+    start takes b, then a, the first of a, v and w to clear its threshold.
+    At eps = 0.05 the first scan rejects v, whose marginal is 12, and swaps
+    w in for a; the second swaps v in for w, now that X is free. A bound on
+    v carried from the first scan must grow by a's drop marginal, or the
+    second scan skips v. With a regularizer of -0.5 on a it must grow by
+    the guide part alone: the term is a modular share of a's drop."""
+    x = list(range(100))
+    covers = [list(range(218, 331)), x, x + list(range(100, 112)), list(range(112, 218))]
+    return CoverageFunction(331, covers), UniformMatroid(4, 2)
 
 
 def greedy_independent(matroid, n: int, rng: RandomSource) -> ElementSet:

@@ -3,11 +3,14 @@ import math
 import signal
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import suite
+from nols import solvers
 from nols.core import (
     CountingMatroidOracle,
     CountingValueOracle,
@@ -45,7 +48,9 @@ from suite import (
     RecordingMatroid,
     RecordingOracle,
     bait_chain,
+    eager_local_search,
     eager_threshold_greedy,
+    relay,
     tiny_coverage,
 )
 
@@ -79,6 +84,14 @@ def test_config_rejects_levels_override_beyond_cap():
     SolverConfig(eps=0.25, levels_override=20)
     with pytest.raises(ValueError, match="levels_override=21"):
         SolverConfig(eps=0.25, levels_override=21)
+
+
+@pytest.mark.parametrize("levels", [2.5, 2.0, True])
+def test_config_rejects_a_levels_override_that_is_not_an_int(levels):
+    # 2.5 would reach GuideWeights and fail there with a TypeError; True
+    # would pass as one level
+    with pytest.raises(ValueError, match="levels_override must be an int"):
+        SolverConfig(eps=0.5, levels_override=levels)
 
 
 def test_solve_rejects_ground_size_mismatch():
@@ -181,6 +194,103 @@ def test_heap_warm_start_matches_the_eager_sweep(family, n, r, levels, seed):
     assert indeps == eager_indeps
     assert s == eager.current
     assert _same_float(make_tracker(LiftedGuide(f, GuideWeights(levels)), s).value, eager.value)
+
+
+class _ApplyLog:
+    """Tracker proxy that logs each apply with the number of value queries
+    asked by then. It offers only the tracker surface a tracing proxy
+    offers, so the search may read no more."""
+
+    def __init__(self, inner, recorder, log):
+        self.inner = inner
+        self.recorder = recorder
+        self.log = log
+        self.ground_size = inner.ground_size
+
+    @property
+    def current(self):
+        return self.inner.current
+
+    @property
+    def value(self):
+        return self.inner.value
+
+    def marginal_add(self, x):
+        return self.inner.marginal_add(x)
+
+    def marginal_drop(self, x):
+        return self.inner.marginal_drop(x)
+
+    def apply(self, add=None, drop=None):
+        self.inner.apply(add=add, drop=drop)
+        self.log.append((add, drop, len(self.recorder.seen)))
+
+
+def _per_state(values, log):
+    """The value queries split at each apply: the sets asked in each
+    tracked state, the apply's own refresh included."""
+    ends = [end for _, _, end in log] + [len(values)]
+    return [values[start:end] for start, end in zip([0] + ends, ends)]
+
+
+@given(
+    family=st.sampled_from(["coverage", "weighted", "partition", "graphic", "bait", "relay"]),
+    n=st.integers(2, 12),
+    r=st.integers(1, 4),
+    levels=st.integers(1, 4),
+    # small enough to leave a bait chain's swaps in place
+    reg=st.none() | st.lists(st.integers(-8, 8).map(lambda w: w / 24), min_size=26),
+    eps=st.sampled_from([0.5, 0.2, 0.05]),
+    seed=st.integers(0, 10**6),
+)
+@example(family="relay", n=2, r=1, levels=1, reg=None, eps=0.05, seed=0)
+@example(family="relay", n=2, r=1, levels=1, reg=[0, -0.5, 0, 0], eps=0.05, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_carried_bounds_skip_only_marginals_the_eager_scan_rejects(
+    family, n, r, levels, reg, eps, seed
+):
+    # the scan skips an add-marginal only when its carried bound fails the
+    # test the marginal itself would fail: the same applies, scans,
+    # independence queries and certificate, and in each state no value
+    # query the eager scan does not ask. A skip can move a set a skipped
+    # candidate shares with a later one (or with the certificate) to that
+    # later ask, so the order within a state may differ. Bait chains swap
+    # once per bait, so bounds get carried; relay needs them to grow.
+    if family == "bait":
+        f, m = bait_chain(2 * (3 + r) + n, 3 + r, seed)
+    elif family == "relay":
+        f, m = relay()
+    else:
+        f, m = _warm_instance(family, n, min(r, n), seed)
+    regularizer = None if reg is None else LinearRegularizer(reg[: f.ground_size])
+    runs = []
+    for module, search in ((suite, eager_local_search), (solvers, deterministic_local_search)):
+        recorder = RecordingOracle(f, hasattr(f, "extend"))
+        matroid = RecordingMatroid(lift(m, levels))
+        guide = LiftedGuide(recorder, GuideWeights(levels), regularizer)
+        log = []
+        track = lambda oracle, start: _ApplyLog(make_tracker(oracle, start), recorder, log)
+        with mock.patch.object(module, "make_tracker", track):
+            res = search(guide, matroid, eps)
+        applies = [(add, drop) for add, drop, _ in log]
+        runs.append((res, applies, matroid.seen, _per_state(recorder.seen, log)))
+    (eager, eager_applies, eager_indeps, eager_values), (lazy, applies, indeps, values) = runs
+    assert lazy == eager
+    assert applies == eager_applies
+    assert indeps == eager_indeps
+    for asked, eager_asked in zip(values, eager_values, strict=True):
+        assert len(set(asked)) == len(asked)
+        assert set(asked) <= set(eager_asked)
+
+
+def test_carried_bounds_skip_add_marginals_on_a_bait_chain():
+    # an eager scan asks 1,595 value queries here; the carried bounds save
+    # 588 of them, and the independence queries and scans stay the same
+    f, m = bait_chain(64, 8, 0)
+    rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
+    assert rep.ledger.value_queries == 1007
+    assert rep.ledger.independence_queries == 554
+    assert rep.iterations == 6
 
 
 @contextlib.contextmanager
