@@ -194,9 +194,10 @@ def bench_grid(
     seeds: list[int],
     variants: list[str],
     out_csv: str | Path,
-    gen_seed: int = 0,
 ) -> dict:
     """Run the grid, stream rows to CSV, and return the normalized summary.
+
+    Each (n, r) cell solves the instance generated with seed 0.
 
     Returns {(variant, eps): {"max": float, "min": float}} over the cells'
     mean normalized queries. Rows are written incrementally; wall_time is
@@ -208,7 +209,7 @@ def bench_grid(
         writer.writeheader()
         handle.flush()
         for n, r in cells:
-            instance = generate_instance(family, n, r, gen_seed)
+            instance = generate_instance(family, n, r, 0)
             f = instance.build_objective()
             matroid = instance.build_matroid()
             truth = None
@@ -283,9 +284,7 @@ def cmd_bench(args) -> int:
     for v in variants:
         if v not in (DETERMINISTIC, RANDOMIZED):
             raise ValueError(f"unknown variant {v!r}")
-    summary = bench_grid(
-        args.family, cells, eps_list, seeds, variants, args.out, args.gen_seed
-    )
+    summary = bench_grid(args.family, cells, eps_list, seeds, variants, args.out)
     for (variant, eps), stats in sorted(summary.items()):
         print(
             f"summary variant={variant} eps={eps} "
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--variants", default=DETERMINISTIC, help="comma list of variants"
     )
-    p_bench.add_argument("--gen-seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.set_defaults(func=cmd_bench)
 

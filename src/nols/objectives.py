@@ -242,13 +242,14 @@ class LiftedGuide:
     submodular; negative weights are accepted but the solver guarantees are
     then not certified by this package's checks.
 
-    Tables for the tracker: reg_weights (zeros without a regularizer), the
-    weight per level-subset mask, and the level subsets holding each level.
+    Tables for eval and the tracker: reg_weights (zeros without a
+    regularizer), the weight per level-subset mask, and the level subsets
+    holding each level.
     """
 
     __slots__ = (
-        "inner", "weights", "levels", "ground_size", "regularizer", "reg_scale",
-        "reg_weights", "subset_weight", "with_level",
+        "inner", "weights", "levels", "ground_size", "reg_scale", "reg_weights",
+        "subset_weight", "with_level",
     )
 
     def __init__(
@@ -263,7 +264,6 @@ class LiftedGuide:
         self.inner = inner
         self.weights = weights
         self.ground_size = inner.ground_size * ell
-        self.regularizer = regularizer
         self.reg_scale = weights.floats[ell] * (ell + 1)
         zeros = (0.0,) * inner.ground_size
         self.reg_weights = zeros if regularizer is None else regularizer.weights
@@ -278,10 +278,10 @@ class LiftedGuide:
         total = 0.0
         for j in range(1, len(union)):
             total += self.subset_weight[j] * self.inner.eval(ElementSet(n, union[j]))
-        if self.regularizer is not None:
-            w = self.regularizer.weights
-            total += self.reg_scale * sum(w[x // self.levels] for x in s)
-        return total
+        # without a regularizer the weights are zeros, and adding 0.0 changes
+        # no float
+        w = self.reg_weights
+        return total + self.reg_scale * sum(w[x // self.levels] for x in s)
 
     def make_tracker(self, start: ElementSet) -> "LiftedTracker":
         return LiftedTracker(self, start)

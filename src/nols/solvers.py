@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 from .core import (
@@ -29,7 +30,6 @@ from .core import (
     sample_without_replacement,
 )
 from .matroids import extend_to_base, lift, max_weight_independent, min_weight_exchange
-from .matroids import rank as matroid_rank
 from .objectives import (
     LiftedGuide,
     LinearRegularizer,
@@ -59,10 +59,14 @@ class SolverConfig:
     levels_override: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.eps, bool) or not isinstance(self.eps, numbers.Real):
+            raise ValueError(f"eps must be a real number, got {self.eps!r}")
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0, 1)")
         if self.variant not in (DETERMINISTIC, RANDOMIZED):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if type(self.seed) is not int:  # isinstance lets True in
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.levels_override is None:
             if default_levels(self.eps) > MAX_LEVELS:
                 raise ValueError(
@@ -122,14 +126,18 @@ class LocalOptCertificate:
 @dataclass
 class LocalSearchResult:
     """Outcome of one search on the instance it actually ran on (which for
-    the lifted solvers is the lifted instance)."""
+    the lifted solvers is the lifted instance).
+
+    certificate is the passing one, or None when a randomized search ran
+    out of attempts; solution and value are then those of the last set it
+    tested (the base when it made no attempt)."""
 
     solution: ElementSet
     value: float
     warm_set: ElementSet
     warm_value: float
     iterations: int
-    certificate: LocalOptCertificate
+    certificate: LocalOptCertificate | None
 
 
 @dataclass
@@ -406,12 +414,6 @@ def ceil_sqrt(n: int) -> int:
     return root + (1 if root * root < n else 0)
 
 
-def randomized_iterations(r: int, eps: float) -> int:
-    """Iterations per randomized attempt at rank r: ceil(18 r / eps), at
-    least 1."""
-    return max(1, math.ceil(18 * r / eps))
-
-
 def randomized_local_search(
     f: ValueOracle,
     matroid: MatroidOracle,
@@ -419,7 +421,7 @@ def randomized_local_search(
     rng: RandomSource,
     *,
     attempts: int | None = None,
-) -> LocalSearchResult | None:
+) -> LocalSearchResult:
     """Sampled-swap search, amplified over attempts; the first passing
     attempt wins.
 
@@ -432,11 +434,13 @@ def randomized_local_search(
     challenger certificate at threshold eps * f(S0) and returned when it
     passes.
 
-    attempts defaults to ceil(log3(1/eps)); attempts=1 is a single run. All
-    attempts draw from the one generator, so replay is deterministic (the
-    warm start draws no randomness, so running it once leaves the stream as
-    it was). The result's iterations count every attempt made. Returns None
-    only when every attempt fails.
+    attempts defaults to ceil(log3(1/eps)); attempts=1 is a single run and
+    attempts=0 makes none, so the search stops at the base. All attempts
+    draw from the one generator, so replay is deterministic (the warm start
+    draws no randomness, so running it once leaves the stream as it was).
+    The result's iterations are k times the attempts made. When no attempt
+    passes, its certificate is None and its solution is the last set
+    tested.
 
     Two shortcuts skip queries without changing the trajectory. A
     candidate's exchange binary search is skipped when the upper bound
@@ -450,8 +454,6 @@ def randomized_local_search(
         raise ValueError("eps must be positive")
     if attempts is None:
         attempts = amplification_attempts(eps)
-    if attempts < 1:
-        return None
     n = f.ground_size
     root = ceil_sqrt(n)
     ground = ElementSet.full(n)
@@ -459,12 +461,15 @@ def randomized_local_search(
     tracker, warm_set, warm_value = _warm_base(f, matroid)
     base = tracker.current
     r = len(base)
-    k = randomized_iterations(r, eps)
+    k = max(1, math.ceil(18 * r / eps))
     r1_size = min(r, root)
     r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
-    for attempt in range(1, attempts + 1):
-        if attempt > 1:
+    certificate = None
+    made = 0
+    while certificate is None and made < attempts:
+        if made:
             tracker = make_tracker(f, base)
+        made += 1
         trajectory = [tracker.current]
         for _ in range(k):
             s = tracker.current
@@ -503,17 +508,17 @@ def randomized_local_search(
         tested = trajectory[rng.randrange(k)]
         if tested != tracker.current:
             tracker = make_tracker(f, tested)
-        certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
-        if not _clears(certificate.gap, certificate.bound):
-            return LocalSearchResult(
-                solution=tested,
-                value=tracker.value,
-                warm_set=warm_set,
-                warm_value=warm_value,
-                iterations=attempt * k,
-                certificate=certificate,
-            )
-    return None
+        candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+        if not _clears(candidate.gap, candidate.bound):
+            certificate = candidate
+    return LocalSearchResult(
+        solution=tracker.current,
+        value=tracker.value,
+        warm_set=warm_set,
+        warm_value=warm_value,
+        iterations=made * k,
+        certificate=certificate,
+    )
 
 
 # ----- full solvers -----
@@ -534,9 +539,11 @@ def non_oblivious_solve(
     independence queries cost one base query each and whose guide queries
     decompose into base value queries through the tracker. The certificate
     lives on the lifted instance. A randomized run that exhausts its retry
-    budget returns the empty set with failed=True. retry_budget is a test
-    hook overriding the amplification attempt count; it must be
-    non-negative, and 0 forces the failed path.
+    budget returns the empty set with failed=True and no certificate; its
+    iterations and ledger still count every query it made. retry_budget is
+    a test hook overriding the amplification attempt count; it must be
+    non-negative, and 0 forces the failed path after the warm start and
+    base extension, which the ledger charges.
 
     A regularizer folds its scaled modular term into the guide, so the
     output trades f against it: for every independent T, f(S) + reg(S) is
@@ -564,54 +571,45 @@ def non_oblivious_solve(
     eps_in = inner_eps(config.eps, levels)
 
     if config.variant == DETERMINISTIC:
-        result: LocalSearchResult | None = deterministic_local_search(
-            guide, lifted_matroid, eps_in
-        )
+        result = deterministic_local_search(guide, lifted_matroid, eps_in)
     else:
-        attempts = (
-            retry_budget if retry_budget is not None else amplification_attempts(eps_in)
-        )
         result = randomized_local_search(
             guide,
             lifted_matroid,
             eps_in,
             RandomSource(config.seed),
-            attempts=attempts,
+            attempts=retry_budget,
         )
 
-    certificate = None if result is None else result.certificate
+    certificate = result.certificate
     if certificate is not None and not certificate.passes():
         raise RuntimeError(
             f"solve produced a certificate that does not pass (gap {certificate.gap!r}"
             f" > bound {certificate.bound!r}); the value oracle is likely not "
             "monotone submodular or returned a non-finite value"
         )
-    if result is None:
-        output = ElementSet.empty(f.ground_size)
-        rank = matroid_rank(matroid)  # uncounted; reporting only
-        # every attempt reaches the same base, so each ran k iterations
-        iterations = attempts * randomized_iterations(rank, eps_in)
-        lifted_solution = None
-        warm_value = 0.0
-    else:
-        lifted_solution = result.solution
-        output = project_all(lifted_solution, levels)
-        rank = len(lifted_solution)
-        iterations = result.iterations
-        warm_value = result.warm_value
+    failed = certificate is None
+    # a failed run reports the empty set; the set it last tested is a base,
+    # so it still gives the rank
+    lifted_solution = None if failed else result.solution
+    output = (
+        ElementSet.empty(f.ground_size)
+        if failed
+        else project_all(result.solution, levels)
+    )
     return RunReport(
         output_set=output,
         objective_value=f.eval(output),  # uncounted; reporting only
         ledger=ledger,
-        iterations=iterations,
-        failed=result is None,
+        iterations=result.iterations,
+        failed=failed,
         certificate=certificate,
         eps=config.eps,
         eps_inner=eps_in,
         levels=levels,
         variant=config.variant,
         seed=config.seed,
-        rank=rank,
+        rank=len(result.solution),
         lifted_solution=lifted_solution,
-        warm_value=warm_value,
+        warm_value=0.0 if failed else result.warm_value,
     )

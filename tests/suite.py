@@ -79,6 +79,16 @@ class RecordingMatroid:
         return self.inner.is_independent(s)
 
 
+class SquaredSize:
+    """|S|^2: supermodular, so every swap looks improving and every
+    randomized attempt fails its certificate."""
+
+    ground_size = 6
+
+    def eval(self, s):
+        return len(s) ** 2
+
+
 def eager_threshold_greedy(f, matroid):
     """Reference descending-thresholds warm start: every sweep walks all n
     elements and visits those whose lazy upper bound clears tau. The warm

@@ -281,7 +281,8 @@ def test_criterion_06_randomized_failure_rate():
     f, m = inst.build_objective(), inst.build_matroid()
     fails = 0
     for seed in range(300):
-        if randomized_local_search(f, m, 0.5, RandomSource(seed), attempts=1) is None:
+        res = randomized_local_search(f, m, 0.5, RandomSource(seed), attempts=1)
+        if res.certificate is None:
             fails += 1
     rate = fails / 300
     wall = time.perf_counter() - t0

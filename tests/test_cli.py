@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nols.cli import BENCH_COLUMNS, main
-from nols.instances import generate_instance, load_instance
+from nols.instances import generate_instance, load_instance, save_instance
 from nols.matroids import rank
 from suite import json_values, mutate
 
@@ -197,6 +197,32 @@ def test_bench_tiny_grid(tmp_path, capsys):
     by_col = dict(zip(rows[0], rows[1]))
     assert by_col["f_opt"] != ""
     assert float(by_col["ratio"]) > 0
+
+
+def test_verify_rejects_a_regularized_report_on_a_plain_instance(tmp_path, capsys):
+    plain = _gen(tmp_path)
+    instance = load_instance(plain)
+    instance.regularizer = {"weights": [1] * instance.n}
+    regularized = tmp_path / "regularized.json"
+    save_instance(instance, regularized)
+    rep = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(regularized), "--eps", "0.5",
+                 "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["regularized"] is True
+    assert main(["verify", "--instance", str(regularized), "--report", str(rep),
+                 "--certificate-only"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(plain), "--report", str(rep),
+                 "--certificate-only"]) == 1
+    assert "FAIL: instance carries the regularizer" in capsys.readouterr().out.splitlines()
+
+
+def test_bench_broadcasts_a_single_rank(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--n", "8,12", "--r", "2", "--out", str(out)]) == 0
+    with open(out) as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["n"], row["r"]) for row in rows] == [("8", "2"), ("12", "2")]
 
 
 def test_bench_empty_grid_writes_header_only(tmp_path):

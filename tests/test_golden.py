@@ -35,7 +35,7 @@ from nols.solvers import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from suite import bait_chain  # noqa: E402
+from suite import SquaredSize, bait_chain  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 FAMILIES = ("coverage", "partition", "graphic", "modular")
@@ -107,7 +107,7 @@ def _solve_cell(tmp: Path, name: str) -> dict:
 
 
 def _search_doc(res, ledger: QueryLedger) -> dict | None:
-    if res is None:
+    if res.certificate is None:
         return None
     c = res.certificate
     return {
@@ -126,16 +126,6 @@ def _search_doc(res, ledger: QueryLedger) -> dict | None:
         "value_queries": ledger.value_queries,
         "independence_queries": ledger.independence_queries,
     }
-
-
-class SquaredSize:
-    """|S|^2: supermodular, so every swap looks improving and every
-    randomized attempt fails its certificate."""
-
-    ground_size = 6
-
-    def eval(self, s):
-        return len(s) ** 2
 
 
 def _library_cell(name: str):

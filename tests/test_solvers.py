@@ -47,6 +47,7 @@ from suite import (
     TINY_UNIVERSE,
     RecordingMatroid,
     RecordingOracle,
+    SquaredSize,
     bait_chain,
     eager_local_search,
     eager_threshold_greedy,
@@ -92,6 +93,27 @@ def test_config_rejects_a_levels_override_that_is_not_an_int(levels):
     # would pass as one level
     with pytest.raises(ValueError, match="levels_override must be an int"):
         SolverConfig(eps=0.5, levels_override=levels)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eps", "0.5"),
+        ("eps", True),
+        ("eps", None),
+        ("eps", 0.5j),
+        ("seed", 1.5),
+        ("seed", "x"),
+        ("seed", True),
+        ("seed", None),
+    ],
+)
+def test_config_rejects_a_mistyped_eps_or_seed(field, value):
+    # "0.5" would fail the range check with a TypeError, a float or string
+    # seed would reach RandomSource, and True would run as seed 1
+    kind = "a real number" if field == "eps" else "an int"
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+        SolverConfig(**{field: value})
 
 
 def test_solve_rejects_ground_size_mismatch():
@@ -525,6 +547,33 @@ def test_solve_wires_counting_through_guide_and_matroid():
     # run's ledger deliberately leaves uncounted
     assert ledger.value_queries == rep.ledger.value_queries + 1
     assert ledger.independence_queries == rep.ledger.independence_queries
+
+
+@pytest.mark.parametrize(
+    "variant, retry_budget, squared",
+    [
+        (DETERMINISTIC, None, False),
+        (RANDOMIZED, None, False),
+        (RANDOMIZED, 0, False),
+        (RANDOMIZED, 2, True),
+    ],
+    ids=["deterministic", "randomized", "randomized-no-attempt", "squared-size-failed"],
+)
+def test_every_oracle_call_of_a_solve_is_on_the_ledger(variant, retry_budget, squared):
+    # each base query a solve asks is charged, on a failed run too; the one
+    # extra value call is the reporting eval of the output
+    if squared:
+        f, m, seed = SquaredSize(), UniformMatroid(6, 2), 3
+    else:
+        inst = generate_instance("coverage", 12, 3, 11)
+        f, m, seed = inst.build_objective(), inst.build_matroid(), 9
+    recorder, matroid = RecordingOracle(f, hasattr(f, "extend")), RecordingMatroid(m)
+    config = SolverConfig(eps=0.5, variant=variant, seed=seed)
+    rep = non_oblivious_solve(recorder, matroid, config, retry_budget=retry_budget)
+    assert rep.failed == (retry_budget is not None)
+    assert len(matroid.seen) == rep.ledger.independence_queries
+    assert len(recorder.seen) == rep.ledger.value_queries + 1
+    assert rep.rank == rank(m)
 
 
 def test_reference_search_matches_modular_optimum():

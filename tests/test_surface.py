@@ -127,7 +127,7 @@ EXPECTED_FLAGS = {
     "verify": ["-h", "--help", "--instance", "--report", "--certificate-only"],
     "bench": [
         "-h", "--help", "--family", "--n", "--r", "--eps", "--seeds", "--variants",
-        "--gen-seed", "--out",
+        "--out",
     ],
 }
 

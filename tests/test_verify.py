@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from nols.core import ElementSet, RandomSource
@@ -175,6 +177,33 @@ def test_value_oracle_checker_gives_one_negativity_verdict_at_every_size(n):
     assert check_value_oracle(_SlightlyNegativeEmpty(n)) == []
 
 
+class _Modular:
+    """f(S) = offset + slope * |S|: modular, so submodular whatever the
+    sign of either coefficient."""
+
+    def __init__(self, n, offset, slope):
+        self.ground_size = n
+        self.offset = offset
+        self.slope = slope
+
+    def eval(self, s):
+        return self.offset + self.slope * len(s)
+
+
+def test_value_oracle_checker_catches_a_negative_value_exhaustively():
+    assert check_value_oracle(_Modular(3, -1, 1)) == ["negative value at {}"]
+
+
+def test_value_oracle_checker_catches_a_negative_value_by_sampling():
+    issues = check_value_oracle(_Modular(17, -1, 1))  # only f(empty) < 0
+    assert issues and set(issues) == {"negative value on sampled set"}
+
+
+def test_value_oracle_checker_catches_a_decreasing_oracle_by_sampling():
+    issues = check_value_oracle(_Modular(17, 17, -1))
+    assert issues and all(msg.startswith("monotonicity fails: f(") for msg in issues)
+
+
 def _approximation(rep, truth):
     return approximation_report(
         rep.output_set, rep.objective_value, rep.levels, rep.eps, truth
@@ -212,3 +241,33 @@ def test_check_certificate_detects_tampering():
     forged = replace(rep.certificate, gap=rep.certificate.gap - 1.0)
     issues = check_certificate(forged, guide, lifted_m, rep.lifted_solution)
     assert issues
+
+
+def _unfinished_certificate(warm_value):
+    # at {0} the challenger {2} gains 3 - 1: gap 2, bound 0.5 * warm_value
+    f, m, s = ModularFunction([1, 2, 3]), UniformMatroid(3, 1), _es(3, [0])
+    certificate = localopt_gap(f, m, s, eps=0.5, warm_value=warm_value)
+    assert (certificate.gap, certificate.witness) == (2, _es(3, [2]))
+    return certificate, f, m, s
+
+
+def test_check_certificate_names_a_forged_witness():
+    certificate, f, m, s = _unfinished_certificate(10.0)
+    forged = replace(certificate, witness=_es(3, [1]))
+    assert check_certificate(forged, f, m, s) == ["witness mismatch"]
+
+
+def test_check_certificate_names_a_forged_bound():
+    certificate, f, m, s = _unfinished_certificate(10.0)
+    forged = replace(certificate, bound=6.0)
+    assert check_certificate(forged, f, m, s) == [
+        "bound mismatch: stored 6.0, eps * warm_value = 5.0"
+    ]
+
+
+def test_check_certificate_names_a_certificate_that_does_not_pass():
+    # every field recomputes, but the gap exceeds the bound
+    certificate, f, m, s = _unfinished_certificate(1.0)
+    assert check_certificate(certificate, f, m, s) == [
+        "certificate does not pass: gap 2.0 exceeds bound 0.5"
+    ]
