@@ -11,7 +11,7 @@ fixed relative slack, ``COMPARISON_SLACK``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol
 
 ElementId = int
 
@@ -36,7 +36,7 @@ class ElementSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
+    def __setattr__(self, name, value):
         raise AttributeError("ElementSet is immutable")
 
     @classmethod
@@ -201,7 +201,6 @@ def gt(lhs: float, rhs: float) -> bool:
     return lhs > rhs + COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
 
 
-@runtime_checkable
 class ValueOracle(Protocol):
     """Set function oracle: eval(S) -> value. ground_size is |N|.
 
@@ -225,7 +224,6 @@ class ValueOracle(Protocol):
     def eval(self, s: ElementSet) -> float: ...
 
 
-@runtime_checkable
 class MatroidOracle(Protocol):
     """Independence oracle: is_independent(S) -> bool. ground_size is |N|."""
 

@@ -37,6 +37,7 @@ FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
 FAMILIES = ("coverage", "partition", "graphic", "modular")
+WARM_START = "threshold_greedy"  # the one warm start a report names
 
 
 # ----- document field checks: each raises ValueError naming the field -----
@@ -270,7 +271,7 @@ def report_document(
         "levels": report.levels,
         "variant": report.variant,
         "seed": report.seed,
-        "warm_start": "threshold_greedy",  # the one warm start
+        "warm_start": WARM_START,
         "regularized": regularized,
         "failed": report.failed,
         "output_set": report.output_set.to_list(),
@@ -313,6 +314,14 @@ def parse_report(doc, n: int):
     if type(field("seed")) is not int:  # bool is not an integer here
         raise ValueError(f"report.seed must be an integer, got {doc['seed']!r:.40}")
     field("iterations", _int)
+    field("value_queries", _int)
+    field("independence_queries", _int)
+    if field("n", _int) != n:
+        raise ValueError(f"report.n must be the instance's {n}, got {doc['n']}")
+    if field("warm_start") != WARM_START:
+        raise ValueError(
+            f"report.warm_start must be {WARM_START!r}, got {doc['warm_start']!r:.40}"
+        )
     cert = field("certificate")
     if doc["failed"]:
         return output, None, None

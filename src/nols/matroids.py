@@ -4,7 +4,7 @@ All matroids answer through ``is_independent(S)`` only; solvers never peek
 at internal structure. The exchange helpers (``extend_to_base``,
 ``max_weight_independent``, ``min_weight_exchange``) are written against
 that interface so they work unchanged on counted oracles and on lifted
-matroids. The test-scale ``exchange_bijection`` lives in ``nols.verify``.
+matroids.
 
 ``matroid_axiom_violations`` is the one matroid-axiom checker: it backs
 ``ExplicitMatroid`` (at most 20 elements, checked at construction) and
@@ -39,7 +39,7 @@ class UniformMatroid:
 class PartitionMatroid:
     """Blocks partition the ground set; at most capacity[i] picks per block."""
 
-    __slots__ = ("ground_size", "blocks", "capacities", "_block_masks")
+    __slots__ = ("ground_size", "capacities", "_block_masks")
 
     def __init__(
         self,
@@ -66,7 +66,6 @@ class PartitionMatroid:
         if any(c < 0 for c in capacities):
             raise ValueError("capacities must be non-negative")
         self.ground_size = n
-        self.blocks = [tuple(sorted(b)) for b in blocks]
         self.capacities = tuple(capacities)
         self._block_masks = tuple(masks)
 
@@ -77,7 +76,7 @@ class PartitionMatroid:
         )
 
     def __repr__(self):
-        return f"PartitionMatroid(n={self.ground_size}, blocks={len(self.blocks)})"
+        return f"PartitionMatroid(n={self.ground_size}, blocks={len(self.capacities)})"
 
 
 class _UnionFind:

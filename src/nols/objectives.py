@@ -86,13 +86,7 @@ class CoverageFunction:
         return float(bits @ self._weights)
 
     def covers(self, u: ElementId) -> list[int]:
-        m = self._cover_masks[u]
-        out = []
-        while m:
-            lsb = m & -m
-            out.append(lsb.bit_length() - 1)
-            m ^= lsb
-        return out
+        return ElementSet(self.universe_size, self._cover_masks[u]).to_list()
 
 
 class ModularFunction:
@@ -248,7 +242,7 @@ class LiftedGuide:
     """
 
     __slots__ = (
-        "inner", "weights", "levels", "ground_size", "reg_scale", "reg_weights",
+        "inner", "levels", "ground_size", "reg_scale", "reg_weights",
         "subset_weight", "with_level",
     )
 
@@ -262,7 +256,6 @@ class LiftedGuide:
             raise ValueError("regularizer universe does not match the objective")
         ell = self.levels = weights.levels
         self.inner = inner
-        self.weights = weights
         self.ground_size = inner.ground_size * ell
         self.reg_scale = weights.floats[ell] * (ell + 1)
         zeros = (0.0,) * inner.ground_size

@@ -10,6 +10,7 @@ regularizer) to reach the target approximation factor.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -50,7 +51,7 @@ class SolverConfig:
     """Knobs shared by the solve entry points.
 
     levels_override replaces the eps-derived level count (1 gives ordinary
-    local search on f itself).
+    local search on f itself); levels is the count a solve uses.
     """
 
     eps: float = 0.25
@@ -68,9 +69,9 @@ class SolverConfig:
         if type(self.seed) is not int:  # isinstance lets True in
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.levels_override is None:
-            if default_levels(self.eps) > MAX_LEVELS:
+            if self.levels > MAX_LEVELS:
                 raise ValueError(
-                    f"eps={self.eps} needs {default_levels(self.eps)} levels, more "
+                    f"eps={self.eps} needs {self.levels} levels, more "
                     f"than the cap of {MAX_LEVELS}; use eps >= 1/{MAX_LEVELS - 1} "
                     "or set levels_override"
                 )
@@ -82,6 +83,11 @@ class SolverConfig:
             raise ValueError(
                 f"levels_override={self.levels_override} outside [1, {MAX_LEVELS}]"
             )
+
+    @property
+    def levels(self) -> int:
+        """The level count of a solve: levels_override, else 1 + ceil(1/eps)."""
+        return self.levels_override or default_levels(self.eps)
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,6 @@ def amplification_attempts(eps: float) -> int:
     Each attempt fails with probability at most 1/3, so this drives the
     total failure probability below eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     return max(1, math.ceil(math.log(1.0 / eps, 3) - 1e-12))
 
 
@@ -285,14 +289,13 @@ def _clears(value: float, threshold: float) -> bool:
 
 def _alone_oracle(matroid: MatroidOracle, n: int):
     """is_independent({v}) that asks the matroid at most once per element."""
-    answers: dict[ElementId, bool] = {}
+    return functools.cache(lambda v: matroid.is_independent(ElementSet(n, 1 << v)))
 
-    def independent_alone(v: ElementId) -> bool:
-        if v not in answers:
-            answers[v] = matroid.is_independent(ElementSet(n, 1 << v))
-        return answers[v]
 
-    return independent_alone
+def _check_eps(eps) -> None:
+    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+    if not (real and 0 < eps < math.inf):
+        raise ValueError(f"eps must be a positive finite real number, got {eps!r}")
 
 
 # ----- deterministic search -----
@@ -341,9 +344,11 @@ def deterministic_local_search(
     bound is padded by the comparison slack against rounding; a skipped
     candidate would have failed the exact test, so the same swaps are made.
     Bounds start empty on each call.
+
+    eps must be a positive finite real number (not a bool); any other
+    raises ValueError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     n = f.ground_size
     tracker, warm_set, warm_value = _warm_base(f, matroid)
     r = len(tracker.current)
@@ -449,11 +454,15 @@ def randomized_local_search(
     ties included, is the one the full search picks. When R1 is the whole
     solution, the feasibility test is a singleton query, asked at most once
     per element per call.
+
+    eps must be a positive finite real number and attempts, when given, a
+    non-negative int (neither may be a bool); any other raises ValueError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if attempts is None:
         attempts = amplification_attempts(eps)
+    elif type(attempts) is not int or attempts < 0:  # isinstance lets True in
+        raise ValueError(f"attempts must be a non-negative int, got {attempts!r}")
     n = f.ground_size
     root = ceil_sqrt(n)
     ground = ElementSet.full(n)
@@ -561,11 +570,7 @@ def non_oblivious_solve(
     ledger = QueryLedger()
     f_counted = CountingValueOracle(f, ledger)
     m_counted = CountingMatroidOracle(matroid, ledger)
-    levels = (
-        config.levels_override
-        if config.levels_override is not None
-        else default_levels(config.eps)
-    )
+    levels = config.levels
     guide = LiftedGuide(f_counted, GuideWeights(levels), regularizer)
     lifted_matroid = lift(m_counted, levels)
     eps_in = inner_eps(config.eps, levels)

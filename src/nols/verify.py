@@ -17,6 +17,7 @@ checkers report at most 20 violations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,6 @@ import numpy as np
 
 from .core import (
     COMPARISON_SLACK,
-    ElementId,
     ElementSet,
     MatroidOracle,
     RandomSource,
@@ -110,7 +110,6 @@ class ReferenceResult:
     parts: list[ElementSet]
     union: ElementSet
     guide_value: Fraction
-    moves: int
 
 
 def reference_local_search(
@@ -129,20 +128,15 @@ def reference_local_search(
     n = f.ground_size
     if n > MAX_REFERENCE_GROUND:
         raise ValueError(f"reference search capped at n <= {MAX_REFERENCE_GROUND}")
-    weights = GuideWeights(levels)
+    wf = GuideWeights(levels).fractions
     base = extend_to_base(matroid, ElementSet.empty(n))
     r = len(base)
     if r > MAX_REFERENCE_RANK:
         raise ValueError(f"reference search capped at rank <= {MAX_REFERENCE_RANK}")
 
-    memo: dict[int, Fraction] = {}
-
+    @functools.cache
     def f_exact(mask: int) -> Fraction:
-        if mask not in memo:
-            memo[mask] = Fraction(f.eval(ElementSet(n, mask)))
-        return memo[mask]
-
-    wf = weights.fractions
+        return Fraction(f.eval(ElementSet(n, mask)))
 
     def g_exact(parts: list[int]) -> Fraction:
         union = subset_unions(parts)
@@ -153,7 +147,6 @@ def reference_local_search(
 
     parts = [base.mask] + [0] * (levels - 1)
     current = g_exact(parts)
-    moves = 0
 
     def union_mask() -> int:
         m = 0
@@ -179,7 +172,6 @@ def reference_local_search(
                 cand = g_exact(parts)
                 if cand > current:
                     current = cand
-                    moves += 1
                     improved = True
                     break
                 parts[target] &= ~(1 << u)
@@ -202,7 +194,6 @@ def reference_local_search(
                     cand = g_exact(parts)
                     if cand > current:
                         current = cand
-                        moves += 1
                         improved = True
                         break
                     parts[target] &= ~(1 << v)
@@ -217,7 +208,6 @@ def reference_local_search(
         parts=out_parts,
         union=ElementSet(n, union_mask()),
         guide_value=current,
-        moves=moves,
     )
 
 
@@ -263,53 +253,6 @@ def exhaustive_gap(f: ValueOracle, matroid: MatroidOracle, s: ElementSet) -> flo
             best = gap
             best_mask = mask
     return sum(w[v] for v in ElementSet(n, best_mask)) - base_sum
-
-
-def exchange_bijection(
-    matroid: MatroidOracle, a: ElementSet, b: ElementSet
-) -> dict[ElementId, ElementId]:
-    """Bijection h from base a onto base b with b - h(u) + u independent for
-    every u in a, fixing a's overlap with b pointwise.
-
-    Computed as a perfect matching on the swap-feasibility graph between
-    a - b and b - a (Kuhn's augmenting paths). Intended for verification
-    at test scale; call with uncounted oracles to keep it out of ledgers.
-    Raises RuntimeError if no perfect matching exists, which for genuine
-    bases of a matroid cannot happen.
-    """
-    if len(a) != len(b):
-        raise ValueError("bases must have equal size")
-    left = [u for u in a if u not in b]
-    right = [x for x in b if x not in a]
-    adj: list[list[int]] = []
-    for u in left:
-        row = []
-        for j, x in enumerate(right):
-            if matroid.is_independent(b.remove(x).add(u)):
-                row.append(j)
-        adj.append(row)
-
-    match_right: list[int | None] = [None] * len(right)
-
-    def try_augment(i: int, visited: set[int]) -> bool:
-        for j in adj[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if match_right[j] is None or try_augment(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(len(left)):
-        if not try_augment(i, set()):
-            raise RuntimeError("no perfect exchange matching; inputs are not bases")
-
-    h = {u: u for u in a if u in b}
-    for j, i in enumerate(match_right):
-        assert i is not None
-        h[left[i]] = right[j]
-    return h
 
 
 def check_matroid_axioms(matroid: MatroidOracle) -> list[str]:
@@ -410,7 +353,6 @@ class ApproximationReport:
     ratio: float
     target: float
     passed: bool
-    run_value: float
     opt_value: float
 
 
@@ -438,7 +380,6 @@ def approximation_report(
         ratio=ratio,
         target=target,
         passed=ge(ratio, target),
-        run_value=objective_value,
         opt_value=truth.opt_value,
     )
 

@@ -79,6 +79,16 @@ def test_solve_replay_is_byte_identical(tmp_path):
     assert reps[0] == reps[1]
 
 
+def test_solve_without_out_writes_the_report_to_stdout(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    rep = tmp_path / "report.json"
+    argv = ["solve", "--instance", str(inst), "--eps", "0.5"]
+    assert main([*argv, "--out", str(rep)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == rep.read_text()
+
+
 def test_verify_rejects_tampered_output(tmp_path, capsys):
     inst = _gen(tmp_path)
     rep = tmp_path / "report.json"
@@ -120,11 +130,21 @@ _DROP = object()
         (("regularized",), "false", "report.regularized must be true or false"),
         (("regularized",), 1, "report.regularized must be true or false"),
         (("seed",), "0", "report.seed must be an integer"),
+        (("value_queries",), "lots", "report.value_queries must be a non-negative integer"),
+        (("independence_queries",), -7,
+         "report.independence_queries must be a non-negative integer"),
+        (("n",), "eight", "report.n must be a non-negative integer"),
+        (("n",), 8, "report.n must be the instance's 12, got 8"),
+        (("warm_start",), 42, "report.warm_start must be 'threshold_greedy', got 42"),
+        (("value_queries",), _DROP, "report missing 'value_queries'"),
+        (("n",), _DROP, "report missing 'n'"),
     ],
     ids=[
         "list", "no-levels", "output-range", "null-lifted", "cert-list", "cert-gap",
         "negative-iterations", "float-rank", "string-eps-inner", "null-warm-value",
         "unknown-variant", "string-regularized", "int-regularized", "string-seed",
+        "string-value-queries", "negative-independence-queries", "string-n", "other-n",
+        "int-warm-start", "no-value-queries", "no-n",
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, path, value, message):

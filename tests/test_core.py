@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,3 +173,26 @@ def test_numeric_policy_slack():
     assert not gt(1.0 + 1e-12, 1.0)
     # slack scales with magnitude, not just absolute size
     assert ge(1e12, 1e12 + 100.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ElementSet(-1), "universe size must be non-negative"),
+        (lambda: ElementSet(3, 8), "mask has bits outside the universe"),
+        (lambda: ElementSet(3, -1), "mask has bits outside the universe"),
+        (lambda: ElementSet.from_iterable(3, [0, 3]), "element 3 outside universe of size 3"),
+        (lambda: ElementSet(3).difference(ElementSet(4)), "sets live over different universes"),
+    ],
+    ids=["negative-n", "high-mask", "negative-mask", "outside-item", "mixed-universes"],
+)
+def test_element_set_guards_name_the_problem(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_element_set_rejects_assignment():
+    s = ElementSet(3, 1)
+    with pytest.raises(AttributeError, match="^ElementSet is immutable$"):
+        s.mask = 2
+    assert s == ElementSet(3, 1)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nols.instances import InstanceFile, generate_instance
+from nols.instances import FAMILIES, InstanceFile, generate_instance
 from suite import json_values, mutate
 
 
@@ -82,6 +82,12 @@ def _doc(**changes) -> dict:
          "objective.weights[1]"),
         (_doc(matroid={"kind": "graphic", "vertices": 3, "edges": [[0, 1], 7]}),
          "matroid.edges[1]"),
+        (_doc(matroid={"kind": "graphic", "vertices": 3, "edges": [[0, 1, 2]]}),
+         "matroid.edges[0] must be a pair of vertices"),
+        (_doc(n=5), "objective ground size disagrees with n"),
+        (_doc(matroid={"kind": "graphic", "vertices": 2, "edges": [[0, 1]]}),
+         "matroid ground size disagrees with n"),
+        (_doc(regularizer={"weights": [1, 2]}), "regularizer length disagrees with n"),
     ],
 )
 def test_malformed_documents_name_the_field(doc, field):
@@ -110,3 +116,17 @@ def test_arbitrary_json_loads_or_raises_value_error(doc):
         _load(doc)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize(
+    "family, n, r, message",
+    [
+        ("nosuch", 4, 2, f"unknown family 'nosuch'; choose from {FAMILIES}"),
+        ("coverage", 0, 1, "n and r must be positive"),
+        ("coverage", 4, 0, "n and r must be positive"),
+    ],
+    ids=["family", "zero-n", "zero-r"],
+)
+def test_generator_rejects_a_bad_shape_by_name(family, n, r, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_instance(family, n, r, 0)

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from nols.matroids import (
     min_weight_exchange,
     rank,
 )
-from nols.verify import check_matroid_axioms, exchange_bijection
+from nols.verify import check_matroid_axioms
 from suite import FamilyMatroid, RecordingMatroid, greedy_independent
 
 
@@ -267,24 +268,26 @@ def test_lifted_membership_matches_projection_rule(n, levels, raw):
     assert lm.is_independent(s) == expected
 
 
-def test_exchange_bijection_maps_between_bases():
-    m = GraphicMatroid(4, [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]])
-    a = _es(5, [0, 1, 2])
-    b = _es(5, [1, 3, 4])
-    assert m.is_independent(a) and m.is_independent(b)
-    phi = exchange_bijection(m, a, b)
-    assert set(phi.keys()) == set(a)
-    assert sorted(phi.values()) == sorted(b)
-    assert phi[1] == 1  # shared elements map to themselves
-    for u in a:
-        if phi[u] == u:
-            continue
-        swapped = a.remove(u).add(phi[u])
-        assert m.is_independent(swapped)
 
-
-def test_exchange_bijection_identity():
-    m = UniformMatroid(4, 2)
-    a = _es(4, [1, 3])
-    phi = exchange_bijection(m, a, a)
-    assert phi == {1: 1, 3: 3}
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UniformMatroid(-1, 0), "n and k must be non-negative"),
+        (lambda: UniformMatroid(3, -1), "n and k must be non-negative"),
+        (lambda: PartitionMatroid(2, [[0, 1]], [1, 1]), "one capacity per block required"),
+        (lambda: PartitionMatroid(2, [[0, 2]], [1]), "element 2 outside universe"),
+        (lambda: PartitionMatroid(2, [[0, 1]], [-1]), "capacities must be non-negative"),
+        (lambda: GraphicMatroid(2, [[0, 2]]), "edge (0,2) outside vertex range"),
+        (lambda: ExplicitMatroid(21, [[]]), "explicit matroid capped at n <= 20"),
+        (lambda: ExplicitMatroid(2, [0, 4]), "mask outside universe"),
+        (lambda: lift(UniformMatroid(2, 1), 0), "levels must be >= 1"),
+    ],
+    ids=[
+        "uniform-n", "uniform-k", "partition-capacities", "partition-element",
+        "partition-negative", "graphic-edge", "explicit-cap", "explicit-mask",
+        "lift-levels",
+    ],
+)
+def test_matroid_guards_name_the_problem(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from nols.objectives import (
     LiftedGuide,
     LinearRegularizer,
     ModularFunction,
+    level_masks,
     make_tracker,
     project,
     project_all,
@@ -355,3 +357,35 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
         else:
             continue
         check()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CoverageFunction(2, [[0, 2]]), "point 2 outside universe"),
+        (
+            lambda: CoverageFunction(2, [[0]], point_weights=[1]),
+            "one weight per universe point required",
+        ),
+        (
+            lambda: CoverageFunction(2, [[0]], point_weights=[1, -1]),
+            "point weights must be non-negative",
+        ),
+        (lambda: ConcaveOfModular([1, -1]), "weights must be non-negative"),
+        (lambda: ConcaveOfModular([1], shape="log"), "unknown shape 'log'"),
+        (lambda: ConcaveOfModular([1], shape="cap", cap=-1), "cap must be non-negative"),
+        (
+            lambda: level_masks(ElementSet(5), 2),
+            "lifted universe size must be a multiple of levels",
+        ),
+        (lambda: project(ElementSet(6), 3, [4]), "level 4 outside [1, 3]"),
+    ],
+    ids=[
+        "coverage-point", "coverage-weight-count", "coverage-negative-weight",
+        "concave-negative-weight", "concave-shape", "concave-cap", "level-masks",
+        "project-level",
+    ],
+)
+def test_objective_guards_name_the_problem(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import signal
 from collections import Counter
 from fractions import Fraction
@@ -145,6 +146,47 @@ def test_level_and_eps_schedule():
     assert amplification_attempts(0.5) == 1
     assert amplification_attempts(0.25) == 2
     assert amplification_attempts(0.1) == 3
+
+
+def test_default_levels_rejects_a_non_positive_eps():
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        default_levels(0)
+
+
+_EPS_MESSAGE = "eps must be a positive finite real number, got "
+_ATTEMPTS_MESSAGE = "attempts must be a non-negative int, got "
+
+
+@pytest.mark.parametrize(
+    "variant, eps, attempts, message",
+    [
+        (DETERMINISTIC, math.nan, None, _EPS_MESSAGE + "nan"),
+        (DETERMINISTIC, math.inf, None, _EPS_MESSAGE + "inf"),
+        (DETERMINISTIC, True, None, _EPS_MESSAGE + "True"),
+        (DETERMINISTIC, "0.5", None, _EPS_MESSAGE + "'0.5'"),
+        (RANDOMIZED, math.nan, None, _EPS_MESSAGE + "nan"),
+        (RANDOMIZED, math.inf, None, _EPS_MESSAGE + "inf"),
+        (RANDOMIZED, 0.5j, None, _EPS_MESSAGE + "0.5j"),
+        (RANDOMIZED, 0.5, -1, _ATTEMPTS_MESSAGE + "-1"),
+        (RANDOMIZED, 0.5, 1.5, _ATTEMPTS_MESSAGE + "1.5"),
+        (RANDOMIZED, 0.5, True, _ATTEMPTS_MESSAGE + "True"),
+        (RANDOMIZED, 0.5, "2", _ATTEMPTS_MESSAGE + "'2'"),
+    ],
+    ids=[
+        "det-nan", "det-inf", "det-bool", "det-str", "rand-nan", "rand-inf",
+        "rand-complex", "attempts-negative", "attempts-float", "attempts-bool",
+        "attempts-str",
+    ],
+)
+def test_inner_searches_reject_a_bad_eps_or_attempts(variant, eps, attempts, message):
+    # unchecked, NaN dies converting to an int, inf gives an infinite bound and
+    # True runs as 1; a negative attempts reads as an exhausted search, 1.5 as 2
+    f, m = tiny_coverage()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if variant == DETERMINISTIC:
+            deterministic_local_search(f, m, eps)
+        else:
+            randomized_local_search(f, m, eps, RandomSource(0), attempts=attempts)
 
 
 def test_warm_start_is_greedy_competitive():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from nols.verify import (
     check_value_oracle,
     exhaustive_gap,
     localopt_gap,
+    reference_local_search,
 )
 from suite import FamilyMatroid, tiny_coverage
 
@@ -271,3 +273,32 @@ def test_check_certificate_names_a_certificate_that_does_not_pass():
     assert check_certificate(certificate, f, m, s) == [
         "certificate does not pass: gap 2.0 exceeds bound 0.5"
     ]
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            lambda: reference_local_search(ModularFunction([1] * 17), UniformMatroid(17, 1), 2),
+            "reference search capped at n <= 16",
+        ),
+        (
+            lambda: reference_local_search(ModularFunction([1] * 7), UniformMatroid(7, 7), 2),
+            "reference search capped at rank <= 6",
+        ),
+        (
+            lambda: exhaustive_gap(
+                ModularFunction([1] * 65), UniformMatroid(65, 1), ElementSet(65)
+            ),
+            "exhaustive gap capped at n <= 64",
+        ),
+        (
+            lambda: check_matroid_axioms(UniformMatroid(17, 1)),
+            "axiom check capped at n <= 16",
+        ),
+    ],
+    ids=["reference-ground", "reference-rank", "gap-ground", "axioms-ground"],
+)
+def test_scale_caps_name_the_limit(check, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check()
