@@ -60,7 +60,6 @@ from .verify import (
     check_matroid_axioms,
     check_value_oracle,
     exhaustive_gap,
-    localopt_gap,
     reference_local_search,
 )
 from .instances import (
@@ -114,7 +113,6 @@ __all__ = [
     "check_matroid_axioms",
     "check_value_oracle",
     "exhaustive_gap",
-    "localopt_gap",
     "reference_local_search",
     "InstanceFile",
     "generate_instance",

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .instances import (
     FAMILIES,
-    REPORT_FORMAT_VERSION,
     dumps_canonical,
     generate_instance,
     load_instance,
@@ -30,7 +29,7 @@ from .instances import (
     save_instance,
 )
 from .matroids import lift
-from .objectives import GuideWeights, LiftedGuide, project_all
+from .objectives import GuideWeights, LiftedGuide
 from .solvers import (
     DETERMINISTIC,
     RANDOMIZED,
@@ -80,8 +79,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    f = instance.build_objective()
-    matroid = instance.build_matroid()
+    f, matroid = instance.build_objective(), instance.build_matroid()
     regularizer = instance.build_regularizer()
     config = SolverConfig(
         eps=args.eps,
@@ -89,15 +87,8 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         levels_override=args.levels,
     )
-    report = non_oblivious_solve(
-        f,
-        matroid,
-        config,
-        regularizer=regularizer,
-        retry_budget=args.retry_budget,
-    )
-    doc = report_document(report, instance, regularizer is not None)
-    text = dumps_canonical(doc)
+    report = non_oblivious_solve(f, matroid, config, regularizer=regularizer)
+    text = dumps_canonical(report_document(report, instance))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -110,53 +101,37 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    doc = read_json(args.report)
-    output, lifted_solution, certificate = parse_report(doc, instance.n)
+    report = parse_report(read_json(args.report), instance)
     problems: list[str] = []
 
     def check(ok: bool, label: str):
-        line = f"{'ok' if ok else 'FAIL'}: {label}"
-        print(line)
+        print(f"{'ok' if ok else 'FAIL'}: {label}")
         if not ok:
             problems.append(label)
 
-    check(doc.get("format_version") == REPORT_FORMAT_VERSION, "report format version")
-    check(doc.get("instance") == instance.name, "report names this instance")
-    f = instance.build_objective()
-    matroid = instance.build_matroid()
-    n = instance.n
+    f, matroid = instance.build_objective(), instance.build_matroid()
+    output, levels = report.output_set, report.levels
     check(
-        f.eval(output) == doc["objective_value"],
+        f.eval(output) == report.objective_value,
         "objective value matches the output set",
     )
     check(matroid.is_independent(output), "output set is independent")
-
-    if doc["failed"]:
-        check(len(output) == 0, "failed run reports the empty set")
-        check(doc["certificate"] is None, "failed run carries no certificate")
+    if report.failed:
         if problems:
             return 1
         print("verified (failed run, consistent)")
         return 0
 
-    levels = doc["levels"]
-    regularizer = instance.build_regularizer()
-    if doc["regularized"]:
-        check(regularizer is not None, "instance carries the regularizer")
-    else:
-        regularizer = None
+    regularizer = instance.build_regularizer() if report.regularized else None
     guide = LiftedGuide(f, GuideWeights(levels), regularizer)
     lifted_matroid = lift(matroid, levels)
+    lifted_solution = report.lifted_solution
     lifted_independent = lifted_matroid.is_independent(lifted_solution)
     check(lifted_independent, "lifted solution is independent in the lifted matroid")
-    check(
-        project_all(lifted_solution, levels) == output,
-        "output set is the projection of the lifted solution",
-    )
     # a certificate is defined only at an independent lifted set (the
     # tracker cannot hold a base element on two levels)
     issues = (
-        check_certificate(certificate, guide, lifted_matroid, lifted_solution)
+        check_certificate(report.certificate, guide, lifted_matroid, lifted_solution)
         if lifted_independent
         else ["not recomputed: the lifted solution is dependent"]
     )
@@ -165,15 +140,15 @@ def cmd_verify(args) -> int:
     ))
 
     if not args.certificate_only:
-        if n > MAX_BRUTE_FORCE:
+        if instance.n > MAX_BRUTE_FORCE:
             check(
                 False,
-                f"n={n} exceeds brute force scale; rerun with --certificate-only",
+                f"n={instance.n} exceeds brute force scale; rerun with --certificate-only",
             )
         else:
             truth = brute_force_opt(f, matroid)
             appr = approximation_report(
-                output, doc["objective_value"], levels, doc["eps"], truth
+                output, report.objective_value, levels, report.eps, truth
             )
             check(
                 appr.passed,
@@ -328,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--levels", type=int, default=None, help="override the level count"
     )
     p_solve.add_argument("--out", default=None, help="report path (stdout if unset)")
-    p_solve.add_argument(
-        "--retry-budget", type=int, default=None, help=argparse.SUPPRESS
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="recheck a solve report")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import ElementSet, RandomSource, sample_without_replacement
+from .core import ElementSet, QueryLedger, RandomSource, sample_without_replacement
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -30,8 +30,15 @@ from .objectives import (
     CoverageFunction,
     LinearRegularizer,
     ModularFunction,
+    project_all,
 )
-from .solvers import DETERMINISTIC, RANDOMIZED, LocalOptCertificate, RunReport
+from .solvers import (
+    DETERMINISTIC,
+    RANDOMIZED,
+    LocalOptCertificate,
+    RunReport,
+    inner_eps,
+)
 
 FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -248,9 +255,7 @@ def load_instance(path: str | Path) -> InstanceFile:
 # ----- solve reports -----
 
 
-def report_document(
-    report: RunReport, instance: InstanceFile, regularized: bool
-) -> dict:
+def report_document(report: RunReport, instance: InstanceFile) -> dict:
     cert = None
     if report.certificate is not None:
         c = report.certificate
@@ -272,7 +277,7 @@ def report_document(
         "variant": report.variant,
         "seed": report.seed,
         "warm_start": WARM_START,
-        "regularized": regularized,
+        "regularized": report.regularized,
         "failed": report.failed,
         "output_set": report.output_set.to_list(),
         "objective_value": report.objective_value,
@@ -296,60 +301,106 @@ def _members(value, name: str, size: int) -> ElementSet:
     return ElementSet.from_iterable(size, value)
 
 
-def parse_report(doc, n: int):
-    """(output set, lifted solution, certificate) of a report over an n-element
-    instance; the last two are None for a failed run. Each field read here is
-    type-checked: a malformed one raises a ValueError that names it."""
+def _bool(value, name: str) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false")
+    return value
+
+
+def _same_document(doc: dict, expected: dict, where: str) -> None:
+    # canonical JSON text per key, so 1, 1.0 and true all differ
+    for key, want in expected.items():
+        got = _get(doc, key, where)
+        if isinstance(want, dict) and isinstance(got, dict):
+            _same_document(got, want, f"{where}.{key}")
+            continue
+        got, want = json.dumps(got, sort_keys=True), json.dumps(want, sort_keys=True)
+        if got != want:
+            raise ValueError(f"{where}.{key} must be {want:.60}, got {got:.60}")
+    for key in doc:
+        if key not in expected:
+            raise ValueError(f"{where} has unknown key {key!r:.40}")
+
+
+def parse_report(doc, instance: InstanceFile) -> RunReport:
+    """The RunReport that a report document of this instance records: the
+    inverse of report_document.
+
+    Only the primary fields are read, each type-checked. Every other field
+    is derived as the solver derives it: eps_inner from eps and levels, rank
+    and output_set from the lifted solution, the certificate's eps,
+    warm_value and bound from eps_inner and warm_value, and the empty
+    output, null certificate and zero warm_value of a failed run. The
+    document must then equal report_document of the result, key by key.
+    A malformed, missing, unknown or inconsistent field raises a ValueError
+    that names it. warm_value itself is trusted, not recomputed.
+    """
     _object(doc, "report")
+    n = instance.n
 
     def field(key, check=None, *extra, spec=doc, where="report"):
         value = _get(spec, key, where)
         return value if check is None else check(value, f"{where}.{key}", *extra)
 
-    output = field("output_set", _members, n)
-    field("objective_value", _number)
-    for key in ("failed", "regularized"):
-        if type(field(key)) is not bool:
-            raise ValueError(f"report.{key} must be true or false")
-    if type(field("seed")) is not int:  # bool is not an integer here
-        raise ValueError(f"report.seed must be an integer, got {doc['seed']!r:.40}")
-    field("iterations", _int)
-    field("value_queries", _int)
-    field("independence_queries", _int)
-    if field("n", _int) != n:
-        raise ValueError(f"report.n must be the instance's {n}, got {doc['n']}")
-    if field("warm_start") != WARM_START:
-        raise ValueError(
-            f"report.warm_start must be {WARM_START!r}, got {doc['warm_start']!r:.40}"
-        )
-    cert = field("certificate")
-    if doc["failed"]:
-        return output, None, None
-    levels = field("levels", _int)
-    if not 1 <= levels <= MAX_LEVELS:
-        raise ValueError(f"report.levels must be in [1, {MAX_LEVELS}], got {levels}")
-    lifted_solution = field("lifted_solution", _members, n * levels)
-    eps = field("eps", _number)
-    if not 0 < eps < 1:
-        raise ValueError(f"report.eps must be in (0, 1), got {eps!r}")
-    field("rank", _int)
-    field("eps_inner", _number)
-    field("warm_value", _number)
+    failed = field("failed", _bool)
+    regularized = field("regularized", _bool)
+    if regularized and instance.regularizer is None:
+        raise ValueError("report.regularized is true, but the instance has no regularizer")
+    seed = field("seed")
+    if type(seed) is not int:  # bool is not an integer here
+        raise ValueError(f"report.seed must be an integer, got {seed!r:.40}")
     variant = field("variant")
     if variant not in (DETERMINISTIC, RANDOMIZED):
         raise ValueError(
             f"report.variant must be {DETERMINISTIC!r} or {RANDOMIZED!r}, "
             f"got {variant!r:.40}"
         )
-    where = "report.certificate"
-    _object(cert, where)
-    witness = field("witness", _members, n * levels, spec=cert, where=where)
-    gap, bound, eps, warm_value = (
-        field(key, _number, spec=cert, where=where)
-        for key in ("gap", "bound", "eps", "warm_value")
+    levels = field("levels", _int)
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"report.levels must be in [1, {MAX_LEVELS}], got {levels}")
+    eps = field("eps", _number)
+    if not 0 < eps < 1:
+        raise ValueError(f"report.eps must be in (0, 1), got {eps!r}")
+    eps_inner = inner_eps(eps, levels)
+    ledger = QueryLedger(field("value_queries", _int), field("independence_queries", _int))
+    if failed:
+        rank = field("rank", _int)
+        lifted_solution = certificate = None
+        output = ElementSet.empty(n)
+        warm_value = 0.0
+    else:
+        lifted_solution = field("lifted_solution", _members, n * levels)
+        rank = len(lifted_solution)
+        output = project_all(lifted_solution, levels)
+        warm_value = field("warm_value", _number)
+        where = "report.certificate"
+        cert = field("certificate", _object)
+        certificate = LocalOptCertificate(
+            witness=field("witness", _members, n * levels, spec=cert, where=where),
+            gap=field("gap", _number, spec=cert, where=where),
+            bound=eps_inner * warm_value,
+            eps=eps_inner,
+            warm_value=warm_value,
+        )
+    report = RunReport(
+        output_set=output,
+        objective_value=field("objective_value", _number),
+        ledger=ledger,
+        iterations=field("iterations", _int),
+        failed=failed,
+        certificate=certificate,
+        eps=eps,
+        eps_inner=eps_inner,
+        levels=levels,
+        variant=variant,
+        seed=seed,
+        rank=rank,
+        lifted_solution=lifted_solution,
+        warm_value=warm_value,
+        regularized=regularized,
     )
-    certificate = LocalOptCertificate(witness, gap, bound, eps, warm_value)
-    return output, lifted_solution, certificate
+    _same_document(doc, report_document(report, instance), "report")
+    return report
 
 
 # ----- generators -----

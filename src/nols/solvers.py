@@ -164,6 +164,7 @@ class RunReport:
     rank: int
     lifted_solution: ElementSet | None
     warm_value: float
+    regularized: bool
 
 
 def default_levels(eps: float) -> int:
@@ -539,7 +540,6 @@ def non_oblivious_solve(
     config: SolverConfig,
     *,
     regularizer: LinearRegularizer | None = None,
-    retry_budget: int | None = None,
 ) -> RunReport:
     """End-to-end solve: lift, search the guide, project back.
 
@@ -549,10 +549,7 @@ def non_oblivious_solve(
     decompose into base value queries through the tracker. The certificate
     lives on the lifted instance. A randomized run that exhausts its retry
     budget returns the empty set with failed=True and no certificate; its
-    iterations and ledger still count every query it made. retry_budget is
-    a test hook overriding the amplification attempt count; it must be
-    non-negative, and 0 forces the failed path after the warm start and
-    base extension, which the ledger charges.
+    iterations and ledger still count every query it made.
 
     A regularizer folds its scaled modular term into the guide, so the
     output trades f against it: for every independent T, f(S) + reg(S) is
@@ -565,8 +562,6 @@ def non_oblivious_solve(
             f"objective ground size {f.ground_size} does not match matroid "
             f"ground size {matroid.ground_size}"
         )
-    if retry_budget is not None and retry_budget < 0:
-        raise ValueError(f"retry_budget must be non-negative, got {retry_budget}")
     ledger = QueryLedger()
     f_counted = CountingValueOracle(f, ledger)
     m_counted = CountingMatroidOracle(matroid, ledger)
@@ -583,7 +578,6 @@ def non_oblivious_solve(
             lifted_matroid,
             eps_in,
             RandomSource(config.seed),
-            attempts=retry_budget,
         )
 
     certificate = result.certificate
@@ -617,4 +611,5 @@ def non_oblivious_solve(
         rank=len(result.solution),
         lifted_solution=lifted_solution,
         warm_value=0.0 if failed else result.warm_value,
+        regularized=regularizer is not None,
     )

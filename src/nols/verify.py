@@ -211,29 +211,12 @@ def reference_local_search(
     )
 
 
-def localopt_gap(
-    f: ValueOracle,
-    matroid: MatroidOracle,
-    s: ElementSet,
-    *,
-    eps: float = 0.0,
-    warm_value: float = 0.0,
-) -> LocalOptCertificate:
-    """Challenger certificate for an arbitrary solution set.
-
-    Runs the solvers' certificate constructor on a fresh tracker at s, so a
-    solver-produced certificate can be checked for float-exact equality.
-    The stored bound is eps * warm_value (zero unless provided).
-    """
-    return LocalOptCertificate.at(make_tracker(f, s), matroid, eps, warm_value)
-
-
 def exhaustive_gap(f: ValueOracle, matroid: MatroidOracle, s: ElementSet) -> float:
     """max over all independent T of sum_T f(v|S-v) - sum_S f(u|S-u), capped
     at n <= 64.
 
     Walks the independent sets only (``_independent_masks``) and sums each
-    in ascending element order, the order localopt_gap uses, so the
+    in ascending element order, the order LocalOptCertificate.at uses, so the
     cross-check against the greedy witness can demand float-exact equality.
     """
     n = f.ground_size
@@ -396,8 +379,8 @@ def check_certificate(
     canonical summation order, so any difference means the inputs changed.
     """
     issues = []
-    fresh = localopt_gap(
-        f, matroid, s, eps=certificate.eps, warm_value=certificate.warm_value
+    fresh = LocalOptCertificate.at(
+        make_tracker(f, s), matroid, certificate.eps, certificate.warm_value
     )
     if fresh.gap != certificate.gap:
         issues.append(

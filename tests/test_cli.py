@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nols import solvers
 from nols.cli import BENCH_COLUMNS, main
 from nols.instances import generate_instance, load_instance, save_instance
 from nols.matroids import rank
@@ -77,6 +78,7 @@ def test_solve_replay_is_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
         reps.append(out.read_bytes())
     assert reps[0] == reps[1]
+    assert main(["verify", "--instance", str(inst), "--report", str(out)]) == 0
 
 
 def test_solve_without_out_writes_the_report_to_stdout(tmp_path, capsys):
@@ -96,8 +98,10 @@ def test_verify_rejects_tampered_output(tmp_path, capsys):
     doc = json.loads(rep.read_text())
     doc["output_set"] = doc["output_set"][:-1]  # drop one element
     rep.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    # the output set is the projection of the lifted solution
+    assert "report.output_set must be " in capsys.readouterr().err
 
 
 def test_verify_rejects_forged_certificate(tmp_path, capsys):
@@ -118,13 +122,13 @@ _DROP = object()
     [
         ((), [], "report must be a JSON object"),
         (("levels",), _DROP, "report missing 'levels'"),
-        (("output_set",), [99], "report.output_set[0] must be below 12"),
+        (("output_set",), [99], "report.output_set must be "),
         (("lifted_solution",), None, "report.lifted_solution must be a list"),
         (("certificate",), [1.0], "report.certificate must be a JSON object"),
         (("certificate", "gap"), "0", "report.certificate.gap must be a number"),
         (("iterations",), -617, "report.iterations must be a non-negative integer"),
-        (("rank",), 2.5, "report.rank must be a non-negative integer"),
-        (("eps_inner",), "0.1", "report.eps_inner must be a number"),
+        (("rank",), 2.5, "report.rank must be "),
+        (("eps_inner",), "0.1", "report.eps_inner must be "),
         (("warm_value",), None, "report.warm_value must be a number"),
         (("variant",), "greedy", "report.variant must be 'deterministic' or"),
         (("regularized",), "false", "report.regularized must be true or false"),
@@ -133,9 +137,9 @@ _DROP = object()
         (("value_queries",), "lots", "report.value_queries must be a non-negative integer"),
         (("independence_queries",), -7,
          "report.independence_queries must be a non-negative integer"),
-        (("n",), "eight", "report.n must be a non-negative integer"),
-        (("n",), 8, "report.n must be the instance's 12, got 8"),
-        (("warm_start",), 42, "report.warm_start must be 'threshold_greedy', got 42"),
+        (("n",), "eight", 'report.n must be 12, got "eight"'),
+        (("n",), 8, "report.n must be 12, got 8"),
+        (("warm_start",), 42, 'report.warm_start must be "threshold_greedy", got 42'),
         (("value_queries",), _DROP, "report missing 'value_queries'"),
         (("n",), _DROP, "report missing 'n'"),
     ],
@@ -171,6 +175,53 @@ def test_verify_rejects_malformed_report(tmp_path, capsys, path, value, message)
     assert len(out.err.splitlines()) == 1
 
 
+def _widen_certificate(doc):
+    cert = doc["certificate"]
+    cert["eps"] = 1e6
+    cert["bound"] = cert["eps"] * cert["warm_value"]
+
+
+def _forge_all(doc):
+    _widen_certificate(doc)
+    doc.update(eps_inner=0.9, rank=7)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_widen_certificate, "report.certificate.bound must be "),
+        (lambda doc: doc.update(eps_inner=0.9), "report.eps_inner must be "),
+        (lambda doc: doc.update(rank=7), "report.rank must be 2, got 7"),
+        (_forge_all, "report.rank must be 2, got 7"),
+        (lambda doc: doc["certificate"].update(bound=1e6),
+         "report.certificate.bound must be "),
+        (lambda doc: doc["certificate"].update(warm_value=1e6),
+         "report.certificate.warm_value must be "),
+        (lambda doc: doc.update(extra=0), "report has unknown key 'extra'"),
+        (lambda doc: doc.update(rank=True), "report.rank must be 2, got true"),
+    ],
+    ids=[
+        "certificate-eps", "eps-inner", "rank", "all-three", "inflated-bound",
+        "certificate-warm-value", "extra-key", "bool-rank",
+    ],
+)
+def test_verify_rejects_inconsistent_report(tmp_path, capsys, edit, message):
+    # every derived field must equal what the primary fields determine, so a
+    # forger cannot widen the certificate's bound
+    inst = _gen(tmp_path, n=8, r=2)
+    rep = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    edit(doc)
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert message in out.err
+
+
 def test_verify_certificate_only_skips_brute_force(tmp_path, capsys):
     inst = _gen(tmp_path, n=30, r=4, seed=1)
     rep = tmp_path / "report.json"
@@ -184,12 +235,12 @@ def test_verify_certificate_only_skips_brute_force(tmp_path, capsys):
                  "--certificate-only"]) == 0
 
 
-def test_forced_randomized_failure_exits_two(tmp_path):
+def test_forced_randomized_failure_exits_two(tmp_path, monkeypatch):
     inst = _gen(tmp_path)
     rep = tmp_path / "report.json"
+    monkeypatch.setattr(solvers, "amplification_attempts", lambda eps: 0)
     code = main(["solve", "--instance", str(inst), "--eps", "0.5",
-                 "--variant", "randomized", "--seed", "0",
-                 "--retry-budget", "0", "--out", str(rep)])
+                 "--variant", "randomized", "--seed", "0", "--out", str(rep)])
     assert code == 2
     doc = json.loads(rep.read_text())
     assert doc["failed"] and doc["output_set"] == []
@@ -234,7 +285,12 @@ def test_verify_rejects_a_regularized_report_on_a_plain_instance(tmp_path, capsy
     capsys.readouterr()
     assert main(["verify", "--instance", str(plain), "--report", str(rep),
                  "--certificate-only"]) == 1
-    assert "FAIL: instance carries the regularizer" in capsys.readouterr().out.splitlines()
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "nols verify: error: report.regularized is true, but the instance has no "
+        "regularizer"
+    ]
 
 
 def test_bench_broadcasts_a_single_rank(tmp_path):
@@ -297,21 +353,14 @@ def test_gen_rejects_bad_shapes(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize(
     "case",
-    ["instance-list", "instance-not-json", "instance-missing", "eps-2", "negative-budget"],
+    ["instance-list", "instance-not-json", "instance-missing", "eps-2"],
 )
 def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, case):
     inst = _gen(tmp_path)
     rep = tmp_path / "report.json"
     assert main(["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]) == 0
-    eps, flags = "0.5", []
-    if case == "negative-budget":
-        # solve takes the budget as a flag; verify reads the iteration count
-        # such a budget once produced
-        flags = ["--variant", "randomized", "--retry-budget", "-1"]
-        doc = json.loads(rep.read_text())
-        doc["iterations"] = -617
-        rep.write_text(json.dumps(doc))
-    elif case == "instance-list":
+    eps = "0.5"
+    if case == "instance-list":
         inst.write_text("[]")
     elif case == "instance-not-json":
         inst.write_text("{")
@@ -322,7 +371,7 @@ def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, cas
         doc = json.loads(rep.read_text())
         doc["eps"] = 2.0
         rep.write_text(json.dumps(doc))
-    argv = ["--eps", eps, *flags] if command == "solve" else ["--report", str(rep)]
+    argv = ["--eps", eps] if command == "solve" else ["--report", str(rep)]
     capsys.readouterr()
     assert main([command, "--instance", str(inst), *argv]) == 1
     out = capsys.readouterr()
@@ -337,11 +386,14 @@ def fuzz_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     inst = _gen(tmp, n=8, r=2)
     docs = []
-    for flags, code in (([], 0), (["--variant", "randomized", "--retry-budget", "0"], 2)):
-        rep = tmp / "report.json"
-        argv = ["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]
-        assert main([*argv, *flags]) == code
-        docs.append(json.loads(rep.read_text()))
+    rep = tmp / "report.json"
+    argv = ["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]
+    assert main(argv) == 0
+    docs.append(json.loads(rep.read_text()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "amplification_attempts", lambda eps: 0)
+        assert main([*argv, "--variant", "randomized"]) == 2
+    docs.append(json.loads(rep.read_text()))
     return inst, docs, tmp / "fuzz.json"
 
 

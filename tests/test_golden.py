@@ -14,16 +14,24 @@ Regenerate only when a change of behaviour is intended:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from nols.cli import main as cli_main
 from nols.core import CountingMatroidOracle, CountingValueOracle, QueryLedger, RandomSource
-from nols.instances import InstanceFile, generate_instance, save_instance
+from nols.instances import (
+    InstanceFile,
+    generate_instance,
+    parse_report,
+    report_document,
+    save_instance,
+)
 from nols.matroids import UniformMatroid
 from nols.solvers import (
     RANDOMIZED,
@@ -94,7 +102,8 @@ def _cli_cells() -> dict[str, tuple[str, list[int] | None, list[str]]]:
     return cells
 
 
-def _solve_cell(tmp: Path, name: str) -> dict:
+def _run_cell(tmp: Path, name: str) -> tuple[InstanceFile, dict]:
+    """`nols solve` on a cell: its instance and the report it wrote."""
     key, reg, flags = _cli_cells()[name]
     instance = _instance(key)
     if reg is not None:
@@ -102,7 +111,11 @@ def _solve_cell(tmp: Path, name: str) -> dict:
     inst_path, out_path = tmp / f"{name}.instance.json", tmp / f"{name}.report.json"
     save_instance(instance, inst_path)
     cli_main(["solve", "--instance", str(inst_path), "--out", str(out_path), *flags])
-    doc = json.loads(out_path.read_text())
+    return instance, json.loads(out_path.read_text())
+
+
+def _solve_cell(tmp: Path, name: str) -> dict:
+    doc = _run_cell(tmp, name)[1]
     return {key: doc[key] for key in REPORT_FIELDS}
 
 
@@ -136,7 +149,9 @@ def _library_cell(name: str):
         config = SolverConfig(
             eps=0.5, variant=RANDOMIZED, seed=3, levels_override=int(key) or None
         )
-        rep = non_oblivious_solve(SquaredSize(), UniformMatroid(6, 2), config, retry_budget=2)
+        # two attempts, each failing: |S|^2 is supermodular
+        with mock.patch("nols.solvers.amplification_attempts", return_value=2):
+            rep = non_oblivious_solve(SquaredSize(), UniformMatroid(6, 2), config)
         return {
             "failed": rep.failed,
             "iterations": rep.iterations,
@@ -193,6 +208,30 @@ def _assert_matches(got, want, where=""):
 @pytest.mark.parametrize("name", sorted(_cli_cells()))
 def test_golden_cli_report(name, tmp_path):
     _assert_matches(_solve_cell(tmp_path, name), _golden()["cli"][name], name)
+
+
+@pytest.mark.parametrize(
+    "name, failed",
+    [(name, False) for name in sorted(_cli_cells())]
+    + [(name, True) for name in sorted(_cli_cells()) if "randomized" in name],
+)
+def test_report_round_trips(name, failed, tmp_path):
+    # parse_report inverts report_document, before and after the JSON text
+    reports = []
+
+    def solve(*args, **kwargs):
+        reports.append(non_oblivious_solve(*args, **kwargs))
+        return reports[-1]
+
+    attempts = mock.patch("nols.solvers.amplification_attempts", return_value=0)
+    with mock.patch("nols.cli.non_oblivious_solve", solve), (
+        attempts if failed else contextlib.nullcontext()
+    ):
+        instance, doc = _run_cell(tmp_path, name)
+    (report,) = reports
+    assert report.failed == failed
+    assert parse_report(report_document(report, instance), instance) == report
+    assert parse_report(doc, instance) == report
 
 
 @pytest.mark.parametrize("name", LIBRARY_CELLS)

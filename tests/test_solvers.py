@@ -568,11 +568,10 @@ def test_incremental_marginals_leave_the_solve_unchanged(weighted, variant, eps)
     assert fast == plain
 
 
-def test_non_oblivious_solve_failure_path():
+def test_non_oblivious_solve_failure_path(monkeypatch):
     f, m = tiny_coverage()
-    rep = non_oblivious_solve(
-        f, m, SolverConfig(eps=0.5, variant=RANDOMIZED, seed=0), retry_budget=0
-    )
+    monkeypatch.setattr(solvers, "amplification_attempts", lambda eps: 0)
+    rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=RANDOMIZED, seed=0))
     assert rep.failed
     assert len(rep.output_set) == 0
     assert rep.certificate is None
@@ -592,7 +591,7 @@ def test_solve_wires_counting_through_guide_and_matroid():
 
 
 @pytest.mark.parametrize(
-    "variant, retry_budget, squared",
+    "variant, attempts, squared",
     [
         (DETERMINISTIC, None, False),
         (RANDOMIZED, None, False),
@@ -601,9 +600,13 @@ def test_solve_wires_counting_through_guide_and_matroid():
     ],
     ids=["deterministic", "randomized", "randomized-no-attempt", "squared-size-failed"],
 )
-def test_every_oracle_call_of_a_solve_is_on_the_ledger(variant, retry_budget, squared):
+def test_every_oracle_call_of_a_solve_is_on_the_ledger(
+    monkeypatch, variant, attempts, squared
+):
     # each base query a solve asks is charged, on a failed run too; the one
     # extra value call is the reporting eval of the output
+    if attempts is not None:
+        monkeypatch.setattr(solvers, "amplification_attempts", lambda eps: attempts)
     if squared:
         f, m, seed = SquaredSize(), UniformMatroid(6, 2), 3
     else:
@@ -611,8 +614,8 @@ def test_every_oracle_call_of_a_solve_is_on_the_ledger(variant, retry_budget, sq
         f, m, seed = inst.build_objective(), inst.build_matroid(), 9
     recorder, matroid = RecordingOracle(f, hasattr(f, "extend")), RecordingMatroid(m)
     config = SolverConfig(eps=0.5, variant=variant, seed=seed)
-    rep = non_oblivious_solve(recorder, matroid, config, retry_budget=retry_budget)
-    assert rep.failed == (retry_budget is not None)
+    rep = non_oblivious_solve(recorder, matroid, config)
+    assert rep.failed == (attempts is not None)
     assert len(matroid.seen) == rep.ledger.independence_queries
     assert len(recorder.seen) == rep.ledger.value_queries + 1
     assert rep.rank == rank(m)

@@ -73,7 +73,6 @@ EXPECTED_ALL = [
     "check_matroid_axioms",
     "check_value_oracle",
     "exhaustive_gap",
-    "localopt_gap",
     "reference_local_search",
     # instances
     "InstanceFile",
@@ -91,7 +90,7 @@ def test_public_names_are_pinned():
 
 # every parameter and config field is a knob; adding one must show up here
 EXPECTED_PARAMETERS = {
-    "non_oblivious_solve": ["f", "matroid", "config", "regularizer", "retry_budget"],
+    "non_oblivious_solve": ["f", "matroid", "config", "regularizer"],
     "deterministic_local_search": ["f", "matroid", "eps"],
     "randomized_local_search": ["f", "matroid", "eps", "rng", "attempts"],
     "warm_start": ["f", "matroid"],
@@ -122,7 +121,7 @@ EXPECTED_FLAGS = {
     "gen": ["-h", "--help", "--family", "--n", "--r", "--seed", "--out"],
     "solve": [
         "-h", "--help", "--instance", "--eps", "--variant", "--seed", "--levels",
-        "--out", "--retry-budget",
+        "--out",
     ],
     "verify": ["-h", "--help", "--instance", "--report", "--certificate-only"],
     "bench": [

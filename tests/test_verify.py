@@ -11,7 +11,7 @@ from nols.objectives import (
     ModularFunction,
     make_tracker,
 )
-from nols.solvers import DETERMINISTIC, SolverConfig, non_oblivious_solve
+from nols.solvers import DETERMINISTIC, LocalOptCertificate, SolverConfig, non_oblivious_solve
 from nols.verify import (
     approximation_report,
     brute_force_opt,
@@ -19,7 +19,6 @@ from nols.verify import (
     check_matroid_axioms,
     check_value_oracle,
     exhaustive_gap,
-    localopt_gap,
     reference_local_search,
 )
 from suite import FamilyMatroid, tiny_coverage
@@ -70,13 +69,14 @@ def test_brute_force_scale_guard():
         brute_force_opt(f, m)
 
 
-def test_localopt_gap_zero_at_modular_optimum():
+def test_certificate_gap_zero_at_modular_optimum():
     f = ModularFunction([3, 1, 4, 1, 5])
     m = UniformMatroid(5, 2)
-    cert = localopt_gap(f, m, _es(5, [2, 4]))  # the true optimum
+    # at the true optimum
+    cert = LocalOptCertificate.at(make_tracker(f, _es(5, [2, 4])), m, 0.0, 0.0)
     assert cert.gap == 0.0
     assert cert.witness == _es(5, [2, 4])
-    worse = localopt_gap(f, m, _es(5, [1, 3]))
+    worse = LocalOptCertificate.at(make_tracker(f, _es(5, [1, 3])), m, 0.0, 0.0)
     assert worse.gap == 7.0  # witness {2,4} scores 9, current scores 2
 
 
@@ -89,7 +89,7 @@ def test_exhaustive_gap_agrees_with_greedy_witness():
         s = ElementSet.from_iterable(
             n, [u for u in range(n) if rng.randrange(3) == 0][: 2]
         )
-        cert = localopt_gap(f, m, s)
+        cert = LocalOptCertificate.at(make_tracker(f, s), m, 0.0, 0.0)
         assert exhaustive_gap(f, m, s) == pytest.approx(cert.gap, abs=1e-9)
 
 
@@ -98,7 +98,8 @@ def test_exhaustive_gap_on_lifted_instance():
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC, seed=0))
     guide = LiftedGuide(f, GuideWeights(rep.levels))
     lifted_m = lift(m, rep.levels)
-    cert = localopt_gap(guide, lifted_m, rep.lifted_solution)
+    tracker = make_tracker(guide, rep.lifted_solution)
+    cert = LocalOptCertificate.at(tracker, lifted_m, 0.0, 0.0)
     assert cert.gap == pytest.approx(rep.certificate.gap, abs=0)
     assert exhaustive_gap(guide, lifted_m, rep.lifted_solution) == pytest.approx(
         cert.gap, abs=1e-9
@@ -248,7 +249,7 @@ def test_check_certificate_detects_tampering():
 def _unfinished_certificate(warm_value):
     # at {0} the challenger {2} gains 3 - 1: gap 2, bound 0.5 * warm_value
     f, m, s = ModularFunction([1, 2, 3]), UniformMatroid(3, 1), _es(3, [0])
-    certificate = localopt_gap(f, m, s, eps=0.5, warm_value=warm_value)
+    certificate = LocalOptCertificate.at(make_tracker(f, s), m, 0.5, warm_value)
     assert (certificate.gap, certificate.witness) == (2, _es(3, [2]))
     return certificate, f, m, s
 
