@@ -205,8 +205,8 @@ class ValueOracle(Protocol):
     """Set function oracle: eval(S) -> value. ground_size is |N|.
 
     eval must be a pure function of the set: the same set always gives the
-    same value, with no side effect the solver relies on. The guide tracker
-    memoizes answers per state on that basis.
+    same value, with no side effect the solver relies on. The lifted guide
+    memoizes answers for the whole solve on that basis.
 
     An oracle may also offer an incremental pair, state(S) -> state and
     extend(state, u) -> value, which the guide tracker uses for
@@ -225,7 +225,12 @@ class ValueOracle(Protocol):
 
 
 class MatroidOracle(Protocol):
-    """Independence oracle: is_independent(S) -> bool. ground_size is |N|."""
+    """Independence oracle: is_independent(S) -> bool. ground_size is |N|.
+
+    is_independent must be a pure function of the set: the same set always
+    gives the same answer. The lifted matroid memoizes answers by projected
+    set on that basis.
+    """
 
     ground_size: int
 

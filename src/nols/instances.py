@@ -76,6 +76,10 @@ def _int(value, name: str) -> int:
 def _number(value, name: str) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
     return value
 
 

@@ -216,11 +216,15 @@ class LiftedMatroid:
 
     A lifted set is independent iff no base element appears at two levels
     and the projection of the occupied base elements is independent in the
-    inner matroid. The level-multiplicity check is free; each call costs at
-    most one inner independence query.
+    inner matroid. The level-multiplicity check is free. memo maps each
+    projected base mask to the inner answer, so a projection costs one
+    inner independence query the first time and nothing after: copies of
+    one base element at different levels project to the same set. Reuse is
+    exact because is_independent is a pure function of the set (the
+    MatroidOracle contract).
     """
 
-    __slots__ = ("inner", "levels", "ground_size")
+    __slots__ = ("inner", "levels", "ground_size", "memo")
 
     def __init__(self, inner: MatroidOracle, levels: int):
         if levels < 1:
@@ -228,6 +232,7 @@ class LiftedMatroid:
         self.inner = inner
         self.levels = levels
         self.ground_size = inner.ground_size * levels
+        self.memo: dict[int, bool] = {}
 
     def is_independent(self, s: ElementSet) -> bool:
         base_n = self.inner.ground_size
@@ -237,7 +242,10 @@ class LiftedMatroid:
             if seen & bit:
                 return False  # same base element at two levels
             seen |= bit
-        return self.inner.is_independent(ElementSet(base_n, seen))
+        known = self.memo.get(seen)
+        if known is None:
+            known = self.memo[seen] = self.inner.is_independent(ElementSet(base_n, seen))
+        return known
 
     def __repr__(self):
         return f"LiftedMatroid(levels={self.levels}, inner={self.inner!r})"

@@ -238,12 +238,15 @@ class LiftedGuide:
 
     Tables for eval and the tracker: reg_weights (zeros without a
     regularizer), the weight per level-subset mask, and the level subsets
-    holding each level.
+    holding each level. memo maps a base-set mask to its f value; every
+    tracker of this guide reads and writes it, so the inner oracle sees a
+    set at most once in the guide's life (one solve, as the solvers build
+    it).
     """
 
     __slots__ = (
         "inner", "levels", "ground_size", "reg_scale", "reg_weights",
-        "subset_weight", "with_level",
+        "subset_weight", "with_level", "memo",
     )
 
     def __init__(
@@ -264,6 +267,7 @@ class LiftedGuide:
         self.with_level = tuple(
             tuple(j for j in range(1, 1 << ell) if j >> lvl & 1) for lvl in range(ell)
         )
+        self.memo: dict[int, float] = {}
 
     def eval(self, s: ElementSet) -> float:
         union = subset_unions(level_masks(s, self.levels))
@@ -295,14 +299,14 @@ class LiftedTracker:
     touched projections. The tracked set must keep each base element on at
     most one level (solvers maintain this through matroid independence).
 
-    f values are memoized by base-set mask: the memo holds the current
-    projections and every set evaluated since the last apply(), so the
-    inner oracle sees a set at most once per state. Repeats across levels,
-    across level subsets with equal projections, and across scans or
-    iterations that applied no swap are free. apply() answers its refresh
-    from the memo, then starts a new one holding only the new projections,
-    which bounds memory by one state's evaluations. Reuse is exact because
-    f is a pure function of the set (the ValueOracle contract).
+    f values are memoized by base-set mask in the guide's memo, which
+    outlives apply() and is shared by every tracker of the guide, so the
+    inner oracle sees a set at most once per guide. Repeats across levels,
+    across level subsets with equal projections, across swaps, and across
+    the trackers of one solve are free, and apply() answers its refresh
+    from the memo. The memo grows by at most one entry per charged query.
+    Reuse is exact because f is a pure function of the set (the
+    ValueOracle contract).
 
     A memo miss in marginal_add extends the projection's stored state by
     one element, with the pair chosen once at construction: f's own
@@ -310,8 +314,9 @@ class LiftedTracker:
     mask as the state and an eval of the grown set as the extend. Either
     way an extend is charged as one value query, exactly where that eval
     would be. The states are recomputed at start and wherever apply()
-    changes a projection, at no charge; the memo charges an eval of each of
-    those same sets in the same place, so no value is learned for free.
+    changes a projection, at no charge; each of those sets is in the memo
+    by then, so its value was charged once, and no value is learned for
+    free.
     marginal_drop and the refresh in apply() always use eval.
     """
 
@@ -328,7 +333,7 @@ class LiftedTracker:
         if proj[-1].bit_count() != len(start):
             raise ValueError("tracked set holds a base element on two levels")
         self._proj = proj
-        self._memo = {}
+        self._memo = guide.memo
         self._fval = [0.0] + [self._f(p) for p in proj[1:]]
         inner = guide.inner
         n = inner.ground_size
@@ -348,7 +353,7 @@ class LiftedTracker:
 
     def _f(self, mask: int) -> float:
         """f of the base set with this mask, asked of the inner oracle at
-        most once per memo."""
+        most once per guide."""
         value = self._memo.get(mask)
         if value is None:
             inner = self.guide.inner
@@ -417,7 +422,6 @@ class LiftedTracker:
         for j in sorted(refresh):
             self._fval[j] = self._f(self._proj[j])
             self._state[j] = self._state_of(self._proj[j])
-        self._memo = dict(zip(self._proj[1:], self._fval[1:]))
         self._recompute_value()
 
 

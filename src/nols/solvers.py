@@ -545,11 +545,14 @@ def non_oblivious_solve(
 
     The level count is 1 + ceil(1/eps) unless overridden; the inner search
     runs at eps / (e (1 + ln levels)) on the lifted instance, whose
-    independence queries cost one base query each and whose guide queries
-    decompose into base value queries through the tracker. The certificate
-    lives on the lifted instance. A randomized run that exhausts its retry
-    budget returns the empty set with failed=True and no certificate; its
-    iterations and ledger still count every query it made.
+    independence queries cost one base query per distinct projection and
+    whose guide queries decompose into base value queries through the
+    tracker. The guide and the lifted matroid are built once per solve and
+    sit above the counting oracles, so their memos charge each distinct base
+    set once per solve. The certificate lives on the lifted instance. A
+    randomized run that exhausts its retry budget returns the empty set with
+    failed=True and no certificate; its iterations and ledger still count
+    every query it made.
 
     A regularizer folds its scaled modular term into the guide, so the
     output trades f against it: for every independent T, f(S) + reg(S) is

@@ -34,8 +34,8 @@ from .core import (
     ValueOracle,
     ge,
 )
-from .matroids import extend_to_base, mask_text, matroid_axiom_violations
-from .objectives import GuideWeights, make_tracker, subset_unions
+from .matroids import LiftedMatroid, extend_to_base, mask_text, matroid_axiom_violations
+from .objectives import GuideWeights, LiftedGuide, make_tracker, subset_unions
 from .solvers import LocalOptCertificate
 
 MAX_BRUTE_FORCE = 22
@@ -377,7 +377,13 @@ def check_certificate(
 
     Float equality is intentional: both computations follow the same
     canonical summation order, so any difference means the inputs changed.
+    A recheck pays for every query it asks: it first empties the memo of a
+    lifted guide or lifted matroid it is handed.
     """
+    if isinstance(f, LiftedGuide):
+        f.memo.clear()
+    if isinstance(matroid, LiftedMatroid):
+        matroid.memo.clear()
     issues = []
     fresh = LocalOptCertificate.at(
         make_tracker(f, s), matroid, certificate.eps, certificate.warm_value

@@ -199,10 +199,12 @@ def _forge_all(doc):
          "report.certificate.warm_value must be "),
         (lambda doc: doc.update(extra=0), "report has unknown key 'extra'"),
         (lambda doc: doc.update(rank=True), "report.rank must be 2, got true"),
+        (lambda doc: doc.update(warm_value=10**400),
+         "report.warm_value is too large for a float"),
     ],
     ids=[
         "certificate-eps", "eps-inner", "rank", "all-three", "inflated-bound",
-        "certificate-warm-value", "extra-key", "bool-rank",
+        "certificate-warm-value", "extra-key", "bool-rank", "huge-warm-value",
     ],
 )
 def test_verify_rejects_inconsistent_report(tmp_path, capsys, edit, message):

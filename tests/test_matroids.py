@@ -251,6 +251,12 @@ def test_lifted_matroid_counts_one_base_query():
     before = ledger.independence_queries
     assert lm.is_independent(_es(6, [0, 3]))
     assert ledger.independence_queries == before + 1
+    # the same base elements on other levels project to the same base set,
+    # which the lifted matroid asks once
+    assert lm.is_independent(_es(6, [1, 2]))
+    assert ledger.independence_queries == before + 1
+    assert lm.is_independent(_es(6, [4])) and lm.is_independent(_es(6, [5]))
+    assert ledger.independence_queries == before + 2
     assert rank(lm) == rank(base)
 
 

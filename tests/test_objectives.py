@@ -290,8 +290,8 @@ _COVERS = [[0, 1], [1, 2, 3], [3], [4, 5, 0], [5, 6, 7, 2]]
 @settings(max_examples=150, deadline=None)
 def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps):
     # after any add/drop/swap sequence the memoized tracker answers exactly
-    # like a fresh one, and its inner oracle never sees a set twice between
-    # two applies (the memo is per state and never stale). A tracker that
+    # like a fresh one, and its inner oracle never sees a set twice (the
+    # memo lasts as long as the guide and is never stale). A tracker that
     # answers add-marginals by extend and one that only evaluates agree
     # float-exactly, ask the same sets in the same order, and are charged
     # the same number of queries. Without a regularizer, a third tracker
@@ -330,8 +330,6 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
         assert all(ledger == ledgers[0] for ledger in ledgers)
 
     def apply(**move):
-        for recorder in recorders:
-            recorder.seen.clear()
         for t in trackers:
             t.apply(**move)
 

@@ -348,12 +348,13 @@ def test_carried_bounds_skip_only_marginals_the_eager_scan_rejects(
 
 
 def test_carried_bounds_skip_add_marginals_on_a_bait_chain():
-    # an eager scan asks 1,595 value queries here; the carried bounds save
-    # 588 of them, and the independence queries and scans stay the same
+    # the carried bounds and the solve-long memos hold the value queries to
+    # 643 here (the scans stay 6), and each projected set's independence is
+    # asked once
     f, m = bait_chain(64, 8, 0)
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
-    assert rep.ledger.value_queries == 1007
-    assert rep.ledger.independence_queries == 554
+    assert rep.ledger.value_queries == 643
+    assert rep.ledger.independence_queries == 204
     assert rep.iterations == 6
 
 
@@ -619,6 +620,32 @@ def test_every_oracle_call_of_a_solve_is_on_the_ledger(
     assert len(matroid.seen) == rep.ledger.independence_queries
     assert len(recorder.seen) == rep.ledger.value_queries + 1
     assert rep.rank == rank(m)
+
+
+def test_randomized_attempts_share_one_memo(monkeypatch):
+    # every attempt restarts at the base, and every tested point is a state
+    # some tracker already held, so each tracker after the warm start's
+    # finds its projections in the guide's memo; the ledger charges each
+    # distinct set once per solve
+    monkeypatch.setattr(solvers, "amplification_attempts", lambda eps: 2)
+    recorder = RecordingOracle(SquaredSize(), False)
+    made = []
+
+    def track(oracle, start):
+        asked = len(recorder.seen)
+        tracker = make_tracker(oracle, start)
+        made.append((start, len(recorder.seen) - asked))
+        return tracker
+
+    monkeypatch.setattr(solvers, "make_tracker", track)
+    config = SolverConfig(eps=0.5, variant=RANDOMIZED, seed=3)
+    rep = non_oblivious_solve(recorder, UniformMatroid(6, 2), config)
+    assert rep.failed
+    # the warm start's tracker, then at least the second attempt's
+    assert len(made) >= 2 and len(made[0][0]) == 0
+    assert [cost for _, cost in made[1:]] == [0] * (len(made) - 1)
+    charged = recorder.seen[: rep.ledger.value_queries]
+    assert len(charged) == len(set(charged))
 
 
 def test_reference_search_matches_modular_optimum():

@@ -3,7 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from nols.core import ElementSet, RandomSource
+from nols.core import (
+    CountingMatroidOracle,
+    CountingValueOracle,
+    ElementSet,
+    QueryLedger,
+    RandomSource,
+)
 from nols.matroids import ExplicitMatroid, UniformMatroid, lift
 from nols.objectives import (
     GuideWeights,
@@ -244,6 +250,28 @@ def test_check_certificate_detects_tampering():
     forged = replace(rep.certificate, gap=rep.certificate.gap - 1.0)
     issues = check_certificate(forged, guide, lifted_m, rep.lifted_solution)
     assert issues
+
+
+def test_check_certificate_starts_cold():
+    # a recheck pays for every query it asks, even when an earlier recheck
+    # filled the memos of the guide and lifted matroid it is handed
+    f, m = tiny_coverage()
+    rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
+    ledger = QueryLedger()
+    guide = LiftedGuide(CountingValueOracle(f, ledger), GuideWeights(rep.levels))
+    lifted_m = lift(CountingMatroidOracle(m, ledger), rep.levels)
+    charged = []
+    for _ in range(2):
+        before = replace(ledger)
+        assert check_certificate(rep.certificate, guide, lifted_m, rep.lifted_solution) == []
+        charged.append(
+            (
+                ledger.value_queries - before.value_queries,
+                ledger.independence_queries - before.independence_queries,
+            )
+        )
+    assert charged[0] == charged[1]
+    assert min(charged[0]) > 0
 
 
 def _unfinished_certificate(warm_value):
