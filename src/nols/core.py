@@ -128,6 +128,11 @@ class RandomSource:
     sequence and a fixed avalanche mix produces each output word. The same
     seed yields the same draw sequence on every platform and Python build,
     which is what makes replay tests byte-stable.
+
+    randrange is the one place the step is written out. It advances a
+    local copy of the state inside its rejection loop, so a draw is one
+    method call however many words it rejects, and next_u64 is the draw
+    that rejects none.
     """
 
     __slots__ = ("seed", "_state")
@@ -137,22 +142,23 @@ class RandomSource:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.randrange(1 << 64)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound). Unbiased via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        # accept only draws below the largest multiple of bound
+        # accept only words below the largest multiple of bound
         limit = (1 << 64) - ((1 << 64) % bound)
+        state = self._state
         while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % bound
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                self._state = state
+                return z % bound
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
@@ -176,10 +182,11 @@ def sample_without_replacement(
     if not 0 <= k <= m:
         raise ValueError(f"cannot sample {k} elements from a pool of {m}")
     items = range(m) if m == pool.n else pool.to_list()
+    randrange = rng.randrange
     moved: dict[int, int] = {}
     mask = 0
     for i in range(k):
-        j = i + rng.randrange(m - i)
+        j = i + randrange(m - i)
         mask |= 1 << items[moved.get(j, j)]
         moved[j] = moved.get(i, i)  # position i is never drawn again
     return ElementSet(pool.n, mask)

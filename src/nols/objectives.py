@@ -318,11 +318,17 @@ class LiftedTracker:
     by then, so its value was charged once, and no value is learned for
     free.
     marginal_drop and the refresh in apply() always use eval.
+
+    Each marginal, regularizer term included, is also kept per lifted
+    element until the next apply(), so a repeat is one dict lookup and the
+    same float: it is a pure function of the tracked state, which only
+    apply() changes. Membership is checked first, so one dict serves the
+    add-marginals of outside elements and the drop-marginals of members.
     """
 
     __slots__ = (
         "guide", "current", "value", "_proj", "_fval", "_reg_total", "_memo",
-        "_state_of", "_extend", "_state",
+        "_state_of", "_extend", "_state", "_marginal",
     )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
@@ -345,6 +351,7 @@ class LiftedTracker:
             self._extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
         self._state = [self._state_of(p) for p in proj]
         self._reg_total = sum(guide.reg_weights[x // ell] for x in start)
+        self._marginal: dict[ElementId, float] = {}
         self._recompute_value()
 
     @property
@@ -368,6 +375,9 @@ class LiftedTracker:
     def marginal_add(self, x: ElementId) -> float:
         if x in self.current:
             return 0.0
+        total = self._marginal.get(x)
+        if total is not None:
+            return total
         guide = self.guide
         ell = guide.levels
         u = x // ell
@@ -383,21 +393,28 @@ class LiftedTracker:
             if value is None:
                 value = memo[mask] = extend(self._state[j], u)
             total += wj[j] * (value - self._fval[j])
-        return total + guide.reg_scale * guide.reg_weights[u]
+        total = self._marginal[x] = total + guide.reg_scale * guide.reg_weights[u]
+        return total
 
     def marginal_drop(self, x: ElementId) -> float:
         if x not in self.current:
             raise KeyError(x)
+        total = self._marginal.get(x)
+        if total is not None:
+            return total
         guide = self.guide
         ell = guide.levels
-        ubit = 1 << (x // ell)
+        u = x // ell
+        ubit = 1 << u
         wj = guide.subset_weight
         total = 0.0
         for j in guide.with_level[x % ell]:
             total += wj[j] * (self._fval[j] - self._f(self._proj[j] & ~ubit))
-        return total + guide.reg_scale * guide.reg_weights[x // ell]
+        total = self._marginal[x] = total + guide.reg_scale * guide.reg_weights[u]
+        return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
+        self._marginal.clear()
         guide = self.guide
         ell, with_level, w = guide.levels, guide.with_level, guide.reg_weights
         s = self.current

@@ -464,6 +464,10 @@ def randomized_local_search(
         attempts = amplification_attempts(eps)
     elif type(attempts) is not int or attempts < 0:  # isinstance lets True in
         raise ValueError(f"attempts must be a non-negative int, got {attempts!r}")
+    if not isinstance(f, LiftedGuide):
+        # the one-level guide make_tracker would build, built once, so the
+        # warm start, every attempt and the tested point share one memo
+        f = LiftedGuide(f, GuideWeights(1))
     n = f.ground_size
     root = ceil_sqrt(n)
     ground = ElementSet.full(n)

@@ -64,7 +64,42 @@ def test_random_source_is_deterministic():
     seq_a = [a.randrange(1000) for _ in range(50)]
     seq_b = [b.randrange(1000) for _ in range(50)]
     assert seq_a == seq_b
-    assert RandomSource(124).randrange(1000) != seq_a[0] or True  # seeds differ, stream may too
+    c = RandomSource(124)
+    assert [c.randrange(1000) for _ in range(50)] != seq_a
+
+
+def test_random_source_known_words():
+    # SplitMix64 from seed 0, as every platform must produce it
+    rng = RandomSource(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+
+
+def test_randrange_rejection_matches_word_by_word_reference():
+    # a bound of 3 * 2**62 rejects every word at or above it, about a
+    # quarter of them; no workload draws with a bound that large
+    bound = 3 << 62
+
+    def reference(rng):
+        limit = (1 << 64) - ((1 << 64) % bound)
+        rejected = 0
+        while True:
+            x = rng.next_u64()
+            if x < limit:
+                return x % bound, rejected
+            rejected += 1
+
+    fast, slow = RandomSource(9), RandomSource(9)
+    rejected = 0
+    for _ in range(400):
+        want, missed = reference(slow)
+        assert fast.randrange(bound) == want
+        assert fast._state == slow._state
+        rejected += missed
+    assert 60 < rejected < 200  # the rejection path ran, at about 1/3 per draw
 
 
 def test_random_source_range_and_shuffle():

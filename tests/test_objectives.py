@@ -357,6 +357,46 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
         check()
 
 
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("reg_weights", [None, [0.5, -1.25, 0.0, 3.0, 1.5]])
+def test_tracker_keeps_each_marginal_until_apply(L, reg_weights):
+    # a repeated marginal with no apply in between is the same float and
+    # needs neither the inner oracle nor the guide's memo, which is emptied
+    # before the repeat; after an apply every marginal is recomputed, so it
+    # matches a fresh tracker's at the new set
+    f = CoverageFunction(8, _COVERS)
+    reg = None if reg_weights is None else LinearRegularizer(reg_weights)
+    ledger = QueryLedger()
+    guide = LiftedGuide(CountingValueOracle(f, ledger), GuideWeights(L), reg)
+    fresh_guide = LiftedGuide(f, GuideWeights(L), reg)
+    n2 = guide.ground_size
+    tracker = make_tracker(guide, ElementSet.empty(n2))
+    rng = RandomSource(L)
+
+    def marginals(t):
+        return [
+            (t.marginal_drop(x) if x in t.current else t.marginal_add(x)).hex()
+            for x in range(n2)
+        ]
+
+    for _ in range(12):
+        first = marginals(tracker)
+        assert first == marginals(make_tracker(fresh_guide, tracker.current))
+        guide.memo.clear()
+        before = ledger.value_queries
+        assert marginals(tracker) == first
+        assert ledger.value_queries == before
+        for x in tracker.current:  # its drop-marginal is kept, yet it adds 0
+            assert tracker.marginal_add(x) == 0.0
+        s = tracker.current
+        held = {x // L for x in s}
+        addable = [x for x in range(n2) if x // L not in held]
+        if s and (not addable or rng.randrange(3) == 0):
+            tracker.apply(drop=s.to_list()[rng.randrange(len(s))])
+        else:
+            tracker.apply(add=addable[rng.randrange(len(addable))])
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
