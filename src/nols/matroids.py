@@ -217,14 +217,20 @@ class LiftedMatroid:
     A lifted set is independent iff no base element appears at two levels
     and the projection of the occupied base elements is independent in the
     inner matroid. The level-multiplicity check is free. memo maps each
-    projected base mask to the inner answer, so a projection costs one
-    inner independence query the first time and nothing after: copies of
-    one base element at different levels project to the same set. Reuse is
-    exact because is_independent is a pure function of the set (the
-    MatroidOracle contract).
+    occupied set to the inner answer, so a projection costs one inner
+    independence query the first time and nothing after: copies of one base
+    element at different levels project to the same set. Reuse is exact
+    because is_independent is a pure function of the set (the MatroidOracle
+    contract).
+
+    A query folds each base element's levels onto its first level with
+    whole-mask shifts, about log2(levels) of them, so the multiplicity
+    check and a memo hit cost a few big-int operations whatever the size of
+    the set. Only a miss, which asks the inner matroid anyway, walks the
+    occupied bits to build the base set it asks.
     """
 
-    __slots__ = ("inner", "levels", "ground_size", "memo")
+    __slots__ = ("inner", "levels", "ground_size", "memo", "_shifts", "_firsts")
 
     def __init__(self, inner: MatroidOracle, levels: int):
         if levels < 1:
@@ -233,18 +239,43 @@ class LiftedMatroid:
         self.levels = levels
         self.ground_size = inner.ground_size * levels
         self.memo: dict[int, bool] = {}
+        # after OR-ing in these shifts, bit i of the fold is set iff the set
+        # has a member in [i, i + levels); each step at most doubles the
+        # window, and the last one stops it at exactly `levels`
+        shifts = []
+        width = 1
+        while width < levels:
+            step = min(width, levels - width)
+            shifts.append(step)
+            width += step
+        self._shifts = tuple(shifts)
+        # bit u*levels for every base element u: the first level of each
+        self._firsts = ((1 << self.ground_size) - 1) // ((1 << levels) - 1)
 
     def is_independent(self, s: ElementSet) -> bool:
-        base_n = self.inner.ground_size
-        seen = 0
-        for x in s:
-            bit = 1 << (x // self.levels)
-            if seen & bit:
-                return False  # same base element at two levels
-            seen |= bit
-        known = self.memo.get(seen)
+        if s.n != self.ground_size:
+            raise ValueError(
+                f"lifted set over {s.n} elements, lifted matroid over "
+                f"{self.ground_size}"
+            )
+        mask = s.mask
+        folded = mask
+        for step in self._shifts:
+            folded |= folded >> step
+        occupied = folded & self._firsts  # bit u*levels per occupied base u
+        if occupied.bit_count() != mask.bit_count():
+            return False  # same base element at two levels
+        known = self.memo.get(occupied)
         if known is None:
-            known = self.memo[seen] = self.inner.is_independent(ElementSet(base_n, seen))
+            levels = self.levels
+            base = 0
+            rest = occupied
+            while rest:
+                low = rest & -rest
+                base |= 1 << ((low.bit_length() - 1) // levels)
+                rest ^= low
+            known = self.inner.is_independent(ElementSet(self.inner.ground_size, base))
+            self.memo[occupied] = known
         return known
 
     def __repr__(self):

@@ -18,6 +18,7 @@ from nols.matroids import (
     min_weight_exchange,
     rank,
 )
+from nols.objectives import MAX_LEVELS
 from nols.verify import check_matroid_axioms
 from suite import FamilyMatroid, RecordingMatroid, greedy_independent
 
@@ -260,19 +261,47 @@ def test_lifted_matroid_counts_one_base_query():
     assert rank(lm) == rank(base)
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**12 - 1))
-@settings(max_examples=150)
-def test_lifted_membership_matches_projection_rule(n, levels, raw):
-    base = UniformMatroid(n, max(1, n - 1))
-    lm = lift(base, levels)
-    mask = raw & ((1 << (n * levels)) - 1)
-    s = ElementSet(n * levels, mask)
-    bases = [x // levels for x in s]
-    expected = len(bases) == len(set(bases)) and base.is_independent(
-        ElementSet.from_iterable(n, set(bases))
-    )
-    assert lm.is_independent(s) == expected
+def _per_member_walk(inner, levels):
+    """Reference lifted oracle: projects member by member, rejects a base
+    element met twice, and memoizes inner answers by base mask."""
+    memo = {}
 
+    def is_independent(s):
+        seen = 0
+        for x in s:
+            bit = 1 << (x // levels)
+            if seen & bit:
+                return False
+            seen |= bit
+        if seen not in memo:
+            memo[seen] = inner.is_independent(ElementSet(inner.ground_size, seen))
+        return memo[seen]
+
+    return is_independent
+
+
+@given(st.integers(1, 80), st.integers(1, MAX_LEVELS), st.integers(0, 12), st.data())
+@settings(max_examples=150)
+def test_lifted_membership_matches_projection_rule(n, levels, k, data):
+    # sets over up to 1,600 lifted elements span many int digits, so the
+    # level fold shifts across digit boundaries; the inner matroid must be
+    # asked exactly the base sets, in the order, that a per-member walk asks
+    base = UniformMatroid(n, k)
+    asked, reference_asked = RecordingMatroid(base), RecordingMatroid(base)
+    lm = lift(asked, levels)
+    reference = _per_member_walk(reference_asked, levels)
+    element = st.tuples(st.integers(0, n - 1), st.integers(0, levels - 1))
+    level = st.integers(0, levels - 1)
+    members = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        if members and data.draw(st.booleans()):
+            # the same base elements on other levels: a memo hit
+            members = [(u, data.draw(level)) for u, _ in members]
+        else:
+            members = data.draw(st.lists(element, max_size=14))
+        s = ElementSet.from_iterable(n * levels, [u * levels + j for u, j in members])
+        assert lm.is_independent(s) == reference(s)
+    assert asked.seen == reference_asked.seen
 
 
 @pytest.mark.parametrize(
@@ -287,11 +316,15 @@ def test_lifted_membership_matches_projection_rule(n, levels, raw):
         (lambda: ExplicitMatroid(21, [[]]), "explicit matroid capped at n <= 20"),
         (lambda: ExplicitMatroid(2, [0, 4]), "mask outside universe"),
         (lambda: lift(UniformMatroid(2, 1), 0), "levels must be >= 1"),
+        (
+            lambda: lift(UniformMatroid(4, 2), 3).is_independent(ElementSet(15, 1 << 13)),
+            "lifted set over 15 elements, lifted matroid over 12",
+        ),
     ],
     ids=[
         "uniform-n", "uniform-k", "partition-capacities", "partition-element",
         "partition-negative", "graphic-edge", "explicit-cap", "explicit-mask",
-        "lift-levels",
+        "lift-levels", "lift-universe",
     ],
 )
 def test_matroid_guards_name_the_problem(build, message):
