@@ -216,12 +216,12 @@ class ValueOracle(Protocol):
     memoizes answers for the whole solve on that basis.
 
     An oracle may also offer an incremental pair, state(S) -> state and
-    extend(state, u) -> value, which the guide tracker uses for
-    add-marginals. state(S) must be a pure function of the set, and
-    extend(state(S), u) must equal eval(S + u) exactly. An extend counts as
-    one value query. Without the pair, the tracker keeps the set's mask as
-    the state and extends it by an eval of S + u, also one query per
-    extend. state is not charged, yet it may reveal f(S) (for
+    extend(state, u) -> value, which the lifted guide built on it picks up
+    once for its trackers' add-marginals. state(S) must be a pure function
+    of the set, and extend(state(S), u) must equal eval(S + u) exactly. An
+    extend counts as one value query. Without the pair, the guide keeps the
+    set's mask as the state and extends it by an eval of S + u, also one
+    query per extend. state is not charged, yet it may reveal f(S) (for
     coverage it is the covered-point mask), so it may only be called on a
     set whose value has already been charged, as the guide tracker does.
     """

@@ -12,6 +12,7 @@ with a ValueError that names it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,9 +78,11 @@ def _number(value, name: str) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {type(value).__name__}")
     try:
-        float(value)
+        finite = math.isfinite(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -237,16 +237,22 @@ class LiftedGuide:
     then not certified by this package's checks.
 
     Tables for eval and the tracker: reg_weights (zeros without a
-    regularizer), the weight per level-subset mask, and the level subsets
-    holding each level. memo maps a base-set mask to its f value; every
-    tracker of this guide reads and writes it, so the inner oracle sees a
-    set at most once in the guide's life (one solve, as the solvers build
-    it).
+    regularizer), reg_terms (reg_scale * reg_weights[x // levels], the
+    regularizer's term in every marginal at lifted element x), the weight
+    per level-subset mask, and the level subsets holding each level. memo
+    maps a base-set mask to its f value; every tracker of this guide reads
+    and writes it, so the inner oracle sees a set at most once in the
+    guide's life (one solve, as the solvers build it).
+
+    inner_state(mask) and inner_extend(state, u) are f's incremental pair
+    (see ValueOracle), picked once: f's own state/extend, else the mask and
+    an eval of the grown set. They are not named state/extend, since the
+    guide, itself a value oracle, offers no pair.
     """
 
     __slots__ = (
-        "inner", "levels", "ground_size", "reg_scale", "reg_weights",
-        "subset_weight", "with_level", "memo",
+        "inner", "levels", "ground_size", "reg_scale", "reg_weights", "reg_terms",
+        "subset_weight", "with_level", "memo", "inner_state", "inner_extend",
     )
 
     def __init__(
@@ -258,16 +264,23 @@ class LiftedGuide:
         if regularizer is not None and regularizer.ground_size != inner.ground_size:
             raise ValueError("regularizer universe does not match the objective")
         ell = self.levels = weights.levels
+        n = inner.ground_size
         self.inner = inner
-        self.ground_size = inner.ground_size * ell
-        self.reg_scale = weights.floats[ell] * (ell + 1)
-        zeros = (0.0,) * inner.ground_size
-        self.reg_weights = zeros if regularizer is None else regularizer.weights
+        self.ground_size = n * ell
+        scale = self.reg_scale = weights.floats[ell] * (ell + 1)
+        w = self.reg_weights = (0.0,) * n if regularizer is None else regularizer.weights
+        self.reg_terms = tuple(scale * wu for wu in w for _ in range(ell))
         self.subset_weight = tuple(weights.floats[j.bit_count()] for j in range(1 << ell))
         self.with_level = tuple(
             tuple(j for j in range(1, 1 << ell) if j >> lvl & 1) for lvl in range(ell)
         )
         self.memo: dict[int, float] = {}
+        if hasattr(inner, "extend"):
+            self.inner_state = lambda mask: inner.state(ElementSet(n, mask))
+            self.inner_extend = inner.extend
+        else:
+            self.inner_state = lambda mask: mask
+            self.inner_extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
 
     def eval(self, s: ElementSet) -> float:
         union = subset_unions(level_masks(s, self.levels))
@@ -289,9 +302,9 @@ class LiftedGuide:
 
 class LiftedTracker:
     """Incremental guide state: one projection and cached f value per level
-    subset, plus the running regularizer total. The regularizer term is
-    always added; without a regularizer its weights are zero, and adding
-    zero changes no float.
+    subset, plus the running regularizer total. Each marginal adds the
+    guide's reg_terms entry: zero without a regularizer, which changes no
+    float.
 
     A marginal at a lifted element touches only the 2^(levels-1) subsets
     containing its level and costs at most one inner query per touched
@@ -309,14 +322,11 @@ class LiftedTracker:
     ValueOracle contract).
 
     A memo miss in marginal_add extends the projection's stored state by
-    one element, with the pair chosen once at construction: f's own
-    state/extend when it offers them (see ValueOracle), else the projection
-    mask as the state and an eval of the grown set as the extend. Either
-    way an extend is charged as one value query, exactly where that eval
-    would be. The states are recomputed at start and wherever apply()
-    changes a projection, at no charge; each of those sets is in the memo
-    by then, so its value was charged once, and no value is learned for
-    free.
+    one element with the guide's inner_state/inner_extend pair, charged as
+    one value query, exactly where an eval of the grown set would be. The
+    states are recomputed at start and wherever apply() changes a
+    projection, at no charge; each of those sets is in the memo by then,
+    so its value was charged once, and no value is learned for free.
     marginal_drop and the refresh in apply() always use eval.
 
     Each marginal, regularizer term included, is also kept per lifted
@@ -328,7 +338,7 @@ class LiftedTracker:
 
     __slots__ = (
         "guide", "current", "value", "_proj", "_fval", "_reg_total", "_memo",
-        "_state_of", "_extend", "_state", "_marginal",
+        "_state", "_marginal",
     )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
@@ -341,15 +351,7 @@ class LiftedTracker:
         self._proj = proj
         self._memo = guide.memo
         self._fval = [0.0] + [self._f(p) for p in proj[1:]]
-        inner = guide.inner
-        n = inner.ground_size
-        if hasattr(inner, "extend"):
-            self._state_of = lambda mask: inner.state(ElementSet(n, mask))
-            self._extend = inner.extend
-        else:
-            self._state_of = lambda mask: mask
-            self._extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
-        self._state = [self._state_of(p) for p in proj]
+        self._state = [guide.inner_state(p) for p in proj]
         self._reg_total = sum(guide.reg_weights[x // ell] for x in start)
         self._marginal: dict[ElementId, float] = {}
         self._recompute_value()
@@ -382,7 +384,7 @@ class LiftedTracker:
         ell = guide.levels
         u = x // ell
         ubit = 1 << u
-        wj, memo, extend = guide.subset_weight, self._memo, self._extend
+        wj, memo, extend = guide.subset_weight, self._memo, guide.inner_extend
         total = 0.0
         for j in guide.with_level[x % ell]:
             pj = self._proj[j]
@@ -393,7 +395,7 @@ class LiftedTracker:
             if value is None:
                 value = memo[mask] = extend(self._state[j], u)
             total += wj[j] * (value - self._fval[j])
-        total = self._marginal[x] = total + guide.reg_scale * guide.reg_weights[u]
+        total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
     def marginal_drop(self, x: ElementId) -> float:
@@ -404,13 +406,12 @@ class LiftedTracker:
             return total
         guide = self.guide
         ell = guide.levels
-        u = x // ell
-        ubit = 1 << u
+        ubit = 1 << (x // ell)
         wj = guide.subset_weight
         total = 0.0
         for j in guide.with_level[x % ell]:
             total += wj[j] * (self._fval[j] - self._f(self._proj[j] & ~ubit))
-        total = self._marginal[x] = total + guide.reg_scale * guide.reg_weights[u]
+        total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
@@ -438,13 +439,19 @@ class LiftedTracker:
         self.current = s
         for j in sorted(refresh):
             self._fval[j] = self._f(self._proj[j])
-            self._state[j] = self._state_of(self._proj[j])
+            self._state[j] = guide.inner_state(self._proj[j])
         self._recompute_value()
 
 
+def as_guide(oracle: ValueOracle) -> LiftedGuide:
+    """The oracle as a guide: a LiftedGuide is returned as it is, any other
+    oracle becomes its one-level guide, which is the oracle itself (weight
+    1, no regularizer). Plain local search is this guide's search."""
+    if isinstance(oracle, LiftedGuide):
+        return oracle
+    return LiftedGuide(oracle, GuideWeights(1))
+
+
 def make_tracker(oracle: ValueOracle, start: ElementSet) -> LiftedTracker:
-    """Marginal tracker for the oracle. Any oracle but a LiftedGuide is
-    tracked as the one-level guide, which is the oracle itself (weight 1)."""
-    if not isinstance(oracle, LiftedGuide):
-        oracle = LiftedGuide(oracle, GuideWeights(1))
-    return LiftedTracker(oracle, start)
+    """Marginal tracker for the oracle, tracked as as_guide(oracle)."""
+    return LiftedTracker(as_guide(oracle), start)

@@ -36,6 +36,7 @@ from .objectives import (
     LinearRegularizer,
     MAX_LEVELS,
     GuideWeights,
+    as_guide,
     make_tracker,
     project_all,
 )
@@ -302,21 +303,12 @@ def _check_eps(eps) -> None:
 # ----- deterministic search -----
 
 
-def _regularizer_term(f: ValueOracle):
-    """x -> the regularizer's term in every marginal at lifted element x,
-    as the tracker adds it. It is zero unless f is a guide with a
-    regularizer: make_tracker tracks any other oracle without one."""
-    if not isinstance(f, LiftedGuide):
-        return lambda x: 0.0
-    return lambda x: f.reg_scale * f.reg_weights[x // f.levels]
-
-
 def deterministic_local_search(
     f: ValueOracle,
     matroid: MatroidOracle,
     eps: float,
 ) -> LocalSearchResult:
-    """Swap local search with acceptance threshold (eps / r) * f(S0).
+    """Swap local search on as_guide(f), threshold (eps / r) * f(S0).
 
     Warm start, extend to a base, then repeat: compute the drop marginal of
     every member, and for each candidate v (ascending, singleton
@@ -350,13 +342,13 @@ def deterministic_local_search(
     raises ValueError.
     """
     _check_eps(eps)
+    f = as_guide(f)
     n = f.ground_size
     tracker, warm_set, warm_value = _warm_base(f, matroid)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
     independent_alone = _alone_oracle(matroid, n)
-    regularizer_term = _regularizer_term(f)
     carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
     dropped = 0.0  # D
     iterations = 0
@@ -394,7 +386,7 @@ def deterministic_local_search(
             gain = gain_add - drop_w[u_v]
             if _clears(gain, threshold):
                 tracker.apply(add=v, drop=u_v)
-                dropped += drop_w[u_v] - regularizer_term(u_v)
+                dropped += drop_w[u_v] - f.reg_terms[u_v]
                 swapped = True
                 break
         if not swapped:
@@ -428,8 +420,8 @@ def randomized_local_search(
     *,
     attempts: int | None = None,
 ) -> LocalSearchResult:
-    """Sampled-swap search, amplified over attempts; the first passing
-    attempt wins.
+    """Sampled-swap search on as_guide(f), amplified over attempts; the
+    first passing attempt wins.
 
     The search warm-starts and extends to a base once. Each attempt starts
     there and runs k = ceil(18 r / eps) iterations that each sample a drop
@@ -464,10 +456,7 @@ def randomized_local_search(
         attempts = amplification_attempts(eps)
     elif type(attempts) is not int or attempts < 0:  # isinstance lets True in
         raise ValueError(f"attempts must be a non-negative int, got {attempts!r}")
-    if not isinstance(f, LiftedGuide):
-        # the one-level guide make_tracker would build, built once, so the
-        # warm start, every attempt and the tested point share one memo
-        f = LiftedGuide(f, GuideWeights(1))
+    f = as_guide(f)
     n = f.ground_size
     root = ceil_sqrt(n)
     ground = ElementSet.full(n)

@@ -18,7 +18,6 @@ checkers report at most 20 violations.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -35,7 +34,7 @@ from .core import (
     ge,
 )
 from .matroids import LiftedMatroid, extend_to_base, mask_text, matroid_axiom_violations
-from .objectives import GuideWeights, LiftedGuide, make_tracker, subset_unions
+from .objectives import GuideWeights, as_guide, make_tracker, subset_unions
 from .solvers import LocalOptCertificate
 
 MAX_BRUTE_FORCE = 22
@@ -377,16 +376,17 @@ def check_certificate(
 
     Float equality is intentional: both computations follow the same
     canonical summation order, so any difference means the inputs changed.
-    A recheck pays for every query it asks: it first empties the memo of a
-    lifted guide or lifted matroid it is handed.
+    A recheck tracks as_guide(f) and pays for every query it asks: it first
+    empties the memo of that guide and of a lifted matroid it is handed. An
+    infinite or NaN gap fails the pass test.
     """
-    if isinstance(f, LiftedGuide):
-        f.memo.clear()
+    guide = as_guide(f)
+    guide.memo.clear()
     if isinstance(matroid, LiftedMatroid):
         matroid.memo.clear()
     issues = []
     fresh = LocalOptCertificate.at(
-        make_tracker(f, s), matroid, certificate.eps, certificate.warm_value
+        make_tracker(guide, s), matroid, certificate.eps, certificate.warm_value
     )
     if fresh.gap != certificate.gap:
         issues.append(
@@ -400,7 +400,7 @@ def check_certificate(
             f"bound mismatch: stored {certificate.bound!r}, "
             f"eps * warm_value = {expected_bound!r}"
         )
-    if math.isfinite(certificate.gap) and not certificate.passes():
+    if not certificate.passes():
         issues.append(
             f"certificate does not pass: gap {certificate.gap!r} exceeds "
             f"bound {certificate.bound!r}"

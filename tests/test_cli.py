@@ -2,9 +2,11 @@ import copy
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,6 +297,20 @@ def test_verify_rejects_a_regularized_report_on_a_plain_instance(tmp_path, capsy
     ]
 
 
+def test_readme_examples_print_what_the_readme_says(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(quick_start, {})
+    assert f"# {capsys.readouterr().out.splitlines()[0]}\n" in quick_start
+    # the README's bench grid, deterministic cells only
+    assert main(["bench", "--family", "coverage", "--n", "64,128,256", "--eps", "0.5",
+                 "--variants", "deterministic", "--seeds", "0,1",
+                 "--out", str(tmp_path / "bench.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("summary variant=deterministic eps=0.5 ")
+    assert f"  {summary}\n" in readme
+
+
 def test_bench_broadcasts_a_single_rank(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--n", "8,12", "--r", "2", "--out", str(out)]) == 0
@@ -355,7 +371,7 @@ def test_gen_rejects_bad_shapes(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize(
     "case",
-    ["instance-list", "instance-not-json", "instance-missing", "eps-2"],
+    ["instance-list", "instance-not-json", "instance-missing", "eps-2", "weight-inf"],
 )
 def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, case):
     inst = _gen(tmp_path)
@@ -368,6 +384,10 @@ def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, cas
         inst.write_text("{")
     elif case == "instance-missing":
         inst = tmp_path / "missing.json"
+    elif case == "weight-inf":  # json writes and reads the token Infinity
+        doc = json.loads(inst.read_text())
+        doc["objective"] = {"kind": "modular", "weights": [math.inf] + [1] * (doc["n"] - 1)}
+        inst.write_text(json.dumps(doc))
     else:  # solve takes eps as a flag, verify reads it from the report
         eps = "2"
         doc = json.loads(rep.read_text())
@@ -380,6 +400,8 @@ def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, cas
     assert out.out == ""
     assert len(out.err.splitlines()) == 1
     assert "Traceback" not in out.err
+    if case == "weight-inf":
+        assert "objective.weights[0] must be finite" in out.err
 
 
 @pytest.fixture(scope="module")

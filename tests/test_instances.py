@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 
 import pytest
@@ -88,6 +89,27 @@ def _doc(**changes) -> dict:
         (_doc(matroid={"kind": "graphic", "vertices": 2, "edges": [[0, 1]]}),
          "matroid ground size disagrees with n"),
         (_doc(regularizer={"weights": [1, 2]}), "regularizer length disagrees with n"),
+        # json reads NaN and Infinity; a non-finite number is refused by name
+        (_doc(n=3, objective={"kind": "modular", "weights": [math.inf, 1, 2]}),
+         "objective.weights[0] must be finite"),
+        (_doc(n=3, objective={"kind": "modular", "weights": [1, math.nan, 2]}),
+         "objective.weights[1] must be finite"),
+        (_doc(objective={"kind": "coverage", "universe": 2, "covers": [[0]] * 6,
+                         "point_weights": [1, math.inf]}),
+         "objective.point_weights[1] must be finite"),
+        (_doc(objective={"kind": "coverage", "universe": 2, "covers": [[0]] * 6,
+                         "point_weights": [math.nan, 1]}),
+         "objective.point_weights[0] must be finite"),
+        (_doc(n=3, objective={"kind": "concave_modular", "weights": [1, 2, 3],
+                              "shape": "cap", "cap": math.inf}),
+         "objective.cap must be finite"),
+        (_doc(n=3, objective={"kind": "concave_modular", "weights": [1, 2, 3],
+                              "shape": "cap", "cap": math.nan}),
+         "objective.cap must be finite"),
+        (_doc(regularizer={"weights": [0, 0, -math.inf, 0, 0, 0]}),
+         "regularizer.weights[2] must be finite"),
+        (_doc(regularizer={"weights": [0, 0, 0, 0, 0, math.nan]}),
+         "regularizer.weights[5] must be finite"),
     ],
 )
 def test_malformed_documents_name_the_field(doc, field):

@@ -14,6 +14,7 @@ from nols.objectives import (
     LiftedGuide,
     LinearRegularizer,
     ModularFunction,
+    as_guide,
     level_masks,
     make_tracker,
     project,
@@ -427,3 +428,32 @@ def test_tracker_keeps_each_marginal_until_apply(L, reg_weights):
 def test_objective_guards_name_the_problem(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_as_guide_returns_a_guide_as_it_is_and_wraps_any_other_oracle():
+    f, _ = tiny_coverage()
+    guide = LiftedGuide(f, GuideWeights(3))
+    assert as_guide(guide) is guide
+    plain = as_guide(f)
+    assert (plain.inner, plain.levels, plain.ground_size) == (f, 1, f.ground_size)
+    assert plain.reg_terms == (0.0,) * f.ground_size
+
+
+def test_a_counted_guide_evaluates_and_tracks():
+    # the guide offers no state/extend of its own, so a counting wrapper
+    # around it is a plain value oracle, tracked as its one-level guide
+    f, _ = tiny_coverage()
+    guide = LiftedGuide(f, GuideWeights(2), LinearRegularizer([1, -1, 0.5, 0]))
+    ledger = QueryLedger()
+    counted = CountingValueOracle(guide, ledger)
+    assert not hasattr(counted, "extend")
+    s = _es(8, [2, 7])  # base 1 on level 1, base 3 on level 2
+    assert counted.eval(s) == guide.eval(s)
+    tracker = make_tracker(counted, s)
+    assert tracker.value == guide.eval(s)
+    for x in range(8):
+        if x in s:
+            assert tracker.marginal_drop(x) == guide.eval(s) - guide.eval(s.remove(x))
+        else:
+            assert tracker.marginal_add(x) == guide.eval(s.add(x)) - guide.eval(s)
+    assert ledger.value_queries == 1 + 1 + 8  # eval, tracker start, one per marginal

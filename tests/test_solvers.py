@@ -26,6 +26,7 @@ from nols.objectives import (
     LiftedGuide,
     LinearRegularizer,
     ModularFunction,
+    as_guide,
     make_tracker,
     project_all,
 )
@@ -806,3 +807,20 @@ def test_every_passed_solve_carries_a_passing_certificate(
     guide = LiftedGuide(f, GuideWeights(rep.levels))
     lifted = lift(m, rep.levels)
     assert check_certificate(rep.certificate, guide, lifted, rep.lifted_solution) == []
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+def test_a_plain_oracle_is_searched_as_its_one_level_guide(variant):
+    inst = generate_instance("coverage", 24, 4, 0)
+    runs = []
+    for door in (lambda oracle: oracle, as_guide):
+        ledger = QueryLedger()
+        f = door(CountingValueOracle(inst.build_objective(), ledger))
+        m = CountingMatroidOracle(inst.build_matroid(), ledger)
+        if variant == DETERMINISTIC:
+            result = deterministic_local_search(f, m, 0.25)
+        else:
+            result = randomized_local_search(f, m, 0.25, RandomSource(3))
+        runs.append((result, ledger.value_queries, ledger.independence_queries))
+    assert runs[0] == runs[1]
+    assert runs[0][0].certificate is not None

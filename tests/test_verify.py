@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -296,11 +297,18 @@ def test_check_certificate_names_a_forged_bound():
     ]
 
 
-def test_check_certificate_names_a_certificate_that_does_not_pass():
-    # every field recomputes, but the gap exceeds the bound
-    certificate, f, m, s = _unfinished_certificate(1.0)
+@pytest.mark.parametrize(
+    "weights, member, gap",
+    [([1, 2, 3], 0, "2.0"), ([math.inf, 1, 2], 2, "inf")],
+    ids=["finite", "infinite"],
+)
+def test_check_certificate_names_a_certificate_that_does_not_pass(weights, member, gap):
+    # every field recomputes, but the gap exceeds the bound; an infinite gap
+    # passes no bound
+    f, m, s = ModularFunction(weights), UniformMatroid(3, 1), _es(3, [member])
+    certificate = LocalOptCertificate.at(make_tracker(f, s), m, 0.5, 1.0)
     assert check_certificate(certificate, f, m, s) == [
-        "certificate does not pass: gap 2.0 exceeds bound 0.5"
+        f"certificate does not pass: gap {gap} exceeds bound 0.5"
     ]
 
 
