@@ -35,7 +35,6 @@ from .objectives import (
     ModularFunction,
     guide_weights,
     make_tracker,
-    project,
     project_all,
 )
 from .solvers import (
@@ -92,7 +91,6 @@ __all__ = [
     "ModularFunction",
     "guide_weights",
     "make_tracker",
-    "project",
     "project_all",
     "DETERMINISTIC",
     "RANDOMIZED",

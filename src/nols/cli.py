@@ -336,8 +336,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
-        # bad input: a malformed or missing file, or an out-of-range value
+    except (ValueError, OSError, RuntimeError) as err:
+        # bad input (a malformed or missing file, an out-of-range value), or
+        # a solve that failed closed on an oracle that is not submodular
         print(f"nols {args.command}: error: {err}", file=sys.stderr)
         return 1
 

@@ -135,10 +135,9 @@ class RandomSource:
     that rejects none.
     """
 
-    __slots__ = ("seed", "_state")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:

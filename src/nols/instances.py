@@ -131,11 +131,10 @@ class InstanceFile:
     objective: dict
     matroid: dict
     regularizer: dict | None = None
-    format_version: int = FORMAT_VERSION
 
     def to_document(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "name": self.name,
             "n": self.n,
             "r": self.r,
@@ -263,9 +262,12 @@ def load_instance(path: str | Path) -> InstanceFile:
 
 
 def report_document(report: RunReport, instance: InstanceFile) -> dict:
+    """The report document of a solve. Its top-level eps_inner is
+    inner_eps(eps, levels), and its warm_value is the certificate's (0 for
+    a failed run, which has no certificate)."""
+    c = report.certificate
     cert = None
-    if report.certificate is not None:
-        c = report.certificate
+    if c is not None:
         cert = {
             "witness": c.witness.to_list(),
             "gap": c.gap,
@@ -279,7 +281,7 @@ def report_document(report: RunReport, instance: InstanceFile) -> dict:
         "n": instance.n,
         "rank": report.rank,
         "eps": report.eps,
-        "eps_inner": report.eps_inner,
+        "eps_inner": inner_eps(report.eps, report.levels),
         "levels": report.levels,
         "variant": report.variant,
         "seed": report.seed,
@@ -296,7 +298,7 @@ def report_document(report: RunReport, instance: InstanceFile) -> dict:
             if report.lifted_solution is None
             else report.lifted_solution.to_list()
         ),
-        "warm_value": report.warm_value,
+        "warm_value": 0.0 if c is None else c.warm_value,
         "certificate": cert,
     }
 
@@ -334,12 +336,13 @@ def parse_report(doc, instance: InstanceFile) -> RunReport:
     inverse of report_document.
 
     Only the primary fields are read, each type-checked. Every other field
-    is derived as the solver derives it: eps_inner from eps and levels, rank
-    and output_set from the lifted solution, the certificate's eps,
-    warm_value and bound from eps_inner and warm_value, and the empty
-    output, null certificate and zero warm_value of a failed run. The
-    document must then equal report_document of the result, key by key.
-    A malformed, missing, unknown or inconsistent field raises a ValueError
+    is derived as the solver derives it: rank and output_set from the
+    lifted solution, the certificate's eps as inner_eps(eps, levels), its
+    warm_value as the top-level one, its bound as their product, and the
+    empty output and null certificate of a failed run. The document must
+    then equal report_document of the result, key by key, which also
+    checks the top-level eps_inner and a failed run's zero warm_value. A
+    malformed, missing, unknown or inconsistent field raises a ValueError
     that names it. warm_value itself is trusted, not recomputed.
     """
     _object(doc, "report")
@@ -368,17 +371,16 @@ def parse_report(doc, instance: InstanceFile) -> RunReport:
     eps = field("eps", _number)
     if not 0 < eps < 1:
         raise ValueError(f"report.eps must be in (0, 1), got {eps!r}")
-    eps_inner = inner_eps(eps, levels)
     ledger = QueryLedger(field("value_queries", _int), field("independence_queries", _int))
     if failed:
         rank = field("rank", _int)
         lifted_solution = certificate = None
         output = ElementSet.empty(n)
-        warm_value = 0.0
     else:
         lifted_solution = field("lifted_solution", _members, n * levels)
         rank = len(lifted_solution)
         output = project_all(lifted_solution, levels)
+        eps_inner = inner_eps(eps, levels)
         warm_value = field("warm_value", _number)
         where = "report.certificate"
         cert = field("certificate", _object)
@@ -397,13 +399,11 @@ def parse_report(doc, instance: InstanceFile) -> RunReport:
         failed=failed,
         certificate=certificate,
         eps=eps,
-        eps_inner=eps_inner,
         levels=levels,
         variant=variant,
         seed=seed,
         rank=rank,
         lifted_solution=lifted_solution,
-        warm_value=warm_value,
         regularized=regularized,
     )
     _same_document(doc, report_document(report, instance), "report")

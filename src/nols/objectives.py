@@ -206,20 +206,12 @@ def level_masks(s: ElementSet, levels: int) -> list[int]:
     return lm
 
 
-def project(s: ElementSet, levels: int, level_subset: Sequence[int]) -> ElementSet:
-    """Base elements appearing in s at any level in level_subset (1-based)."""
-    lm = level_masks(s, levels)
-    mask = 0
-    for lvl in level_subset:
-        if not 1 <= lvl <= levels:
-            raise ValueError(f"level {lvl} outside [1, {levels}]")
-        mask |= lm[lvl - 1]
-    return ElementSet(s.n // levels, mask)
-
-
 def project_all(s: ElementSet, levels: int) -> ElementSet:
     """Projection onto the base ground set across every level."""
-    return project(s, levels, range(1, levels + 1))
+    mask = 0
+    for lm in level_masks(s, levels):
+        mask |= lm
+    return ElementSet(s.n // levels, mask)
 
 
 class LiftedGuide:
@@ -415,23 +407,27 @@ class LiftedTracker:
         return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
-        self._marginal.clear()
         guide = self.guide
         ell, with_level, w = guide.levels, guide.with_level, guide.reg_weights
-        s = self.current
+        # drop, then add; a move that is not valid raises before any change
+        s = self.current if drop is None else self.current.remove(drop)
+        if add is not None:
+            if add in s:
+                raise ValueError(f"element {add} is already tracked")
+            s = s.add(add)
+            held = self._proj[-1] & ~(0 if drop is None else 1 << drop // ell)
+            if held >> (add // ell) & 1:
+                raise ValueError("base element already tracked on another level")
+        self._marginal.clear()
         refresh = set()
         if drop is not None:
-            s = s.remove(drop)
             ubit = 1 << (drop // ell)
             for j in with_level[drop % ell]:
                 self._proj[j] &= ~ubit
             refresh.update(with_level[drop % ell])
             self._reg_total -= w[drop // ell]
         if add is not None:
-            s = s.add(add)
             ubit = 1 << (add // ell)
-            if add not in self.current and self._proj[-1] & ubit:
-                raise ValueError("base element already tracked on another level")
             for j in with_level[add % ell]:
                 self._proj[j] |= ubit
             refresh.update(with_level[add % ell])

@@ -137,19 +137,22 @@ class LocalSearchResult:
 
     certificate is the passing one, or None when a randomized search ran
     out of attempts; solution and value are then those of the last set it
-    tested (the base when it made no attempt)."""
+    tested (the base when it made no attempt). The warm start's guide value
+    lives on the certificate."""
 
     solution: ElementSet
     value: float
     warm_set: ElementSet
-    warm_value: float
     iterations: int
     certificate: LocalOptCertificate | None
 
 
 @dataclass
 class RunReport:
-    """Full record of a solve, sufficient to recheck it from the instance."""
+    """Full record of a solve, sufficient to recheck it from the instance.
+
+    The inner eps (inner_eps(eps, levels)) and the warm start's guide value
+    are the certificate's eps and warm_value; a failed run has neither."""
 
     output_set: ElementSet
     objective_value: float
@@ -158,13 +161,11 @@ class RunReport:
     failed: bool
     certificate: LocalOptCertificate | None
     eps: float
-    eps_inner: float
     levels: int
     variant: str
     seed: int
     rank: int
     lifted_solution: ElementSet | None
-    warm_value: float
     regularized: bool
 
 
@@ -397,7 +398,6 @@ def deterministic_local_search(
         solution=tracker.current,
         value=tracker.value,
         warm_set=warm_set,
-        warm_value=warm_value,
         iterations=iterations,
         certificate=certificate,
     )
@@ -518,7 +518,6 @@ def randomized_local_search(
         solution=tracker.current,
         value=tracker.value,
         warm_set=warm_set,
-        warm_value=warm_value,
         iterations=made * k,
         certificate=certificate,
     )
@@ -570,10 +569,7 @@ def non_oblivious_solve(
         result = deterministic_local_search(guide, lifted_matroid, eps_in)
     else:
         result = randomized_local_search(
-            guide,
-            lifted_matroid,
-            eps_in,
-            RandomSource(config.seed),
+            guide, lifted_matroid, eps_in, RandomSource(config.seed)
         )
 
     certificate = result.certificate
@@ -600,12 +596,10 @@ def non_oblivious_solve(
         failed=failed,
         certificate=certificate,
         eps=config.eps,
-        eps_inner=eps_in,
         levels=levels,
         variant=config.variant,
         seed=config.seed,
         rank=len(result.solution),
         lifted_solution=lifted_solution,
-        warm_value=0.0 if failed else result.warm_value,
         regularized=regularizer is not None,
     )

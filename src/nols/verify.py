@@ -18,6 +18,7 @@ checkers report at most 20 violations.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -50,13 +51,11 @@ MAX_REPORTS = 20
 class BruteForceResult:
     """Exact optimum over all independent sets.
 
-    Ties keep the first maximizer in ascending DFS order. enumerated counts
-    the independent sets visited (the empty set included).
+    Ties keep the first maximizer in ascending DFS order.
     """
 
     opt_set: ElementSet
     opt_value: float
-    enumerated: int
 
 
 def _independent_masks(matroid: MatroidOracle) -> Iterator[int]:
@@ -92,16 +91,12 @@ def brute_force_opt(f: ValueOracle, matroid: MatroidOracle) -> BruteForceResult:
 
     best_mask = 0
     best_value = f.eval(ElementSet.empty(n))
-    enumerated = 1
     for mask in _independent_masks(matroid):
         val = f.eval(ElementSet(n, mask))
-        enumerated += 1
         if val > best_value:
             best_value = val
             best_mask = mask
-    return BruteForceResult(
-        opt_set=ElementSet(n, best_mask), opt_value=best_value, enumerated=enumerated
-    )
+    return BruteForceResult(opt_set=ElementSet(n, best_mask), opt_value=best_value)
 
 
 @dataclass
@@ -335,7 +330,6 @@ class ApproximationReport:
     ratio: float
     target: float
     passed: bool
-    opt_value: float
 
 
 def approximation_report(
@@ -358,12 +352,11 @@ def approximation_report(
     else:
         ratio = objective_value / truth.opt_value
     target = 1.0 - (levels / (levels + 1.0)) ** levels - eps
-    return ApproximationReport(
-        ratio=ratio,
-        target=target,
-        passed=ge(ratio, target),
-        opt_value=truth.opt_value,
-    )
+    return ApproximationReport(ratio=ratio, target=target, passed=ge(ratio, target))
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def check_certificate(
@@ -375,7 +368,8 @@ def check_certificate(
     """Recompute a certificate against a solution and compare field by field.
 
     Float equality is intentional: both computations follow the same
-    canonical summation order, so any difference means the inputs changed.
+    canonical summation order, so any difference means the inputs changed;
+    two NaNs compare equal.
     A recheck tracks as_guide(f) and pays for every query it asks: it first
     empties the memo of that guide and of a lifted matroid it is handed. An
     infinite or NaN gap fails the pass test.
@@ -388,14 +382,14 @@ def check_certificate(
     fresh = LocalOptCertificate.at(
         make_tracker(guide, s), matroid, certificate.eps, certificate.warm_value
     )
-    if fresh.gap != certificate.gap:
+    if not _same_float(fresh.gap, certificate.gap):
         issues.append(
             f"gap mismatch: recomputed {fresh.gap!r}, stored {certificate.gap!r}"
         )
     if fresh.witness != certificate.witness:
         issues.append("witness mismatch")
     expected_bound = certificate.eps * certificate.warm_value
-    if certificate.bound != expected_bound:
+    if not _same_float(certificate.bound, expected_bound):
         issues.append(
             f"bound mismatch: stored {certificate.bound!r}, "
             f"eps * warm_value = {expected_bound!r}"

@@ -173,7 +173,7 @@ def eager_local_search(f, matroid, eps):
             break
     certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
     return LocalSearchResult(
-        tracker.current, tracker.value, warm_set, warm_value, iterations, certificate
+        tracker.current, tracker.value, warm_set, iterations, certificate
     )
 
 

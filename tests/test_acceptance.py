@@ -60,6 +60,7 @@ from nols import (
     check_value_oracle,
     exhaustive_gap,
     generate_instance,
+    inner_eps,
     matroid_rank,
     min_weight_exchange,
     non_oblivious_solve,
@@ -196,7 +197,7 @@ def test_criterion_04_certificates(det_runs, rand_runs):
             cert = rep.certificate
             assert cert is not None
             assert cert.gap <= cert.bound
-            assert cert.bound == rep.eps_inner * rep.warm_value
+            assert cert.bound == inner_eps(rep.eps, rep.levels) * cert.warm_value
             certified += 1
     for inst, f, m, truth, rep in rand_runs:
         cert = rep.certificate

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from nols import solvers
 from nols.cli import BENCH_COLUMNS, main
-from nols.instances import generate_instance, load_instance, save_instance
+from nols.instances import InstanceFile, generate_instance, load_instance, save_instance
 from nols.matroids import rank
 from suite import json_values, mutate
 
@@ -48,11 +48,10 @@ def test_generated_instances_have_requested_rank(tmp_path, family):
 
 def test_instance_round_trip(tmp_path):
     path = _gen(tmp_path, family="modular", n=8, r=2, seed=3)
-    inst = load_instance(path)
-    assert inst.format_version == 1
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
     assert set(doc) >= {"name", "n", "r", "objective", "matroid"}
+    assert load_instance(path).to_document() == doc
 
 
 def test_solve_writes_report_and_verify_accepts(tmp_path, capsys):
@@ -356,6 +355,26 @@ def test_console_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["instance"] == "coverage-n8-r2-s0"
+
+
+def test_a_solve_that_fails_closed_exits_one_with_one_stderr_line(tmp_path, capsys):
+    # negative regularizer weights load, but the guide is then not monotone:
+    # the solve raises rather than return a certificate that does not pass
+    inst = tmp_path / "negative.json"
+    save_instance(
+        InstanceFile(
+            name="negative", n=4, r=2,
+            objective={"kind": "modular", "weights": [1, 2, 3, 4]},
+            matroid={"kind": "uniform", "k": 2},
+            regularizer={"weights": [-10] * 4},
+        ),
+        inst,
+    )
+    assert main(["solve", "--instance", str(inst), "--eps", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("nols solve: error: solve produced a certificate that does not pass")
+    assert len(err.splitlines()) == 1
 
 
 def test_gen_rejects_bad_shapes(tmp_path, capsys):

@@ -127,7 +127,7 @@ def _search_doc(res, ledger: QueryLedger) -> dict | None:
         "solution": res.solution.to_list(),
         "value": res.value,
         "warm_set": res.warm_set.to_list(),
-        "warm_value": res.warm_value,
+        "warm_value": c.warm_value,
         "iterations": res.iterations,
         "certificate": {
             "witness": c.witness.to_list(),

@@ -17,7 +17,6 @@ from nols.objectives import (
     as_guide,
     level_masks,
     make_tracker,
-    project,
     project_all,
 )
 from suite import TINY_COVERS, TINY_UNIVERSE, RecordingOracle, tiny_coverage
@@ -105,9 +104,7 @@ def test_guide_value_cardinality_example():
 def test_projection_round_trips():
     # lifted universe for n=3, two levels: flat index = base*2 + (level-1)
     s = _es(6, [0, 3, 4])  # base 0 level 1, base 1 level 2, base 2 level 1
-    assert project(s, 2, [1]).to_list() == [0, 2]
-    assert project(s, 2, [2]).to_list() == [1]
-    assert project(s, 2, [1, 2]).to_list() == [0, 1, 2]
+    assert level_masks(s, 2) == [0b101, 0b010]
     assert project_all(s, 2).to_list() == [0, 1, 2]
     assert project_all(ElementSet.empty(6), 2).to_list() == []
 
@@ -125,9 +122,13 @@ def test_lifted_guide_eval_and_query_cost():
         # manual recomputation from the definition
         want = 0.0
         fracs = GuideWeights(L).floats
+        lm = level_masks(s, L)
         for j in range(1, 1 << L):
-            levels = [i + 1 for i in range(L) if j >> i & 1]
-            want += fracs[len(levels)] * raw.eval(project(s, L, levels))
+            mask = 0
+            for i in range(L):
+                if j >> i & 1:
+                    mask |= lm[i]
+            want += fracs[j.bit_count()] * raw.eval(ElementSet(4, mask))
         assert val == pytest.approx(want, rel=1e-12)
 
 
@@ -216,6 +217,38 @@ def test_tracker_rejects_duplicate_base_levels():
         tracker.apply(add=1)
     tracker.apply(drop=0, add=1)  # moving a base between levels is fine
     assert tracker.current == _es(4, [1])
+
+
+@pytest.mark.parametrize(
+    "f, start, move, message",
+    [
+        (ModularFunction([1, 2, 3, 4]), [0], {"add": 0}, "element 0 is already tracked"),
+        (
+            ConcaveOfModular([1, 2, 3, 4]),
+            [0, 2],
+            {"add": 1, "drop": 2},  # base 0 is still held on level 1
+            "base element already tracked on another level",
+        ),
+    ],
+    ids=["add-tracked", "swap-onto-held-base"],
+)
+def test_tracker_rejects_a_bad_move_before_changing_state(f, start, move, message):
+    # a rejected apply leaves the tracker as a fresh one at the same set,
+    # regularizer total included, so the next move lands where it should
+    guide = LiftedGuide(f, GuideWeights(2), LinearRegularizer([1] * 4))
+    s = _es(8, start)
+    tracker, fresh = make_tracker(guide, s), make_tracker(guide, s)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tracker.apply(**move)
+
+    def marginals(t):
+        return [t.marginal_drop(x) if x in s else t.marginal_add(x) for x in range(8)]
+
+    assert (tracker.current, tracker.value) == (s, fresh.value)
+    assert marginals(tracker) == marginals(fresh)
+    tracker.apply(add=4)
+    fresh.apply(add=4)
+    assert tracker.value == fresh.value == pytest.approx(guide.eval(s.add(4)), rel=1e-12)
 
 
 def test_tracker_degenerate_calls():
@@ -417,12 +450,10 @@ def test_tracker_keeps_each_marginal_until_apply(L, reg_weights):
             lambda: level_masks(ElementSet(5), 2),
             "lifted universe size must be a multiple of levels",
         ),
-        (lambda: project(ElementSet(6), 3, [4]), "level 4 outside [1, 3]"),
     ],
     ids=[
         "coverage-point", "coverage-weight-count", "coverage-negative-weight",
         "concave-negative-weight", "concave-shape", "concave-cap", "level-masks",
-        "project-level",
     ],
 )
 def test_objective_guards_name_the_problem(build, message):

@@ -50,7 +50,6 @@ EXPECTED_ALL = [
     "ModularFunction",
     "guide_weights",
     "make_tracker",
-    "project",
     "project_all",
     # solvers
     "DETERMINISTIC",

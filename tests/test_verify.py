@@ -18,7 +18,13 @@ from nols.objectives import (
     ModularFunction,
     make_tracker,
 )
-from nols.solvers import DETERMINISTIC, LocalOptCertificate, SolverConfig, non_oblivious_solve
+from nols.solvers import (
+    DETERMINISTIC,
+    LocalOptCertificate,
+    SolverConfig,
+    inner_eps,
+    non_oblivious_solve,
+)
 from nols.verify import (
     approximation_report,
     brute_force_opt,
@@ -64,7 +70,6 @@ def test_brute_force_on_tiny_fixture():
     truth = brute_force_opt(f, m)
     assert truth.opt_value == 5
     assert truth.opt_set == _es(4, [1, 3])
-    assert truth.enumerated == 11  # empty + 4 singletons + 6 pairs
     with pytest.raises(ValueError):
         brute_force_opt(f, UniformMatroid(5, 2))
 
@@ -121,7 +126,7 @@ def test_solver_gap_within_eps_of_warm_value():
         rep = non_oblivious_solve(f, m, SolverConfig(eps=eps, variant=DETERMINISTIC, seed=0))
         cert = rep.certificate
         assert cert.gap <= cert.bound + 1e-9
-        assert cert.bound == pytest.approx(rep.eps_inner * rep.warm_value)
+        assert cert.bound == pytest.approx(inner_eps(rep.eps, rep.levels) * cert.warm_value)
         assert cert.passes()
 
 
@@ -297,18 +302,33 @@ def test_check_certificate_names_a_forged_bound():
     ]
 
 
+class _NanOnZero:
+    ground_size = 3
+
+    def eval(self, s):
+        return math.nan if 0 in s else float(len(s))
+
+
 @pytest.mark.parametrize(
-    "weights, member, gap",
-    [([1, 2, 3], 0, "2.0"), ([math.inf, 1, 2], 2, "inf")],
-    ids=["finite", "infinite"],
+    "f, member, warm_value, gap, bound",
+    [
+        (ModularFunction([1, 2, 3]), 0, 1.0, "2.0", "0.5"),
+        (ModularFunction([math.inf, 1, 2]), 2, 1.0, "inf", "0.5"),
+        (_NanOnZero(), 2, 1.0, "nan", "0.5"),
+        (ModularFunction([1, 2, 3]), 0, math.nan, "2.0", "nan"),
+    ],
+    ids=["finite", "infinite", "nan", "nan-bound"],
 )
-def test_check_certificate_names_a_certificate_that_does_not_pass(weights, member, gap):
-    # every field recomputes, but the gap exceeds the bound; an infinite gap
-    # passes no bound
-    f, m, s = ModularFunction(weights), UniformMatroid(3, 1), _es(3, [member])
-    certificate = LocalOptCertificate.at(make_tracker(f, s), m, 0.5, 1.0)
+def test_check_certificate_names_a_certificate_that_does_not_pass(
+    f, member, warm_value, gap, bound
+):
+    # every field recomputes, but the gap exceeds the bound; an infinite or
+    # NaN gap passes no bound and no gap passes a NaN bound, and a
+    # recomputed NaN matches a stored one
+    m, s = UniformMatroid(3, 1), _es(3, [member])
+    certificate = LocalOptCertificate.at(make_tracker(f, s), m, 0.5, warm_value)
     assert check_certificate(certificate, f, m, s) == [
-        f"certificate does not pass: gap {gap} exceeds bound 0.5"
+        f"certificate does not pass: gap {gap} exceeds bound {bound}"
     ]
 
 
