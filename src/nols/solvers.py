@@ -424,29 +424,31 @@ def randomized_local_search(
     first passing attempt wins.
 
     The search warm-starts and extends to a base once. Each attempt starts
-    there and runs k = ceil(18 r / eps) iterations that each sample a drop
-    pool R1 from the solution (size min(r, ceil(sqrt n))) and a candidate
-    pool R2 from the ground set (size max(ceil(n / r), ceil(sqrt n))), then
-    apply the best feasible swap if its gain is non-negative. One trajectory
-    index i in [k] is then drawn uniformly; S_{i-1} is tested against the
-    challenger certificate at threshold eps * f(S0) and returned when it
-    passes.
+    there, draws an index i uniformly in [0, k) with k = ceil(18 r / eps),
+    and runs i iterations that each sample a drop pool R1 from the solution
+    (size min(r, ceil(sqrt n))) and a candidate pool R2 from the ground set
+    (size max(ceil(n / r), ceil(sqrt n))), then apply the best feasible
+    swap if its gain is non-negative. The set S_i it reaches is tested
+    against the challenger certificate at threshold eps * f(S0) and
+    returned when it passes. i is independent of the run, so S_i has the
+    law it would have if all k iterations ran and i were drawn after them.
 
     attempts defaults to ceil(log3(1/eps)); attempts=1 is a single run and
     attempts=0 makes none, so the search stops at the base. All attempts
     draw from the one generator, so replay is deterministic (the warm start
     draws no randomness, so running it once leaves the stream as it was).
-    The result's iterations are k times the attempts made. When no attempt
-    passes, its certificate is None and its solution is the last set
-    tested.
+    The result's iterations are the ones run, the sum of the drawn i. When
+    no attempt passes, its certificate is None and its solution is the
+    last set tested.
 
     Two shortcuts skip queries without changing the trajectory. A
     candidate's exchange binary search is skipped when the upper bound
     gain_add - min(drop) over R1 fails the acceptance test or does not beat
     the best gain so far: its true gain is no larger, so the applied swap,
     ties included, is the one the full search picks. When R1 is the whole
-    solution, the feasibility test is a singleton query, asked at most once
-    per element per call.
+    solution it is taken without a draw (an r-of-r sample is the whole
+    pool), and the feasibility test is a singleton query, asked at most
+    once per element per call.
 
     eps must be a positive finite real number and attempts, when given, a
     non-negative int (neither may be a bool); any other raises ValueError.
@@ -468,15 +470,16 @@ def randomized_local_search(
     r1_size = min(r, root)
     r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
     certificate = None
-    made = 0
+    made = iterations = 0
     while certificate is None and made < attempts:
         if made:
             tracker = make_tracker(f, base)
         made += 1
-        trajectory = [tracker.current]
-        for _ in range(k):
+        stop = rng.randrange(k)  # the tested index, drawn before the run
+        iterations += stop
+        for _ in range(stop):
             s = tracker.current
-            r1 = sample_without_replacement(rng, s, r1_size)
+            r1 = s if r1_size == r else sample_without_replacement(rng, s, r1_size)
             r2 = sample_without_replacement(rng, ground, r2_size)
             stripped = s.mask & ~r1.mask
             feasible = [
@@ -506,11 +509,7 @@ def randomized_local_search(
                         best = (gain, v, u_v)
                 if best is not None and ge(best[0], 0.0):
                     tracker.apply(add=best[1], drop=best[2])
-            trajectory.append(tracker.current)
 
-        tested = trajectory[rng.randrange(k)]
-        if tested != tracker.current:
-            tracker = make_tracker(f, tested)
         candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
         if not _clears(candidate.gap, candidate.bound):
             certificate = candidate
@@ -518,7 +517,7 @@ def randomized_local_search(
         solution=tracker.current,
         value=tracker.value,
         warm_set=warm_set,
-        iterations=made * k,
+        iterations=iterations,
         certificate=certificate,
     )
 

@@ -11,11 +11,11 @@ import math
 
 from hypothesis import strategies as st
 
-from nols.core import ElementSet, RandomSource, ge, gt
+from nols.core import ElementSet, RandomSource, ge, gt, sample_without_replacement
 from nols.instances import InstanceFile, generate_instance
 from nols.matroids import UniformMatroid, extend_to_base, min_weight_exchange
-from nols.objectives import CoverageFunction, make_tracker
-from nols.solvers import LocalOptCertificate, LocalSearchResult
+from nols.objectives import CoverageFunction, as_guide, make_tracker
+from nols.solvers import LocalOptCertificate, LocalSearchResult, ceil_sqrt
 
 # f({1}) = 2, f({3}) = 3, f({1,3}) = 5 = OPT under a rank-2 uniform matroid
 TINY_COVERS = [[0], [0, 1], [1, 2], [2, 3, 4]]
@@ -172,6 +172,71 @@ def eager_local_search(f, matroid, eps):
         else:
             break
     certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+    return LocalSearchResult(
+        tracker.current, tracker.value, warm_set, iterations, certificate
+    )
+
+
+def full_budget_randomized_search(f, matroid, eps, rng, attempts):
+    """Reference randomized search that runs every attempt's whole budget.
+
+    Each attempt draws its tested index i in [0, k) first, as
+    randomized_local_search does, then runs all k = ceil(18 r / eps)
+    iterations with the same sampling (R1 taken without a draw when it is
+    the whole solution), keeps the trajectory, and tests S_i on a tracker
+    made at it. The iterations after i draw from a generator of their own,
+    so they leave the stream the next attempt draws from as the search
+    leaves it: any difference in the answer would be theirs."""
+    f = as_guide(f)
+    n = f.ground_size
+    tracker, dead = _eager_warm(f, matroid)
+    warm_set, warm_value = tracker.current, tracker.value
+    for u in extend_to_base(matroid, warm_set, ElementSet(n, dead)).difference(warm_set):
+        tracker.apply(add=u)
+    base = tracker.current
+    r = len(base)
+    root = ceil_sqrt(n)
+    k = max(1, math.ceil(18 * r / eps))
+    r1_size = min(r, root)
+    r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
+    tail = RandomSource(0)
+    certificate = None
+    made = iterations = 0
+    while certificate is None and made < attempts:
+        tracker = make_tracker(f, base)
+        made += 1
+        stop = rng.randrange(k)
+        iterations += stop
+        trajectory = [tracker.current]
+        for i in range(k):
+            draw = rng if i < stop else tail
+            s = tracker.current
+            r1 = s if r1_size == r else sample_without_replacement(draw, s, r1_size)
+            r2 = sample_without_replacement(draw, ElementSet.full(n), r2_size)
+            stripped = s.mask & ~r1.mask
+            feasible = [
+                v
+                for v in r2
+                if v not in s
+                and matroid.is_independent(ElementSet(n, stripped | (1 << v)))
+            ]
+            best = None
+            if feasible and len(r1) > 0:
+                drop_w = {u: tracker.marginal_drop(u) for u in r1}
+                for v in feasible:
+                    gain_add = tracker.marginal_add(v)
+                    u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
+                    gain = gain_add - drop_w[u_v]
+                    if best is None or gain > best[0]:
+                        best = (gain, v, u_v)
+            if best is not None and ge(best[0], 0.0):
+                tracker.apply(add=best[1], drop=best[2])
+            trajectory.append(tracker.current)
+        tracker = make_tracker(f, trajectory[stop])
+        candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+        gap, bound = candidate.gap, candidate.bound
+        if not (ge(gap, bound) if bound > 0 else gt(gap, 0.0)):
+            certificate = candidate
     return LocalSearchResult(
         tracker.current, tracker.value, warm_set, iterations, certificate
     )

@@ -508,6 +508,49 @@ def test_randomized_search_respects_seed_stream():
     assert a.iterations == b.iterations
 
 
+def _draw_first_runs(f, m, levels, eps, seed, attempts):
+    # both searches on the guide and lifted matroid of a solve, each over
+    # oracles a fresh ledger counts
+    runs = []
+    for search in (suite.full_budget_randomized_search, randomized_local_search):
+        ledger = QueryLedger()
+        guide = LiftedGuide(CountingValueOracle(f, ledger), GuideWeights(levels))
+        matroid = lift(CountingMatroidOracle(m, ledger), levels)
+        runs.append((search(guide, matroid, eps, RandomSource(seed), attempts=attempts), ledger))
+    (ref, ref_ledger), (res, ledger) = runs
+    assert res.solution == ref.solution
+    assert res.certificate == ref.certificate
+    assert res.iterations == ref.iterations
+    assert ledger.value_queries <= ref_ledger.value_queries
+    assert ledger.independence_queries <= ref_ledger.independence_queries
+    return res
+
+
+@given(
+    family=st.sampled_from(["coverage", "weighted", "partition"]),
+    n=st.integers(2, 12),
+    r=st.integers(1, 4),
+    levels=st.integers(1, 3),
+    eps=st.sampled_from([0.5, 0.25]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_an_attempt_runs_only_as_far_as_the_set_it_tests(family, n, r, levels, eps, seed):
+    # drawing the tested index first returns the set and certificate that
+    # running the whole budget and then testing that index returns; the
+    # iterations after it would only have asked more queries
+    f, m = _warm_instance(family, n, min(r, n), seed)
+    _draw_first_runs(f, m, levels, eps, seed, attempts=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_failed_attempts_run_only_as_far_as_the_sets_they_test(seed):
+    # every attempt on |S|^2 fails, so the second attempt runs too and must
+    # draw from the stream where the first one's tested index left it
+    res = _draw_first_runs(SquaredSize(), UniformMatroid(6, 2), 1, 0.5, seed, attempts=2)
+    assert res.certificate is None
+
+
 def test_non_oblivious_solve_deterministic_coverage():
     f, m = tiny_coverage()
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.2, variant=DETERMINISTIC, seed=0))
@@ -631,10 +674,9 @@ def test_every_oracle_call_of_a_solve_is_on_the_ledger(
 
 
 def test_randomized_attempts_share_one_memo(monkeypatch):
-    # every attempt restarts at the base, and every tested point is a state
-    # some tracker already held, so each tracker after the warm start's
-    # finds its projections in the guide's memo; the ledger charges each
-    # distinct set once per solve
+    # every attempt restarts at the base, a state the warm start's tracker
+    # already held, so each tracker after that one finds its projections in
+    # the guide's memo; the ledger charges each distinct set once per solve
     monkeypatch.setattr(solvers, "amplification_attempts", lambda eps: 2)
     recorder = RecordingOracle(SquaredSize(), False)
     made = []
