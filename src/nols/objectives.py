@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import ElementId, ElementSet, ValueOracle
 
 MAX_LEVELS = 20  # 2**levels subset evaluations per guide query; hard cap
@@ -26,14 +24,15 @@ class CoverageFunction:
     """Weighted coverage: f(S) = total weight of universe points covered by S.
 
     covers[u] lists the points element u covers. Weights default to 1, in
-    which case values are plain ints.
+    which case values are plain ints. Weights that are not all 1 are priced
+    by a numpy dot product, so numpy is imported only for those.
 
     The incremental pair keeps the covered-point mask as its state:
     extend(state, u) ORs in u's points and prices the result with the same
     formula eval uses, so it equals eval(S + u) exactly.
     """
 
-    __slots__ = ("ground_size", "universe_size", "_cover_masks", "_weights", "_unit")
+    __slots__ = ("ground_size", "universe_size", "_cover_masks", "_weights")
 
     def __init__(
         self,
@@ -52,16 +51,19 @@ class CoverageFunction:
         self.ground_size = len(masks)
         self.universe_size = universe_size
         self._cover_masks = tuple(masks)
-        if point_weights is None:
-            self._unit = True
-            self._weights = None
-        else:
+        self._weights = None
+        if point_weights is not None:
             if len(point_weights) != universe_size:
                 raise ValueError("one weight per universe point required")
+            for i, w in enumerate(point_weights):
+                if not -math.inf < w < math.inf:  # NaN fails both comparisons
+                    raise ValueError(f"point weight {i} must be finite, got {w!r}")
             if any(w < 0 for w in point_weights):
                 raise ValueError("point weights must be non-negative")
-            self._unit = all(w == 1 for w in point_weights)
-            self._weights = np.asarray(point_weights, dtype=np.float64)
+            if any(w != 1 for w in point_weights):
+                import numpy as np
+
+                self._weights = np.asarray(point_weights, dtype=np.float64)
 
     def eval(self, s: ElementSet) -> float:
         return self._value(self.state(s))
@@ -76,8 +78,10 @@ class CoverageFunction:
         return self._value(covered | self._cover_masks[u])
 
     def _value(self, covered: int) -> float:
-        if self._unit:
+        if self._weights is None:
             return covered.bit_count()
+        import numpy as np
+
         nbytes = (self.universe_size + 7) // 8
         bits = np.unpackbits(
             np.frombuffer(covered.to_bytes(nbytes, "little"), dtype=np.uint8),
@@ -218,9 +222,10 @@ class LiftedGuide:
     """Guide objective over the lifted ground set, as a value oracle.
 
     eval(S') sums weight(|J|) * f(projection of S' onto levels J) over
-    non-empty level subsets J, so one guide evaluation costs
-    2^levels - 1 inner value queries. Query accounting happens on the inner
-    oracle; wrap f with counting before lifting.
+    non-empty level subsets J, so one guide evaluation costs at most
+    2^levels - 1 inner value queries, one per distinct projection not yet
+    in the memo. Query accounting happens on the inner oracle; wrap f with
+    counting before lifting.
 
     An optional regularizer adds reg_scale = top_weight * (levels + 1) times
     its weight for each lifted element's base element, at no query cost.
@@ -232,9 +237,10 @@ class LiftedGuide:
     regularizer), reg_terms (reg_scale * reg_weights[x // levels], the
     regularizer's term in every marginal at lifted element x), the weight
     per level-subset mask, and the level subsets holding each level. memo
-    maps a base-set mask to its f value; every tracker of this guide reads
-    and writes it, so the inner oracle sees a set at most once in the
-    guide's life (one solve, as the solvers build it).
+    maps a base-set mask to its f value; base_value, and so eval and every
+    tracker of this guide, reads and writes it, so the inner oracle sees a
+    set at most once in the guide's life (one solve, as the solvers build
+    it).
 
     inner_state(mask) and inner_extend(state, u) are f's incremental pair
     (see ValueOracle), picked once: f's own state/extend, else the mask and
@@ -274,12 +280,20 @@ class LiftedGuide:
             self.inner_state = lambda mask: mask
             self.inner_extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
 
+    def base_value(self, mask: int) -> float:
+        """f of the base set with this mask, asked of the inner oracle at
+        most once per guide."""
+        value = self.memo.get(mask)
+        if value is None:
+            inner = self.inner
+            value = self.memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
+        return value
+
     def eval(self, s: ElementSet) -> float:
         union = subset_unions(level_masks(s, self.levels))
-        n = self.inner.ground_size
         total = 0.0
         for j in range(1, len(union)):
-            total += self.subset_weight[j] * self.inner.eval(ElementSet(n, union[j]))
+            total += self.subset_weight[j] * self.base_value(union[j])
         # without a regularizer the weights are zeros, and adding 0.0 changes
         # no float
         w = self.reg_weights
@@ -329,8 +343,8 @@ class LiftedTracker:
     """
 
     __slots__ = (
-        "guide", "current", "value", "_proj", "_fval", "_reg_total", "_memo",
-        "_state", "_marginal",
+        "guide", "current", "value", "_proj", "_fval", "_reg_total", "_state",
+        "_marginal",
     )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
@@ -341,8 +355,7 @@ class LiftedTracker:
         if proj[-1].bit_count() != len(start):
             raise ValueError("tracked set holds a base element on two levels")
         self._proj = proj
-        self._memo = guide.memo
-        self._fval = [0.0] + [self._f(p) for p in proj[1:]]
+        self._fval = [0.0] + [guide.base_value(p) for p in proj[1:]]
         self._state = [guide.inner_state(p) for p in proj]
         self._reg_total = sum(guide.reg_weights[x // ell] for x in start)
         self._marginal: dict[ElementId, float] = {}
@@ -351,15 +364,6 @@ class LiftedTracker:
     @property
     def ground_size(self) -> int:
         return self.guide.ground_size
-
-    def _f(self, mask: int) -> float:
-        """f of the base set with this mask, asked of the inner oracle at
-        most once per guide."""
-        value = self._memo.get(mask)
-        if value is None:
-            inner = self.guide.inner
-            value = self._memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
-        return value
 
     def _recompute_value(self):
         wj, fv = self.guide.subset_weight, self._fval
@@ -376,7 +380,7 @@ class LiftedTracker:
         ell = guide.levels
         u = x // ell
         ubit = 1 << u
-        wj, memo, extend = guide.subset_weight, self._memo, guide.inner_extend
+        wj, memo, extend = guide.subset_weight, guide.memo, guide.inner_extend
         total = 0.0
         for j in guide.with_level[x % ell]:
             pj = self._proj[j]
@@ -402,7 +406,7 @@ class LiftedTracker:
         wj = guide.subset_weight
         total = 0.0
         for j in guide.with_level[x % ell]:
-            total += wj[j] * (self._fval[j] - self._f(self._proj[j] & ~ubit))
+            total += wj[j] * (self._fval[j] - guide.base_value(self._proj[j] & ~ubit))
         total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
@@ -434,7 +438,7 @@ class LiftedTracker:
             self._reg_total += w[add // ell]
         self.current = s
         for j in sorted(refresh):
-            self._fval[j] = self._f(self._proj[j])
+            self._fval[j] = guide.base_value(self._proj[j])
             self._state[j] = guide.inner_state(self._proj[j])
         self._recompute_value()
 

@@ -24,8 +24,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-import numpy as np
-
 from .core import (
     COMPARISON_SLACK,
     ElementSet,
@@ -262,6 +260,10 @@ def check_value_oracle(f: ValueOracle) -> list[str]:
 
 
 def _exhaustive_value_violations(f: ValueOracle) -> Iterator[str]:
+    # numpy is imported here, not at module level, so that a process that
+    # never runs this check does not pay for loading it
+    import numpy as np
+
     n = f.ground_size
     vals = np.array([f.eval(ElementSet(n, m)) for m in range(1 << n)])
 

@@ -110,26 +110,33 @@ def test_projection_round_trips():
 
 
 def test_lifted_guide_eval_and_query_cost():
+    # eval asks f through the guide memo: the first eval charges one query
+    # per distinct projection onto a non-empty level subset (at L = 3 the
+    # set leaves level 2 empty, so two subsets share a projection), and a
+    # repeat charges none
     raw, _ = tiny_coverage()
     for L in (1, 2, 3):
         ledger = QueryLedger()
         guide = LiftedGuide(CountingValueOracle(raw, ledger), GuideWeights(L))
         assert guide.ground_size == 4 * L
         s = _es(4 * L, [0, 4 * L - 1])
-        before = ledger.value_queries
-        val = guide.eval(s)
-        assert ledger.value_queries - before == 2**L - 1
         # manual recomputation from the definition
         want = 0.0
         fracs = GuideWeights(L).floats
         lm = level_masks(s, L)
+        projections = set()
         for j in range(1, 1 << L):
             mask = 0
             for i in range(L):
                 if j >> i & 1:
                     mask |= lm[i]
+            projections.add(mask)
             want += fracs[j.bit_count()] * raw.eval(ElementSet(4, mask))
-        assert val == pytest.approx(want, rel=1e-12)
+        assert guide.eval(s) == want
+        assert ledger.value_queries == len(projections)
+        assert guide.eval(s) == want
+        assert ledger.value_queries == len(projections)
+    assert len(projections) < 2**L - 1
 
 
 def test_lifted_guide_marginal_matches_eval_difference():
@@ -443,6 +450,14 @@ def test_tracker_keeps_each_marginal_until_apply(L, reg_weights):
             lambda: CoverageFunction(2, [[0]], point_weights=[1, -1]),
             "point weights must be non-negative",
         ),
+        (
+            lambda: CoverageFunction(2, [[0], [1]], point_weights=[float("nan"), 1.0]),
+            "point weight 0 must be finite, got nan",
+        ),
+        (
+            lambda: CoverageFunction(2, [[0], [1]], point_weights=[1.0, math.inf]),
+            "point weight 1 must be finite, got inf",
+        ),
         (lambda: ConcaveOfModular([1, -1]), "weights must be non-negative"),
         (lambda: ConcaveOfModular([1], shape="log"), "unknown shape 'log'"),
         (lambda: ConcaveOfModular([1], shape="cap", cap=-1), "cap must be non-negative"),
@@ -453,7 +468,7 @@ def test_tracker_keeps_each_marginal_until_apply(L, reg_weights):
     ],
     ids=[
         "coverage-point", "coverage-weight-count", "coverage-negative-weight",
-        "concave-negative-weight", "concave-shape", "concave-cap", "level-masks",
+        "coverage-nan-weight", "coverage-inf-weight", "concave-negative-weight", "concave-shape", "concave-cap", "level-masks",
     ],
 )
 def test_objective_guards_name_the_problem(build, message):

@@ -6,6 +6,8 @@ checks that every name the benchmark harness in ``perfbench/`` imports,
 reads or patches still resolves, so a refactor cannot silently break the
 harness. No module of the package, and no test, imports an
 underscore name from a ``nols`` module: each decision has one owner.
+A fresh ``nols`` process loads numpy only for the two routines that use
+it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nols
 import nols.cli
@@ -203,3 +210,48 @@ def test_no_private_cross_imports():
                 if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+# gen, solve and verify on a generated (unit-weight) instance never touch
+# numpy; weighted coverage and the exhaustive oracle check load it. argv[1]
+# names the numpy user run last, after the numpy-free steps
+COLD_START = """
+import os, sys, tempfile
+
+def numpy_absent(step):
+    assert "numpy" not in sys.modules, f"numpy loaded by {step}"
+
+import nols
+numpy_absent("import nols")
+import nols.cli
+numpy_absent("import nols.cli")
+with tempfile.TemporaryDirectory() as tmp:
+    inst, rep = os.path.join(tmp, "inst.json"), os.path.join(tmp, "rep.json")
+    for argv in (
+        ["gen", "--family", "coverage", "--n", "8", "--r", "3", "--seed", "0",
+         "--out", inst],
+        ["solve", "--instance", inst, "--eps", "0.5", "--out", rep],
+        ["verify", "--instance", inst, "--report", rep, "--certificate-only"],
+    ):
+        assert nols.cli.main(argv) == 0, argv
+        numpy_absent(f"nols {argv[0]}")
+
+f = nols.CoverageFunction(3, [[0, 1], [1, 2]], point_weights=[0.5, 2.0, 0.25])
+if sys.argv[1] == "weighted-eval":
+    assert f.eval(nols.ElementSet.from_iterable(2, [0, 1])) == 2.75
+else:
+    assert nols.check_value_oracle(f) == []
+assert "numpy" in sys.modules, f"numpy not loaded by {sys.argv[1]}"
+"""
+
+
+@pytest.mark.parametrize("numpy_user", ["weighted-eval", "oracle-check"])
+def test_a_fresh_process_loads_numpy_only_where_it_is_used(numpy_user):
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, numpy_user],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
