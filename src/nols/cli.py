@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from .core import left_sum
 from .instances import (
     FAMILIES,
     dumps_canonical,
@@ -237,7 +238,7 @@ def bench_grid(
                         handle.flush()
     summary = {}
     for key, per_cell in samples.items():
-        means = [sum(vals) / len(vals) for vals in per_cell.values()]
+        means = [left_sum(vals) / len(vals) for vals in per_cell.values()]
         summary[key] = {"max": max(means), "min": min(means)}
     return summary
 

@@ -191,6 +191,19 @@ def sample_without_replacement(
     return ElementSet(pool.n, mask)
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum from the left, one rounding per addition, starting at int 0.
+
+    This is what sum() gives on Python 3.10 and 3.11. From 3.12 sum()
+    compensates float rounding, so report floats would depend on the
+    interpreter; every float sum in the package goes through here instead.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 COMPARISON_SLACK = 1e-9  # relative; objective values are floats
 
 

@@ -79,33 +79,11 @@ class PartitionMatroid:
         return f"PartitionMatroid(n={self.ground_size}, blocks={len(self.capacities)})"
 
 
-class _UnionFind:
-    # plain array union-find with path halving; rebuilt per query on purpose
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 class GraphicMatroid:
     """Ground set = edges of a multigraph; independent iff the edges are acyclic.
 
-    Each query runs a fresh union-find over the selected edges, so the
-    oracle is stateless between calls.
+    Each query runs a fresh union-find with path halving over the selected
+    edges, on a local parent list, so the oracle is stateless between calls.
     """
 
     __slots__ = ("ground_size", "vertex_count", "edges")
@@ -119,11 +97,20 @@ class GraphicMatroid:
         self.edges = tuple((a, b) for a, b in edges)
 
     def is_independent(self, s: ElementSet) -> bool:
-        uf = _UnionFind(self.vertex_count)
-        for e in s:
-            a, b = self.edges[e]
-            if a == b or not uf.union(a, b):
+        parent = list(range(self.vertex_count))
+        edges = self.edges
+        m = s.mask
+        while m:
+            low = m & -m
+            m ^= low
+            a, b = edges[low.bit_length() - 1]
+            while (up := parent[a]) != a:
+                parent[a] = a = parent[up]
+            while (up := parent[b]) != b:
+                parent[b] = b = parent[up]
+            if a == b:
                 return False  # self-loop or cycle closed
+            parent[a] = b
         return True
 
     def __repr__(self):

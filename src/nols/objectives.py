@@ -15,9 +15,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ElementId, ElementSet, ValueOracle
+from .core import ElementId, ElementSet, ValueOracle, left_sum
 
-MAX_LEVELS = 20  # 2**levels subset evaluations per guide query; hard cap
+# hard cap: a marginal adds up 2**(levels-1) level-subset terms, though it
+# asks f at most once per distinct projection among them
+MAX_LEVELS = 20
 
 
 class CoverageFunction:
@@ -105,7 +107,7 @@ class ModularFunction:
         self.weights = tuple(weights)
 
     def eval(self, s: ElementSet) -> float:
-        return sum(self.weights[u] for u in s)
+        return left_sum(self.weights[u] for u in s)
 
 
 class ConcaveOfModular:
@@ -130,7 +132,7 @@ class ConcaveOfModular:
         self.cap = cap
 
     def eval(self, s: ElementSet) -> float:
-        total = sum(self.weights[u] for u in s)
+        total = left_sum(self.weights[u] for u in s)
         if self.shape == "sqrt":
             return math.sqrt(total)
         return min(total, self.cap)
@@ -146,7 +148,7 @@ class LinearRegularizer:
         self.weights = tuple(weights)
 
     def eval(self, s: ElementSet) -> float:
-        return sum(self.weights[u] for u in s)
+        return left_sum(self.weights[u] for u in s)
 
 
 class GuideWeights:
@@ -236,8 +238,10 @@ class LiftedGuide:
     Tables for eval and the tracker: reg_weights (zeros without a
     regularizer), reg_terms (reg_scale * reg_weights[x // levels], the
     regularizer's term in every marginal at lifted element x), the weight
-    per level-subset mask, and the level subsets holding each level. memo
-    maps a base-set mask to its f value; base_value, and so eval and every
+    per level-subset mask, and the level subsets holding each level. A
+    tracker groups a level's subsets by projection, so its marginal asks
+    the memo once per distinct projection, not once per subset. memo maps
+    a base-set mask to its f value; base_value, and so eval and every
     tracker of this guide, reads and writes it, so the inner oracle sees a
     set at most once in the guide's life (one solve, as the solvers build
     it).
@@ -297,7 +301,7 @@ class LiftedGuide:
         # without a regularizer the weights are zeros, and adding 0.0 changes
         # no float
         w = self.reg_weights
-        return total + self.reg_scale * sum(w[x // self.levels] for x in s)
+        return total + self.reg_scale * left_sum(w[x // self.levels] for x in s)
 
     def make_tracker(self, start: ElementSet) -> "LiftedTracker":
         return LiftedTracker(self, start)
@@ -307,33 +311,43 @@ class LiftedGuide:
 
 
 class LiftedTracker:
-    """Incremental guide state: one projection and cached f value per level
-    subset, plus the running regularizer total. Each marginal adds the
-    guide's reg_terms entry: zero without a regularizer, which changes no
-    float.
+    """Incremental guide state: the projection onto every level subset, the
+    inner state of each distinct projection, and the running regularizer
+    total. Each marginal adds the guide's reg_terms entry: zero without a
+    regularizer, which changes no float.
 
-    A marginal at a lifted element touches only the 2^(levels-1) subsets
-    containing its level and costs at most one inner query per touched
-    subset whose projection actually changes. apply() refreshes exactly the
-    touched projections. The tracked set must keep each base element on at
-    most one level (solvers maintain this through matroid independence).
+    A marginal at a lifted element weighs the 2^(levels-1) subsets holding
+    its level, but solutions sit on few levels, so most of those subsets
+    share a projection. A per-level table lists the distinct projections
+    among them (first seen in with_level order) with their inner states and
+    f values, and each subset's weight with its projection's place in that
+    list. A marginal at x = (base element u, level) asks the memo, and on a
+    miss the inner oracle, once per distinct projection, then adds the
+    per-subset terms w_J * (f(P_J + u) - f(P_J)), or w_J * (f(P_J) -
+    f(P_J - u)) for a drop, one at a time in with_level order, so it is the
+    same float as a walk over the subsets. An add-marginal skips the
+    subsets whose projection already holds u. The tracked set must keep
+    each base element on at most one level (solvers maintain this through
+    matroid independence).
 
     f values are memoized by base-set mask in the guide's memo, which
     outlives apply() and is shared by every tracker of the guide, so the
     inner oracle sees a set at most once per guide. Repeats across levels,
     across level subsets with equal projections, across swaps, and across
-    the trackers of one solve are free, and apply() answers its refresh
-    from the memo. The memo grows by at most one entry per charged query.
-    Reuse is exact because f is a pure function of the set (the
-    ValueOracle contract).
+    the trackers of one solve are free. The memo grows by at most one entry
+    per charged query. Reuse is exact because f is a pure function of the
+    set (the ValueOracle contract).
 
     A memo miss in marginal_add extends the projection's stored state by
     one element with the guide's inner_state/inner_extend pair, charged as
-    one value query, exactly where an eval of the grown set would be. The
-    states are recomputed at start and wherever apply() changes a
-    projection, at no charge; each of those sets is in the memo by then,
-    so its value was charged once, and no value is learned for free.
-    marginal_drop and the refresh in apply() always use eval.
+    one value query, exactly where an eval of the grown set would be.
+    apply() updates the projections the move touches and asks f of every
+    projection in subset order, so only the changed ones are charged, in
+    that order; then it takes inner_state once per new distinct projection,
+    at no charge, keeps the states of the others, and drops the level
+    tables, which the next marginal at a level rebuilds. Each set given to
+    inner_state is in the memo by then, so its value was charged once, and
+    no value is learned for free. marginal_drop always uses eval.
 
     Each marginal, regularizer term included, is also kept per lifted
     element until the next apply(), so a repeat is one dict lookup and the
@@ -343,7 +357,7 @@ class LiftedTracker:
     """
 
     __slots__ = (
-        "guide", "current", "value", "_proj", "_fval", "_reg_total", "_state",
+        "guide", "current", "value", "_proj", "_reg_total", "_states", "_tables",
         "_marginal",
     )
 
@@ -355,20 +369,48 @@ class LiftedTracker:
         if proj[-1].bit_count() != len(start):
             raise ValueError("tracked set holds a base element on two levels")
         self._proj = proj
-        self._fval = [0.0] + [guide.base_value(p) for p in proj[1:]]
-        self._state = [guide.inner_state(p) for p in proj]
-        self._reg_total = sum(guide.reg_weights[x // ell] for x in start)
+        self._states: dict[int, object] = {}
+        self._reg_total = left_sum(guide.reg_weights[x // ell] for x in start)
         self._marginal: dict[ElementId, float] = {}
-        self._recompute_value()
+        self._refresh()
 
     @property
     def ground_size(self) -> int:
         return self.guide.ground_size
 
-    def _recompute_value(self):
-        wj, fv = self.guide.subset_weight, self._fval
-        self.value = sum(wj[j] * fv[j] for j in range(1, len(fv)))
-        self.value += self.guide.reg_scale * self._reg_total
+    def _refresh(self):
+        # value first: it charges every projection not in the memo, in
+        # subset order, before inner_state may see it
+        guide, proj = self.guide, self._proj
+        wj, base_value = guide.subset_weight, guide.base_value
+        value = 0
+        for j in range(1, len(proj)):
+            value += wj[j] * base_value(proj[j])
+        self.value = value + guide.reg_scale * self._reg_total
+        old, states = self._states, {}
+        for p in proj[1:]:
+            if p not in states:
+                states[p] = old[p] if p in old else guide.inner_state(p)
+        self._states = states
+        self._tables = [None] * guide.levels
+
+    def _table(self, level: int) -> tuple[list, list]:
+        """(distinct, terms) at a level: distinct lists (projection, inner
+        state, f value) in first-seen with_level order, terms lists
+        (weight, place in distinct) per subset in with_level order."""
+        guide, proj, states = self.guide, self._proj, self._states
+        wj, base_value = guide.subset_weight, guide.base_value
+        place: dict[int, int] = {}
+        distinct, terms = [], []
+        for j in guide.with_level[level]:
+            p = proj[j]
+            i = place.get(p)
+            if i is None:
+                i = place[p] = len(distinct)
+                distinct.append((p, states[p], base_value(p)))
+            terms.append((wj[j], i))
+        table = self._tables[level] = (distinct, terms)
+        return table
 
     def marginal_add(self, x: ElementId) -> float:
         if x in self.current:
@@ -380,17 +422,23 @@ class LiftedTracker:
         ell = guide.levels
         u = x // ell
         ubit = 1 << u
-        wj, memo, extend = guide.subset_weight, guide.memo, guide.inner_extend
-        total = 0.0
-        for j in guide.with_level[x % ell]:
-            pj = self._proj[j]
-            if pj & ubit:
+        memo, extend = guide.memo, guide.inner_extend
+        distinct, terms = self._tables[x % ell] or self._table(x % ell)
+        diffs = []
+        for p, state, f in distinct:
+            if p & ubit:
+                diffs.append(None)
                 continue
-            mask = pj | ubit
+            mask = p | ubit
             value = memo.get(mask)
             if value is None:
-                value = memo[mask] = extend(self._state[j], u)
-            total += wj[j] * (value - self._fval[j])
+                value = memo[mask] = extend(state, u)
+            diffs.append(value - f)
+        total = 0.0
+        for w, i in terms:
+            d = diffs[i]
+            if d is not None:
+                total += w * d
         total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
@@ -403,44 +451,41 @@ class LiftedTracker:
         guide = self.guide
         ell = guide.levels
         ubit = 1 << (x // ell)
-        wj = guide.subset_weight
+        base_value = guide.base_value
+        distinct, terms = self._tables[x % ell] or self._table(x % ell)
+        diffs = [f - base_value(p & ~ubit) for p, _, f in distinct]
         total = 0.0
-        for j in guide.with_level[x % ell]:
-            total += wj[j] * (self._fval[j] - guide.base_value(self._proj[j] & ~ubit))
+        for w, i in terms:
+            total += w * diffs[i]
         total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
         guide = self.guide
         ell, with_level, w = guide.levels, guide.with_level, guide.reg_weights
+        proj = self._proj
         # drop, then add; a move that is not valid raises before any change
         s = self.current if drop is None else self.current.remove(drop)
         if add is not None:
             if add in s:
                 raise ValueError(f"element {add} is already tracked")
             s = s.add(add)
-            held = self._proj[-1] & ~(0 if drop is None else 1 << drop // ell)
+            held = proj[-1] & ~(0 if drop is None else 1 << drop // ell)
             if held >> (add // ell) & 1:
                 raise ValueError("base element already tracked on another level")
         self._marginal.clear()
-        refresh = set()
         if drop is not None:
             ubit = 1 << (drop // ell)
             for j in with_level[drop % ell]:
-                self._proj[j] &= ~ubit
-            refresh.update(with_level[drop % ell])
+                proj[j] &= ~ubit
             self._reg_total -= w[drop // ell]
         if add is not None:
             ubit = 1 << (add // ell)
             for j in with_level[add % ell]:
-                self._proj[j] |= ubit
-            refresh.update(with_level[add % ell])
+                proj[j] |= ubit
             self._reg_total += w[add // ell]
         self.current = s
-        for j in sorted(refresh):
-            self._fval[j] = guide.base_value(self._proj[j])
-            self._state[j] = guide.inner_state(self._proj[j])
-        self._recompute_value()
+        self._refresh()
 
 
 def as_guide(oracle: ValueOracle) -> LiftedGuide:

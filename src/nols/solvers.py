@@ -28,6 +28,7 @@ from .core import (
     ValueOracle,
     ge,
     gt,
+    left_sum,
     sample_without_replacement,
 )
 from .matroids import extend_to_base, lift, max_weight_independent, min_weight_exchange
@@ -126,7 +127,7 @@ class LocalOptCertificate:
         for v in range(tracker.ground_size):
             w[v] = tracker.marginal_drop(v) if v in s else tracker.marginal_add(v)
         witness = max_weight_independent(matroid, w)
-        gap = sum(w[v] for v in witness) - sum(w[u] for u in s)
+        gap = left_sum(w[v] for v in witness) - left_sum(w[u] for u in s)
         return cls(witness, gap, eps * warm_value, eps, warm_value)
 
 

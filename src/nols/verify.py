@@ -31,6 +31,7 @@ from .core import (
     RandomSource,
     ValueOracle,
     ge,
+    left_sum,
 )
 from .matroids import LiftedMatroid, extend_to_base, mask_text, matroid_axiom_violations
 from .objectives import GuideWeights, as_guide, make_tracker, subset_unions
@@ -219,15 +220,15 @@ def exhaustive_gap(f: ValueOracle, matroid: MatroidOracle, s: ElementSet) -> flo
         tracker.marginal_drop(v) if v in s else tracker.marginal_add(v)
         for v in range(n)
     ]
-    base_sum = sum(w[u] for u in s)
+    base_sum = left_sum(w[u] for u in s)
     best = -base_sum  # T empty
     best_mask = 0
     for mask in _independent_masks(matroid):
-        gap = sum(w[v] for v in ElementSet(n, mask)) - base_sum
+        gap = left_sum(w[v] for v in ElementSet(n, mask)) - base_sum
         if gap > best:
             best = gap
             best_mask = mask
-    return sum(w[v] for v in ElementSet(n, best_mask)) - base_sum
+    return left_sum(w[v] for v in ElementSet(n, best_mask)) - base_sum
 
 
 def check_matroid_axioms(matroid: MatroidOracle) -> list[str]:

@@ -64,6 +64,35 @@ def test_graphic_matroid_multigraph():
     assert not m.is_independent(_es(3, [2]))
 
 
+def _acyclic_by_search(vertex_count, edges, members):
+    # reference: an edge closes a cycle iff a breadth-first search over the
+    # edges taken before it already reaches one endpoint from the other
+    adjacent = [[] for _ in range(vertex_count)]
+    for e in members:
+        a, b = edges[e]
+        seen, frontier = {a}, [a]
+        while frontier:
+            frontier = [w for v in frontier for w in adjacent[v] if w not in seen]
+            seen.update(frontier)
+        if b in seen:
+            return False
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    return True
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_graphic_matroid_matches_a_search_for_cycles(vertex_count, data):
+    # random multigraphs, self-loops and parallel edges included
+    vertex = st.integers(0, vertex_count - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    m = GraphicMatroid(vertex_count, edges)
+    for mask in data.draw(st.lists(st.integers(0, (1 << len(edges)) - 1), max_size=20)):
+        s = ElementSet(len(edges), mask)
+        assert m.is_independent(s) == _acyclic_by_search(vertex_count, edges, s), s
+
+
 def test_explicit_matroid_validates_axioms():
     good = [0b00, 0b01, 0b10, 0b11]
     ExplicitMatroid(2, good)  # should not raise
