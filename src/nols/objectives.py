@@ -413,7 +413,7 @@ class LiftedTracker:
         return table
 
     def marginal_add(self, x: ElementId) -> float:
-        if x in self.current:
+        if self.current.mask >> x & 1:
             return 0.0
         total = self._marginal.get(x)
         if total is not None:
@@ -443,7 +443,7 @@ class LiftedTracker:
         return total
 
     def marginal_drop(self, x: ElementId) -> float:
-        if x not in self.current:
+        if x < 0 or not self.current.mask >> x & 1:
             raise KeyError(x)
         total = self._marginal.get(x)
         if total is not None:

@@ -123,9 +123,10 @@ class LocalOptCertificate:
         recomputation is float-identical.
         """
         s = tracker.current
+        mask = s.mask
         w: dict[ElementId, float] = {}
         for v in range(tracker.ground_size):
-            w[v] = tracker.marginal_drop(v) if v in s else tracker.marginal_add(v)
+            w[v] = tracker.marginal_drop(v) if mask >> v & 1 else tracker.marginal_add(v)
         witness = max_weight_independent(matroid, w)
         gap = left_sum(w[v] for v in witness) - left_sum(w[u] for u in s)
         return cls(witness, gap, eps * warm_value, eps, warm_value)
@@ -438,18 +439,24 @@ def randomized_local_search(
     attempts=0 makes none, so the search stops at the base. All attempts
     draw from the one generator, so replay is deterministic (the warm start
     draws no randomness, so running it once leaves the stream as it was).
-    The result's iterations are the ones run, the sum of the drawn i. When
-    no attempt passes, its certificate is None and its solution is the
-    last set tested.
+    The result's iterations are the sum of the drawn i, the skipped
+    iterations of a settled attempt included. When no attempt passes, its
+    certificate is None and its solution is the last set tested.
 
-    Two shortcuts skip queries without changing the trajectory. A
+    Three shortcuts skip work without changing the trajectory. A
     candidate's exchange binary search is skipped when the upper bound
     gain_add - min(drop) over R1 fails the acceptance test or does not beat
     the best gain so far: its true gain is no larger, so the applied swap,
     ties included, is the one the full search picks. When R1 is the whole
     solution it is taken without a draw (an r-of-r sample is the whole
     pool), and the feasibility test is a singleton query, asked at most
-    once per element per call.
+    once per element per call. And an attempt whose R1 is the whole
+    solution stops drawing once it settles (see _whole_r1_run): its
+    remaining iterations are counted but not run. The draws they would
+    have made are made before the next attempt draws, so every attempt
+    sees the stream it would see without the shortcut; after the last
+    attempt the generator may stand before the draws of its skipped
+    iterations.
 
     eps must be a positive finite real number and attempts, when given, a
     non-negative int (neither may be a bool); any other raises ValueError.
@@ -470,46 +477,39 @@ def randomized_local_search(
     k = max(1, math.ceil(18 * r / eps))
     r1_size = min(r, root)
     r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
+    whole = r1_size == r
+    draw_r2 = functools.partial(sample_without_replacement, rng, ground, r2_size)
     certificate = None
-    made = iterations = 0
+    made = iterations = owed = loops = 0
     while certificate is None and made < attempts:
         if made:
             tracker = make_tracker(f, base)
+        for _ in range(owed):  # the draws the last attempt skipped
+            draw_r2()
         made += 1
         stop = rng.randrange(k)  # the tested index, drawn before the run
         iterations += stop
-        for _ in range(stop):
-            s = tracker.current
-            r1 = s if r1_size == r else sample_without_replacement(rng, s, r1_size)
-            r2 = sample_without_replacement(rng, ground, r2_size)
-            stripped = s.mask & ~r1.mask
-            feasible = [
-                v
-                for v in r2
-                if v not in s
-                and (
-                    independent_alone(v)
-                    if stripped == 0
-                    else matroid.is_independent(ElementSet(n, stripped | (1 << v)))
-                )
-            ]
-            if feasible and len(r1) > 0:
-                drop_w = {u: tracker.marginal_drop(u) for u in r1}
-                min_drop = min(drop_w.values())
-                best: tuple[float, ElementId, ElementId] | None = None
-                for v in feasible:  # ascending; first best kept on ties
-                    gain_add = tracker.marginal_add(v)
-                    upper = gain_add - min_drop
-                    if not ge(upper, 0.0) or (
-                        best is not None and not upper > best[0]
-                    ):
-                        continue
-                    u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
-                    gain = gain_add - drop_w[u_v]
-                    if best is None or gain > best[0]:
-                        best = (gain, v, u_v)
-                if best is not None and ge(best[0], 0.0):
-                    tracker.apply(add=best[1], drop=best[2])
+        if whole:
+            ran, loops = _whole_r1_run(
+                tracker, matroid, draw_r2, stop, independent_alone, loops
+            )
+            owed = stop - ran
+        else:
+            for _ in range(stop):
+                s = tracker.current
+                r1 = sample_without_replacement(rng, s, r1_size)
+                r2 = draw_r2()
+                stripped = s.mask & ~r1.mask
+                feasible = [
+                    v
+                    for v in r2
+                    if not s.mask >> v & 1
+                    and matroid.is_independent(ElementSet(n, stripped | (1 << v)))
+                ]
+                if feasible:
+                    swap = _best_swap(tracker, matroid, s, r1, feasible, {})[0]
+                    if swap is not None:
+                        tracker.apply(add=swap[1], drop=swap[2])
 
         candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
         if not _clears(candidate.gap, candidate.bound):
@@ -521,6 +521,100 @@ def randomized_local_search(
         iterations=iterations,
         certificate=certificate,
     )
+
+
+def _best_swap(
+    tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, feasible, exchanges
+):
+    """One iteration's choice among the feasible candidates (ascending),
+    each dropping its cheapest feasible partner from R1 = r1.
+
+    Returns (swap, upper_fails, gain_fails). swap is (gain, v, u_v) for the
+    best candidate, the first of largest gain, or None when its gain fails
+    the acceptance test; a NaN gain that comes first is best, since nothing
+    compares greater. upper_fails and gain_fails are the masks of the
+    candidates whose upper bound, and whose gain when it is not NaN, fails
+    the test. exchanges holds each searched candidate's (gain, u_v); calls
+    may share it while the solution, R1 and the tracker state stay the
+    same, since the search would return the same pair.
+    """
+    drop_w = {u: tracker.marginal_drop(u) for u in r1}
+    min_drop = min(drop_w.values())
+    best: tuple[float, ElementId, ElementId] | None = None
+    upper_fails = gain_fails = 0
+    for v in feasible:  # first best kept on ties
+        gain_add = tracker.marginal_add(v)
+        upper = gain_add - min_drop
+        if not ge(upper, 0.0):
+            upper_fails |= 1 << v
+            continue
+        if best is not None and not upper > best[0]:
+            continue
+        searched = exchanges.get(v)
+        if searched is None:
+            u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
+            searched = exchanges[v] = (gain_add - drop_w[u_v], u_v)
+        gain = searched[0]
+        if not ge(gain, 0.0) and not math.isnan(gain):
+            gain_fails |= 1 << v
+        if best is None or gain > best[0]:
+            best = (gain, v, searched[1])
+    swap = best if best is not None and ge(best[0], 0.0) else None
+    return swap, upper_fails, gain_fails
+
+
+def _whole_r1_run(
+    tracker, matroid: MatroidOracle, draw_r2, stop: int, independent_alone, loops: int
+):
+    """Up to stop iterations of an attempt whose R1 is the whole solution.
+
+    Returns how many ran, fewer than stop when the attempt settles, and the
+    mask of loops (elements dependent on their own) known after them, which
+    the caller carries to the next attempt.
+
+    Between two applies the solution, its drop marginals, and each
+    candidate's add-marginal and cheapest drop are fixed. So until the next
+    apply the run keeps each searched candidate's exchange, and two masks
+    of candidates that cannot be swapped in. A candidate whose upper bound
+    fails the acceptance test is skipped by every iteration: R2 loses it,
+    and the loops, before any other work. A candidate whose gain is a
+    number that fails the test stays in the walk, at the cost of a lookup:
+    as the best so far it keeps a later NaN gain from coming first and a
+    later -inf gain, which the slack lets pass, from being applied, so
+    dropping it could change the swap. Once every element outside S is in
+    one of the masks, every gain an iteration searches fails the test, so
+    S cannot change: the remaining iterations are not run and their R2
+    draws are not made.
+    """
+    n = tracker.ground_size
+    full = (1 << n) - 1
+    shut, failing, exchanges = loops, 0, {}
+    for ran in range(stop):
+        s = tracker.current
+        if (s.mask | shut | failing) == full:
+            return ran, loops
+        live = draw_r2().mask & ~(s.mask | shut)
+        feasible = []
+        while live:
+            low = live & -live
+            live ^= low
+            v = low.bit_length() - 1
+            if independent_alone(v):
+                feasible.append(v)
+            else:
+                loops |= low
+                shut |= low
+        if feasible and s.mask:
+            swap, upper_fails, gain_fails = _best_swap(
+                tracker, matroid, s, s, feasible, exchanges
+            )
+            if swap is not None:
+                tracker.apply(add=swap[1], drop=swap[2])
+                shut, failing, exchanges = loops, 0, {}
+            else:
+                shut |= upper_fails
+                failing |= gain_fails
+    return stop, loops
 
 
 # ----- full solvers -----

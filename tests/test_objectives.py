@@ -262,8 +262,9 @@ def test_tracker_degenerate_calls():
     f = ModularFunction([1, 2, 3])
     tracker = make_tracker(f, _es(3, [1]))
     assert tracker.marginal_add(1) == 0.0
-    with pytest.raises(KeyError):
-        tracker.marginal_drop(0)
+    for x in (0, -1, -2, 3):  # membership is a mask bit, so a negative id must not wrap
+        with pytest.raises(KeyError):
+            tracker.marginal_drop(x)
 
 
 def test_regularized_guide_adds_scaled_modular_term():

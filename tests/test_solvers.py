@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import re
 import signal
@@ -549,6 +550,110 @@ def test_failed_attempts_run_only_as_far_as_the_sets_they_test(seed):
     # draw from the stream where the first one's tested index left it
     res = _draw_first_runs(SquaredSize(), UniformMatroid(6, 2), 1, 0.5, seed, attempts=2)
     assert res.certificate is None
+
+
+def _watch_settling(monkeypatch, fail_first_test=False):
+    """Record each whole-R1 run as (stop, ran) and count the R2 draws of
+    randomized_local_search; with fail_first_test, the first certificate
+    test of each search (one guide per search) gets an infinite gap, so it
+    fails on both sides of _draw_first_runs."""
+    runs, draws, tested = [], [], set()
+    whole_r1_run = solvers._whole_r1_run
+    sample = solvers.sample_without_replacement
+    at = solvers.LocalOptCertificate.at
+
+    def run(tracker, matroid, draw_r2, stop, independent_alone, loops):
+        out = whole_r1_run(tracker, matroid, draw_r2, stop, independent_alone, loops)
+        runs.append((stop, out[0]))
+        return out
+
+    def draw(rng, pool, k):
+        draws.append(k)
+        return sample(rng, pool, k)
+
+    def first_fails(tracker, matroid, eps, warm_value):
+        certificate = at(tracker, matroid, eps, warm_value)
+        if fail_first_test and id(tracker.guide) not in tested:
+            tested.add(id(tracker.guide))
+            return dataclasses.replace(certificate, gap=math.inf)
+        return certificate
+
+    monkeypatch.setattr(solvers, "_whole_r1_run", run)
+    monkeypatch.setattr(solvers, "sample_without_replacement", draw)
+    monkeypatch.setattr(solvers.LocalOptCertificate, "at", first_fails)
+    return runs, draws
+
+
+@pytest.mark.parametrize("seed", range(2, 6))
+def test_a_settled_attempt_replays_its_skipped_draws(monkeypatch, seed):
+    # R1 is the whole solution (lifted n 20, r 3); the first attempt settles
+    # and fails its test, so the second must draw from where all of the
+    # first attempt's draws, skipped ones included, leave the stream
+    instance = generate_instance("coverage", 10, 3, seed)
+    f, m = instance.build_objective(), instance.build_matroid()
+    runs, draws = _watch_settling(monkeypatch, fail_first_test=True)
+    res = _draw_first_runs(f, m, 2, 0.5, seed, attempts=2)
+    assert res.certificate is not None and len(runs) == 2
+    (stop, ran), _ = runs
+    assert ran < stop
+    assert len(draws) < res.iterations
+
+
+def _unsettled_run(tracker, matroid, draw_r2, stop, independent_alone, loops):
+    # every iteration in full, each with a fresh exchange memo and no masks
+    for _ in range(stop):
+        s = tracker.current
+        feasible = [v for v in draw_r2() if v not in s and independent_alone(v)]
+        if feasible and len(s) > 0:
+            swap = solvers._best_swap(tracker, matroid, s, s, feasible, {})[0]
+            if swap is not None:
+                tracker.apply(add=swap[1], drop=swap[2])
+    return stop, loops
+
+
+@given(
+    family=st.sampled_from(["coverage", "partition", "odd"]),
+    n=st.integers(2, 10),
+    r=st.integers(1, 3),
+    levels=st.integers(1, 3),
+    attempts=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+)
+@example(family="odd", n=10, r=3, levels=3, attempts=1, seed=143)
+@example(family="odd", n=4, r=3, levels=3, attempts=1, seed=524)
+@settings(max_examples=150, deadline=None)
+def test_settling_changes_nothing_a_search_returns(family, n, r, levels, attempts, seed):
+    # also with NaN and -inf values: a candidate whose gain is a number that
+    # fails can still hold off a NaN in first place or a passing -inf, so it
+    # stays in the walk; dropping it with the masked ones changes answers
+    f, m = _warm_instance(family, n, min(r, n), seed)
+    outcomes = []
+    for run in (_unsettled_run, solvers._whole_r1_run):
+        with mock.patch.object(solvers, "_whole_r1_run", run):
+            guide = LiftedGuide(f, GuideWeights(levels))
+            res = randomized_local_search(
+                guide, lift(m, levels), 0.5, RandomSource(seed), attempts=attempts
+            )
+        c = res.certificate
+        outcomes.append(
+            (res.solution, res.iterations, res.value.hex(), c and (c.witness, c.gap.hex()))
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_search_with_loops_still_settles(monkeypatch, levels, seed):
+    # the loops cover every point, so they would be the best picks if
+    # allowed; the attempt settles only if they are masked as loops
+    base, _ = tiny_coverage()
+    f, m = _with_loops(base, {0, 3, 6}, 2, list(range(TINY_UNIVERSE)))
+    runs, draws = _watch_settling(monkeypatch)
+    res = _draw_first_runs(f, m, levels, 0.25, seed, attempts=1)
+    assert res.certificate is not None
+    [(stop, ran)] = runs
+    assert ran < stop
+    assert len(draws) == ran
 
 
 def test_non_oblivious_solve_deterministic_coverage():
