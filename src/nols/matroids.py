@@ -274,6 +274,15 @@ def lift(matroid: MatroidOracle, levels: int) -> LiftedMatroid:
     return LiftedMatroid(matroid, levels)
 
 
+def as_lifted(matroid: MatroidOracle) -> LiftedMatroid:
+    """The matroid as a lifted one: a LiftedMatroid is returned as it is,
+    any other becomes its one-level lift, which is the matroid itself with
+    a memo in front. Both searches ask independence through this door."""
+    if isinstance(matroid, LiftedMatroid):
+        return matroid
+    return LiftedMatroid(matroid, 1)
+
+
 def extend_to_base(
     matroid: MatroidOracle, start: ElementSet, dependent: ElementSet | None = None
 ) -> ElementSet:

@@ -31,7 +31,9 @@ from .core import (
     left_sum,
     sample_without_replacement,
 )
-from .matroids import extend_to_base, lift, max_weight_independent, min_weight_exchange
+from .matroids import (
+    as_lifted, extend_to_base, lift, max_weight_independent, min_weight_exchange
+)
 from .objectives import (
     LiftedGuide,
     LinearRegularizer,
@@ -266,6 +268,7 @@ def warm_start(f: ValueOracle, matroid: MatroidOracle) -> ElementSet:
     The contract is enforced by the brute-force acceptance suite rather
     than assumed from the internals.
     """
+    _check_ground(f, matroid)
     return _threshold_greedy_warm(f, matroid)[0].current
 
 
@@ -292,15 +295,18 @@ def _clears(value: float, threshold: float) -> bool:
     return ge(value, threshold) if threshold > 0 else gt(value, 0.0)
 
 
-def _alone_oracle(matroid: MatroidOracle, n: int):
-    """is_independent({v}) that asks the matroid at most once per element."""
-    return functools.cache(lambda v: matroid.is_independent(ElementSet(n, 1 << v)))
-
-
 def _check_eps(eps) -> None:
     real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
     if not (real and 0 < eps < math.inf):
         raise ValueError(f"eps must be a positive finite real number, got {eps!r}")
+
+
+def _check_ground(f: ValueOracle, matroid: MatroidOracle) -> None:
+    if f.ground_size != matroid.ground_size:
+        raise ValueError(
+            f"objective ground size {f.ground_size} does not match matroid "
+            f"ground size {matroid.ground_size}"
+        )
 
 
 # ----- deterministic search -----
@@ -324,10 +330,11 @@ def deterministic_local_search(
     binary search runs only when the upper bound gain_add - min(drop)
     clears the threshold: the feasible drop weighs at least the minimum,
     and float subtraction and the slack comparisons are monotone, so a
-    candidate failing the bound fails the exact test too. Each candidate's
-    singleton independence is asked once per call, the first time a scan
-    reaches it, so loops (elements dependent on their own) cost one query
-    in all.
+    candidate failing the bound fails the exact test too. A candidate's
+    singleton independence is asked only while it carries no bound (one is
+    carried only past a passing singleton), and the memo of
+    as_lifted(matroid) answers each ask after the first, so a loop (an
+    element dependent on its own) costs one query in all.
 
     The add-marginal itself is skipped when a bound carried across swaps
     shows the candidate cannot clear gain_add - min(drop). For the monotone
@@ -345,13 +352,13 @@ def deterministic_local_search(
     raises ValueError.
     """
     _check_eps(eps)
-    f = as_guide(f)
+    _check_ground(f, matroid)
+    f, matroid = as_guide(f), as_lifted(matroid)
     n = f.ground_size
     tracker, warm_set, warm_value = _warm_base(f, matroid)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
-    independent_alone = _alone_oracle(matroid, n)
     carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
     dropped = 0.0  # D
     iterations = 0
@@ -369,10 +376,8 @@ def deterministic_local_search(
         for v in range(n):
             if v in s:
                 continue
-            if not independent_alone(v):
-                continue
             known = carried.get(v)
-            if known is not None:
+            if known is not None:  # carried only once its singleton passed
                 bound = known[0] + (dropped - known[1])
                 # padded, a bound that reaches a positive threshold clears
                 # it; at a zero threshold this only skips less
@@ -380,6 +385,8 @@ def deterministic_local_search(
                     bound += COMPARISON_SLACK * max(1.0, abs(bound))
                     if not _clears(bound - min_drop, threshold):
                         continue
+            elif not matroid.is_independent(ElementSet(n, 1 << v)):
+                continue
             gain_add = tracker.marginal_add(v)
             if math.isfinite(gain_add):
                 carried[v] = (gain_add, dropped)
@@ -422,8 +429,8 @@ def randomized_local_search(
     *,
     attempts: int | None = None,
 ) -> LocalSearchResult:
-    """Sampled-swap search on as_guide(f), amplified over attempts; the
-    first passing attempt wins.
+    """Sampled-swap search on as_guide(f) and as_lifted(matroid), amplified
+    over attempts; the first passing attempt wins.
 
     The search warm-starts and extends to a base once. Each attempt starts
     there, draws an index i uniformly in [0, k) with k = ceil(18 r / eps),
@@ -443,20 +450,20 @@ def randomized_local_search(
     iterations of a settled attempt included. When no attempt passes, its
     certificate is None and its solution is the last set tested.
 
-    Three shortcuts skip work without changing the trajectory. A
-    candidate's exchange binary search is skipped when the upper bound
-    gain_add - min(drop) over R1 fails the acceptance test or does not beat
-    the best gain so far: its true gain is no larger, so the applied swap,
-    ties included, is the one the full search picks. When R1 is the whole
-    solution it is taken without a draw (an r-of-r sample is the whole
-    pool), and the feasibility test is a singleton query, asked at most
-    once per element per call. And an attempt whose R1 is the whole
-    solution stops drawing once it settles (see _whole_r1_run): its
-    remaining iterations are counted but not run. The draws they would
-    have made are made before the next attempt draws, so every attempt
-    sees the stream it would see without the shortcut; after the last
-    attempt the generator may stand before the draws of its skipped
-    iterations.
+    Three shortcuts skip work. A candidate's exchange binary search is
+    skipped when the upper bound gain_add - min(drop) over R1 fails the
+    acceptance test or does not beat the best gain so far: its true gain is
+    no larger, so when no gain is NaN or -inf the applied swap, ties
+    included, is the one the full search picks (otherwise it may not be; a
+    solve still rechecks its certificate and fails closed). When R1 is the
+    whole solution it is taken without a draw (an r-of-r sample is the
+    whole pool), and the feasibility test is a singleton query, which the
+    lifted memo answers after the first ask. And an attempt whose R1 is
+    the whole solution stops drawing once it settles (see _whole_r1_run):
+    its remaining iterations are counted but not run. The draws they would
+    have made are made before the next attempt draws, so every attempt sees
+    the stream it would see without the shortcut; after the last attempt
+    the generator may stand before the draws of its skipped iterations.
 
     eps must be a positive finite real number and attempts, when given, a
     non-negative int (neither may be a bool); any other raises ValueError.
@@ -466,11 +473,11 @@ def randomized_local_search(
         attempts = amplification_attempts(eps)
     elif type(attempts) is not int or attempts < 0:  # isinstance lets True in
         raise ValueError(f"attempts must be a non-negative int, got {attempts!r}")
-    f = as_guide(f)
+    _check_ground(f, matroid)
+    f, matroid = as_guide(f), as_lifted(matroid)
     n = f.ground_size
     root = ceil_sqrt(n)
     ground = ElementSet.full(n)
-    independent_alone = _alone_oracle(matroid, n)
     tracker, warm_set, warm_value = _warm_base(f, matroid)
     base = tracker.current
     r = len(base)
@@ -490,9 +497,7 @@ def randomized_local_search(
         stop = rng.randrange(k)  # the tested index, drawn before the run
         iterations += stop
         if whole:
-            ran, loops = _whole_r1_run(
-                tracker, matroid, draw_r2, stop, independent_alone, loops
-            )
+            ran, loops = _whole_r1_run(tracker, matroid, draw_r2, stop, loops)
             owed = stop - ran
         else:
             for _ in range(stop):
@@ -563,9 +568,7 @@ def _best_swap(
     return swap, upper_fails, gain_fails
 
 
-def _whole_r1_run(
-    tracker, matroid: MatroidOracle, draw_r2, stop: int, independent_alone, loops: int
-):
+def _whole_r1_run(tracker, matroid: MatroidOracle, draw_r2, stop: int, loops: int):
     """Up to stop iterations of an attempt whose R1 is the whole solution.
 
     Returns how many ran, fewer than stop when the attempt settles, and the
@@ -598,9 +601,8 @@ def _whole_r1_run(
         while live:
             low = live & -live
             live ^= low
-            v = low.bit_length() - 1
-            if independent_alone(v):
-                feasible.append(v)
+            if matroid.is_independent(ElementSet(n, low)):
+                feasible.append(low.bit_length() - 1)
             else:
                 loops |= low
                 shut |= low
@@ -646,11 +648,7 @@ def non_oblivious_solve(
     non-negative. The solve fails closed: it raises rather than return a
     certificate that does not pass.
     """
-    if f.ground_size != matroid.ground_size:
-        raise ValueError(
-            f"objective ground size {f.ground_size} does not match matroid "
-            f"ground size {matroid.ground_size}"
-        )
+    _check_ground(f, matroid)
     ledger = QueryLedger()
     f_counted = CountingValueOracle(f, ledger)
     m_counted = CountingMatroidOracle(matroid, ledger)

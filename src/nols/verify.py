@@ -33,7 +33,7 @@ from .core import (
     ge,
     left_sum,
 )
-from .matroids import LiftedMatroid, extend_to_base, mask_text, matroid_axiom_violations
+from .matroids import as_lifted, extend_to_base, mask_text, matroid_axiom_violations
 from .objectives import GuideWeights, as_guide, make_tracker, subset_unions
 from .solvers import LocalOptCertificate
 
@@ -373,14 +373,13 @@ def check_certificate(
     Float equality is intentional: both computations follow the same
     canonical summation order, so any difference means the inputs changed;
     two NaNs compare equal.
-    A recheck tracks as_guide(f) and pays for every query it asks: it first
-    empties the memo of that guide and of a lifted matroid it is handed. An
-    infinite or NaN gap fails the pass test.
+    A recheck asks through as_guide(f) and as_lifted(matroid), the doors
+    the searches use, and pays for every query it asks: it first empties
+    both memos. An infinite or NaN gap fails the pass test.
     """
-    guide = as_guide(f)
+    guide, matroid = as_guide(f), as_lifted(matroid)
     guide.memo.clear()
-    if isinstance(matroid, LiftedMatroid):
-        matroid.memo.clear()
+    matroid.memo.clear()
     issues = []
     fresh = LocalOptCertificate.at(
         make_tracker(guide, s), matroid, certificate.eps, certificate.warm_value

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nols.core import ElementSet, RandomSource, ge, gt, sample_without_replacement
 from nols.instances import InstanceFile, generate_instance
-from nols.matroids import UniformMatroid, extend_to_base, min_weight_exchange
+from nols.matroids import UniformMatroid, as_lifted, extend_to_base, min_weight_exchange
 from nols.objectives import CoverageFunction, as_guide, make_tracker
 from nols.solvers import LocalOptCertificate, LocalSearchResult, ceil_sqrt
 
@@ -134,7 +134,9 @@ def eager_local_search(f, matroid, eps):
     with no bound carried across swaps, and the certificate.
     deterministic_local_search must make the same swaps in the same scans,
     ask the same independence queries and reach the same result, while in
-    each state it asks no value query this search does not."""
+    each state it asks no value query this search does not. It asks
+    independence through as_lifted(matroid), as the search does."""
+    matroid = as_lifted(matroid)
     n = f.ground_size
     tracker, dead = _eager_warm(f, matroid)
     warm_set, warm_value = tracker.current, tracker.value
@@ -146,7 +148,6 @@ def eager_local_search(f, matroid, eps):
     def clears(value):
         return ge(value, threshold) if threshold > 0 else gt(value, 0.0)
 
-    alone = {}
     iterations = 0
     while True:
         iterations += 1
@@ -158,9 +159,7 @@ def eager_local_search(f, matroid, eps):
         for v in range(n):
             if v in s:
                 continue
-            if v not in alone:
-                alone[v] = matroid.is_independent(ElementSet(n, 1 << v))
-            if not alone[v]:
+            if not matroid.is_independent(ElementSet(n, 1 << v)):
                 continue
             gain_add = tracker.marginal_add(v)
             if not clears(gain_add - min_drop):
@@ -186,8 +185,10 @@ def full_budget_randomized_search(f, matroid, eps, rng, attempts):
     the whole solution), keeps the trajectory, and tests S_i on a tracker
     made at it. The iterations after i draw from a generator of their own,
     so they leave the stream the next attempt draws from as the search
-    leaves it: any difference in the answer would be theirs."""
-    f = as_guide(f)
+    leaves it: any difference in the answer would be theirs. Values and
+    independence go through as_guide(f) and as_lifted(matroid), as in the
+    search."""
+    f, matroid = as_guide(f), as_lifted(matroid)
     n = f.ground_size
     tracker, dead = _eager_warm(f, matroid)
     warm_set, warm_value = tracker.current, tracker.value

@@ -10,6 +10,9 @@ own commit are byte-identical.
 Regenerate only when a change of behaviour is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints one line per changed field (cell, field, old -> new) and
+nothing for a field that kept its value.
 """
 
 from __future__ import annotations
@@ -239,13 +242,28 @@ def test_golden_library_search(name):
     _assert_matches(_library_cell(name), _golden()["library"][name], name)
 
 
+def _leaves(doc, path=()):
+    """(key path, JSON text) for every value below the dicts of a document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path, json.dumps(doc)
+
+
 def _write() -> None:
+    old = dict(_leaves(_golden())) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         doc = {
             "cli": {name: _solve_cell(Path(tmp), name) for name in sorted(_cli_cells())},
             "library": {name: _library_cell(name) for name in LIBRARY_CELLS},
         }
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    new = dict(_leaves(doc))
+    for path in sorted(old.keys() | new.keys()):
+        was, now = old.get(path, "(none)"), new.get(path, "(none)")
+        if was != now:  # path: section, cell, then the field's keys
+            print(f"{path[0]}/{path[1]} {'.'.join(path[2:])}: {was} -> {now}")
     print(f"wrote {GOLDEN}")
 
 

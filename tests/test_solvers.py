@@ -20,7 +20,14 @@ from nols.core import (
     QueryLedger,
     RandomSource,
 )
-from nols.matroids import UniformMatroid, PartitionMatroid, lift, rank
+from nols.matroids import (
+    GraphicMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+    as_lifted,
+    lift,
+    rank,
+)
 from nols.objectives import (
     CoverageFunction,
     GuideWeights,
@@ -119,10 +126,28 @@ def test_config_rejects_a_mistyped_eps_or_seed(field, value):
         SolverConfig(**{field: value})
 
 
-def test_solve_rejects_ground_size_mismatch():
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, m: non_oblivious_solve(f, m, SolverConfig(eps=0.5)),
+        warm_start,
+        lambda f, m: deterministic_local_search(f, m, 0.5),
+        lambda f, m: randomized_local_search(f, m, 0.5, RandomSource(0)),
+    ],
+    ids=["solve", "warm_start", "deterministic", "randomized"],
+)
+@pytest.mark.parametrize(
+    "matroid",
+    # a smaller uniform matroid used to be searched as if it were larger,
+    # and a smaller graphic one raised IndexError
+    [UniformMatroid(21, 3), UniformMatroid(4, 2), GraphicMatroid(3, [(0, 1), (1, 2)])],
+    ids=["larger", "smaller", "graphic"],
+)
+def test_solve_rejects_ground_size_mismatch(entry, matroid):
     f = ModularFunction([1] * 20)
-    with pytest.raises(ValueError, match="ground size 20 .* ground size 21"):
-        non_oblivious_solve(f, UniformMatroid(21, 3), SolverConfig(eps=0.5))
+    size = matroid.ground_size
+    with pytest.raises(ValueError, match=f"ground size 20 .* ground size {size}$"):
+        entry(f, matroid)
 
 
 class _NaNOracle:
@@ -562,8 +587,8 @@ def _watch_settling(monkeypatch, fail_first_test=False):
     sample = solvers.sample_without_replacement
     at = solvers.LocalOptCertificate.at
 
-    def run(tracker, matroid, draw_r2, stop, independent_alone, loops):
-        out = whole_r1_run(tracker, matroid, draw_r2, stop, independent_alone, loops)
+    def run(tracker, matroid, draw_r2, stop, loops):
+        out = whole_r1_run(tracker, matroid, draw_r2, stop, loops)
         runs.append((stop, out[0]))
         return out
 
@@ -599,11 +624,16 @@ def test_a_settled_attempt_replays_its_skipped_draws(monkeypatch, seed):
     assert len(draws) < res.iterations
 
 
-def _unsettled_run(tracker, matroid, draw_r2, stop, independent_alone, loops):
+def _unsettled_run(tracker, matroid, draw_r2, stop, loops):
     # every iteration in full, each with a fresh exchange memo and no masks
+    n = tracker.ground_size
     for _ in range(stop):
         s = tracker.current
-        feasible = [v for v in draw_r2() if v not in s and independent_alone(v)]
+        feasible = [
+            v
+            for v in draw_r2()
+            if v not in s and matroid.is_independent(ElementSet(n, 1 << v))
+        ]
         if feasible and len(s) > 0:
             swap = solvers._best_swap(tracker, matroid, s, s, feasible, {})[0]
             if swap is not None:
@@ -967,10 +997,11 @@ def test_every_passed_solve_carries_a_passing_certificate(
 def test_a_plain_oracle_is_searched_as_its_one_level_guide(variant):
     inst = generate_instance("coverage", 24, 4, 0)
     runs = []
-    for door in (lambda oracle: oracle, as_guide):
+    plain = lambda oracle: oracle
+    for f_door, m_door in ((plain, plain), (as_guide, as_lifted)):
         ledger = QueryLedger()
-        f = door(CountingValueOracle(inst.build_objective(), ledger))
-        m = CountingMatroidOracle(inst.build_matroid(), ledger)
+        f = f_door(CountingValueOracle(inst.build_objective(), ledger))
+        m = m_door(CountingMatroidOracle(inst.build_matroid(), ledger))
         if variant == DETERMINISTIC:
             result = deterministic_local_search(f, m, 0.25)
         else:
@@ -978,3 +1009,22 @@ def test_a_plain_oracle_is_searched_as_its_one_level_guide(variant):
         runs.append((result, ledger.value_queries, ledger.independence_queries))
     assert runs[0] == runs[1]
     assert runs[0][0].certificate is not None
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+@pytest.mark.parametrize("family", ["bait", "coverage", "partition", "graphic"])
+def test_a_direct_search_asks_a_raw_matroid_each_set_once(variant, family):
+    # a raw matroid is searched through its one-level lift, whose memo
+    # answers every repeat: the scans' singletons and exchanges, the
+    # attempts' feasibility tests and the certificate's greedy
+    if family == "bait":
+        f, m = bait_chain(24, 4, 0)
+    else:
+        inst = generate_instance(family, 12, 3, 3)
+        f, m = inst.build_objective(), inst.build_matroid()
+    m = RecordingMatroid(m)
+    if variant == DETERMINISTIC:
+        deterministic_local_search(f, m, 0.25)
+    else:
+        randomized_local_search(f, m, 0.5, RandomSource(0), attempts=2)
+    assert m.seen and len(set(m.seen)) == len(m.seen)
