@@ -188,7 +188,13 @@ LIBRARY_CELLS = [
     f"{kind}:{key}"
     for kind in ("search", "warm")
     for key in ("bait", "coverage-12-3-3", "partition-12-3-2", "graphic-12-3-3", "modular-12-3-3")
-] + ["random1:coverage-12-3-11", "random2:bait", "failed:0", "failed:1"]
+] + [
+    "random1:coverage-12-3-11",
+    "random1:graphic-12-5-3",  # R1 is 4 of r = 5: sampled, not the whole S
+    "random2:bait",
+    "failed:0",
+    "failed:1",
+]
 
 
 def _golden() -> dict:
