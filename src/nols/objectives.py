@@ -139,11 +139,15 @@ class ConcaveOfModular:
 
 
 class LinearRegularizer:
-    """Modular regularizer; weights may carry either sign."""
+    """Modular regularizer; weights may carry either sign but must be
+    finite."""
 
     __slots__ = ("ground_size", "weights")
 
     def __init__(self, weights: Sequence[float]):
+        for i, w in enumerate(weights):
+            if not -math.inf < w < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"regularizer weight {i} must be finite, got {w!r}")
         self.ground_size = len(weights)
         self.weights = tuple(weights)
 
@@ -237,10 +241,11 @@ class LiftedGuide:
 
     Tables for eval and the tracker: reg_weights (zeros without a
     regularizer), reg_terms (reg_scale * reg_weights[x // levels], the
-    regularizer's term in every marginal at lifted element x), the weight
-    per level-subset mask, and the level subsets holding each level. A
-    tracker groups a level's subsets by projection, so its marginal asks
-    the memo once per distinct projection, not once per subset. memo maps
+    regularizer's term in every marginal at lifted element x), and
+    size_weight, the weight per level-subset size; nothing is built per
+    level subset. A tracker groups a level's subsets by projection, so its
+    marginal asks the memo once per distinct projection, not once per
+    subset. memo maps
     a base-set mask to its f value; base_value, and so eval and every
     tracker of this guide, reads and writes it, so the inner oracle sees a
     set at most once in the guide's life (one solve, as the solvers build
@@ -254,7 +259,7 @@ class LiftedGuide:
 
     __slots__ = (
         "inner", "levels", "ground_size", "reg_scale", "reg_weights", "reg_terms",
-        "subset_weight", "with_level", "memo", "inner_state", "inner_extend",
+        "size_weight", "memo", "inner_state", "inner_extend",
     )
 
     def __init__(
@@ -272,10 +277,7 @@ class LiftedGuide:
         scale = self.reg_scale = weights.floats[ell] * (ell + 1)
         w = self.reg_weights = (0.0,) * n if regularizer is None else regularizer.weights
         self.reg_terms = tuple(scale * wu for wu in w for _ in range(ell))
-        self.subset_weight = tuple(weights.floats[j.bit_count()] for j in range(1 << ell))
-        self.with_level = tuple(
-            tuple(j for j in range(1, 1 << ell) if j >> lvl & 1) for lvl in range(ell)
-        )
+        self.size_weight = weights.floats
         self.memo: dict[int, float] = {}
         if hasattr(inner, "extend"):
             self.inner_state = lambda mask: inner.state(ElementSet(n, mask))
@@ -293,11 +295,18 @@ class LiftedGuide:
             value = self.memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
         return value
 
-    def eval(self, s: ElementSet) -> float:
-        union = subset_unions(level_masks(s, self.levels))
+    def weighted_sum(self, union: Sequence[int]) -> float:
+        """Sum of weight(|J|) * f(union[J]) over the non-empty level subsets
+        J, in ascending subset order; union is indexed as subset_unions
+        returns it."""
+        w, base_value = self.size_weight, self.base_value
         total = 0.0
         for j in range(1, len(union)):
-            total += self.subset_weight[j] * self.base_value(union[j])
+            total += w[j.bit_count()] * base_value(union[j])
+        return total
+
+    def eval(self, s: ElementSet) -> float:
+        total = self.weighted_sum(subset_unions(level_masks(s, self.levels)))
         # without a regularizer the weights are zeros, and adding 0.0 changes
         # no float
         w = self.reg_weights
@@ -319,13 +328,13 @@ class LiftedTracker:
     A marginal at a lifted element weighs the 2^(levels-1) subsets holding
     its level, but solutions sit on few levels, so most of those subsets
     share a projection. A per-level table lists the distinct projections
-    among them (first seen in with_level order) with their inner states and
-    f values, and each subset's weight with its projection's place in that
-    list. A marginal at x = (base element u, level) asks the memo, and on a
+    among them (first seen in ascending subset order) with their inner
+    states and f values, and each subset's weight with its projection's
+    place in that list. A marginal at x = (base element u, level) asks the memo, and on a
     miss the inner oracle, once per distinct projection, then adds the
     per-subset terms w_J * (f(P_J + u) - f(P_J)), or w_J * (f(P_J) -
-    f(P_J - u)) for a drop, one at a time in with_level order, so it is the
-    same float as a walk over the subsets. An add-marginal skips the
+    f(P_J - u)) for a drop, one at a time in ascending subset order, so it
+    is the same float as a walk over the subsets. An add-marginal skips the
     subsets whose projection already holds u. The tracked set must keep
     each base element on at most one level (solvers maintain this through
     matroid independence).
@@ -341,8 +350,8 @@ class LiftedTracker:
     A memo miss in marginal_add extends the projection's stored state by
     one element with the guide's inner_state/inner_extend pair, charged as
     one value query, exactly where an eval of the grown set would be.
-    apply() updates the projections the move touches and asks f of every
-    projection in subset order, so only the changed ones are charged, in
+    apply() recomputes the projections from the moved set and asks f of
+    every projection in subset order, so only the changed ones are charged, in
     that order; then it takes inner_state once per new distinct projection,
     at no charge, keeps the states of the others, and drops the level
     tables, which the next marginal at a level rebuilds. Each set given to
@@ -382,11 +391,7 @@ class LiftedTracker:
         # value first: it charges every projection not in the memo, in
         # subset order, before inner_state may see it
         guide, proj = self.guide, self._proj
-        wj, base_value = guide.subset_weight, guide.base_value
-        value = 0
-        for j in range(1, len(proj)):
-            value += wj[j] * base_value(proj[j])
-        self.value = value + guide.reg_scale * self._reg_total
+        self.value = guide.weighted_sum(proj) + guide.reg_scale * self._reg_total
         old, states = self._states, {}
         for p in proj[1:]:
             if p not in states:
@@ -396,19 +401,22 @@ class LiftedTracker:
 
     def _table(self, level: int) -> tuple[list, list]:
         """(distinct, terms) at a level: distinct lists (projection, inner
-        state, f value) in first-seen with_level order, terms lists
-        (weight, place in distinct) per subset in with_level order."""
+        state, f value) in first-seen order, terms lists (weight, place in
+        distinct) per subset holding the level, both in ascending subset
+        order."""
         guide, proj, states = self.guide, self._proj, self._states
-        wj, base_value = guide.subset_weight, guide.base_value
+        w, base_value = guide.size_weight, guide.base_value
         place: dict[int, int] = {}
         distinct, terms = [], []
-        for j in guide.with_level[level]:
+        for j in range(1 << level, len(proj)):
+            if not j >> level & 1:
+                continue
             p = proj[j]
             i = place.get(p)
             if i is None:
                 i = place[p] = len(distinct)
                 distinct.append((p, states[p], base_value(p)))
-            terms.append((wj[j], i))
+            terms.append((w[j.bit_count()], i))
         table = self._tables[level] = (distinct, terms)
         return table
 
@@ -462,29 +470,23 @@ class LiftedTracker:
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
         guide = self.guide
-        ell, with_level, w = guide.levels, guide.with_level, guide.reg_weights
-        proj = self._proj
+        ell, w = guide.levels, guide.reg_weights
         # drop, then add; a move that is not valid raises before any change
         s = self.current if drop is None else self.current.remove(drop)
         if add is not None:
             if add in s:
                 raise ValueError(f"element {add} is already tracked")
             s = s.add(add)
-            held = proj[-1] & ~(0 if drop is None else 1 << drop // ell)
+            held = self._proj[-1] & ~(0 if drop is None else 1 << drop // ell)
             if held >> (add // ell) & 1:
                 raise ValueError("base element already tracked on another level")
         self._marginal.clear()
         if drop is not None:
-            ubit = 1 << (drop // ell)
-            for j in with_level[drop % ell]:
-                proj[j] &= ~ubit
             self._reg_total -= w[drop // ell]
         if add is not None:
-            ubit = 1 << (add // ell)
-            for j in with_level[add % ell]:
-                proj[j] |= ubit
             self._reg_total += w[add // ell]
         self.current = s
+        self._proj = subset_unions(level_masks(s, ell))
         self._refresh()
 
 

@@ -459,8 +459,8 @@ def randomized_local_search(
     whole solution it is taken without a draw (an r-of-r sample is the
     whole pool), and the feasibility test is a singleton query, which the
     lifted memo answers after the first ask. And an attempt whose R1 is
-    the whole solution stops drawing once it settles (see _whole_r1_run):
-    its remaining iterations are counted but not run. The draws they would
+    the whole solution stops drawing once it settles (see _run): its
+    remaining iterations are counted but not run. The draws they would
     have made are made before the next attempt draws, so every attempt sees
     the stream it would see without the shortcut; after the last attempt
     the generator may stand before the draws of its skipped iterations.
@@ -484,7 +484,9 @@ def randomized_local_search(
     k = max(1, math.ceil(18 * r / eps))
     r1_size = min(r, root)
     r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
-    whole = r1_size == r
+    draw_r1 = None if r1_size == r else (
+        lambda s: sample_without_replacement(rng, s, r1_size)
+    )
     draw_r2 = functools.partial(sample_without_replacement, rng, ground, r2_size)
     certificate = None
     made = iterations = owed = loops = 0
@@ -496,26 +498,8 @@ def randomized_local_search(
         made += 1
         stop = rng.randrange(k)  # the tested index, drawn before the run
         iterations += stop
-        if whole:
-            ran, loops = _whole_r1_run(tracker, matroid, draw_r2, stop, loops)
-            owed = stop - ran
-        else:
-            for _ in range(stop):
-                s = tracker.current
-                r1 = sample_without_replacement(rng, s, r1_size)
-                r2 = draw_r2()
-                stripped = s.mask & ~r1.mask
-                feasible = [
-                    v
-                    for v in r2
-                    if not s.mask >> v & 1
-                    and matroid.is_independent(ElementSet(n, stripped | (1 << v)))
-                ]
-                if feasible:
-                    swap = _best_swap(tracker, matroid, s, r1, feasible, {})[0]
-                    if swap is not None:
-                        tracker.apply(add=swap[1], drop=swap[2])
-
+        ran, loops = _run(tracker, matroid, draw_r1, draw_r2, stop, loops)
+        owed = stop - ran
         candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
         if not _clears(candidate.gap, candidate.bound):
             certificate = candidate
@@ -528,9 +512,7 @@ def randomized_local_search(
     )
 
 
-def _best_swap(
-    tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, feasible, exchanges
-):
+def _best_swap(tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, feasible):
     """One iteration's choice among the feasible candidates (ascending),
     each dropping its cheapest feasible partner from R1 = r1.
 
@@ -539,9 +521,7 @@ def _best_swap(
     the acceptance test; a NaN gain that comes first is best, since nothing
     compares greater. upper_fails and gain_fails are the masks of the
     candidates whose upper bound, and whose gain when it is not NaN, fails
-    the test. exchanges holds each searched candidate's (gain, u_v); calls
-    may share it while the solution, R1 and the tracker state stay the
-    same, since the search would return the same pair.
+    the test.
     """
     drop_w = {u: tracker.marginal_drop(u) for u in r1}
     min_drop = min(drop_w.values())
@@ -555,65 +535,71 @@ def _best_swap(
             continue
         if best is not None and not upper > best[0]:
             continue
-        searched = exchanges.get(v)
-        if searched is None:
-            u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
-            searched = exchanges[v] = (gain_add - drop_w[u_v], u_v)
-        gain = searched[0]
+        u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
+        gain = gain_add - drop_w[u_v]
         if not ge(gain, 0.0) and not math.isnan(gain):
             gain_fails |= 1 << v
         if best is None or gain > best[0]:
-            best = (gain, v, searched[1])
+            best = (gain, v, u_v)
     swap = best if best is not None and ge(best[0], 0.0) else None
     return swap, upper_fails, gain_fails
 
 
-def _whole_r1_run(tracker, matroid: MatroidOracle, draw_r2, stop: int, loops: int):
-    """Up to stop iterations of an attempt whose R1 is the whole solution.
+def _run(tracker, matroid: MatroidOracle, draw_r1, draw_r2, stop: int, loops: int):
+    """Up to stop iterations of an attempt. draw_r1(S) samples R1 from the
+    solution S; with no draw_r1, R1 is S itself.
 
-    Returns how many ran, fewer than stop when the attempt settles, and the
-    mask of loops (elements dependent on their own) known after them, which
-    the caller carries to the next attempt.
+    Each iteration draws R1, then R2, keeps the candidates v in R2 - S with
+    (S - R1) + v independent, and applies the best swap (_best_swap).
+    Returns how many iterations ran, fewer than stop only when an attempt
+    whose R1 is S settles, and the mask of loops (elements dependent on
+    their own) known after them, which the caller carries to the next
+    attempt. A loop is marked only when R1 is S, since only then is
+    (S - R1) + v the singleton.
 
-    Between two applies the solution, its drop marginals, and each
-    candidate's add-marginal and cheapest drop are fixed. So until the next
-    apply the run keeps each searched candidate's exchange, and two masks
-    of candidates that cannot be swapped in. A candidate whose upper bound
-    fails the acceptance test is skipped by every iteration: R2 loses it,
-    and the loops, before any other work. A candidate whose gain is a
-    number that fails the test stays in the walk, at the cost of a lookup:
-    as the best so far it keeps a later NaN gain from coming first and a
-    later -inf gain, which the slack lets pass, from being applied, so
-    dropping it could change the swap. Once every element outside S is in
-    one of the masks, every gain an iteration searches fails the test, so
-    S cannot change: the remaining iterations are not run and their R2
-    draws are not made.
+    While S and R1 stand, the drop marginals and each candidate's
+    add-marginal and cheapest drop are fixed, so the run keeps two masks of
+    candidates that cannot be swapped in; R1 stands across iterations only
+    when it is S, and only until the next apply. A candidate whose upper
+    bound fails the acceptance test is skipped by every iteration: R2 loses
+    it, and the loops, before any other work. A candidate whose gain is a
+    number that fails the test stays in the walk: as the best so far it
+    keeps a later NaN gain from coming first and a later -inf gain, which
+    the slack lets pass, from being applied, so dropping it could change
+    the swap. Its exchange search is asked again, which the lifted memo
+    answers with no charged query. Once every element outside S is in one
+    of the masks, every gain an iteration searches fails the test, so S
+    cannot change: the remaining iterations are not run and their R2 draws
+    are not made.
     """
     n = tracker.ground_size
     full = (1 << n) - 1
-    shut, failing, exchanges = loops, 0, {}
+    shut, failing = loops, 0
     for ran in range(stop):
         s = tracker.current
-        if (s.mask | shut | failing) == full:
-            return ran, loops
+        if draw_r1 is None:
+            if (s.mask | shut | failing) == full:
+                return ran, loops
+            r1 = s
+        else:
+            r1 = draw_r1(s)
         live = draw_r2().mask & ~(s.mask | shut)
+        stripped = s.mask & ~r1.mask
         feasible = []
         while live:
             low = live & -live
             live ^= low
-            if matroid.is_independent(ElementSet(n, low)):
+            if matroid.is_independent(ElementSet(n, stripped | low)):
                 feasible.append(low.bit_length() - 1)
-            else:
+            elif not stripped:
                 loops |= low
                 shut |= low
-        if feasible and s.mask:
-            swap, upper_fails, gain_fails = _best_swap(
-                tracker, matroid, s, s, feasible, exchanges
-            )
+        if feasible and r1.mask:
+            swap, upper_fails, gain_fails = _best_swap(tracker, matroid, s, r1, feasible)
             if swap is not None:
                 tracker.apply(add=swap[1], drop=swap[2])
-                shut, failing, exchanges = loops, 0, {}
-            else:
+                shut, failing = loops, 0
+            elif draw_r1 is None:
                 shut |= upper_fails
                 failing |= gain_fails
     return stop, loops

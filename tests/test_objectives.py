@@ -521,7 +521,7 @@ def test_tracker_matches_the_guide_definition_subset_by_subset(
         lm = level_masks(s, L)
         for x in range(n2):
             u, level = divmod(x, L)
-            projections = {_projection(lm, j) for j in guide.with_level[level]}
+            projections = {_projection(lm, j) for j in range(1 << L) if j >> level & 1}
             before = ledger.value_queries
             if x in s:
                 got = tracker.marginal_drop(x)
@@ -593,6 +593,14 @@ def test_sums_round_at_each_addition_on_every_python(oracle):
             lambda: CoverageFunction(2, [[0], [1]], point_weights=[1.0, math.inf]),
             "point weight 1 must be finite, got inf",
         ),
+        (
+            lambda: LinearRegularizer([0, 0, float("nan"), 0]),
+            "regularizer weight 2 must be finite, got nan",
+        ),
+        (
+            lambda: LinearRegularizer([1.0, -math.inf]),
+            "regularizer weight 1 must be finite, got -inf",
+        ),
         (lambda: ConcaveOfModular([1, -1]), "weights must be non-negative"),
         (lambda: ConcaveOfModular([1], shape="log"), "unknown shape 'log'"),
         (lambda: ConcaveOfModular([1], shape="cap", cap=-1), "cap must be non-negative"),
@@ -603,7 +611,9 @@ def test_sums_round_at_each_addition_on_every_python(oracle):
     ],
     ids=[
         "coverage-point", "coverage-weight-count", "coverage-negative-weight",
-        "coverage-nan-weight", "coverage-inf-weight", "concave-negative-weight", "concave-shape", "concave-cap", "level-masks",
+        "coverage-nan-weight", "coverage-inf-weight", "regularizer-nan-weight",
+        "regularizer-inf-weight", "concave-negative-weight", "concave-shape", "concave-cap",
+        "level-masks",
     ],
 )
 def test_objective_guards_name_the_problem(build, message):

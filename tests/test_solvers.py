@@ -578,17 +578,18 @@ def test_failed_attempts_run_only_as_far_as_the_sets_they_test(seed):
 
 
 def _watch_settling(monkeypatch, fail_first_test=False):
-    """Record each whole-R1 run as (stop, ran) and count the R2 draws of
-    randomized_local_search; with fail_first_test, the first certificate
-    test of each search (one guide per search) gets an infinite gap, so it
-    fails on both sides of _draw_first_runs."""
+    """Record each attempt's run as (stop, ran) and count the subset draws
+    of randomized_local_search (R2 only, while R1 is the whole solution);
+    with fail_first_test, the first certificate test of each search (one
+    guide per search) gets an infinite gap, so it fails on both sides of
+    _draw_first_runs."""
     runs, draws, tested = [], [], set()
-    whole_r1_run = solvers._whole_r1_run
+    run_attempt = solvers._run
     sample = solvers.sample_without_replacement
     at = solvers.LocalOptCertificate.at
 
-    def run(tracker, matroid, draw_r2, stop, loops):
-        out = whole_r1_run(tracker, matroid, draw_r2, stop, loops)
+    def run(tracker, matroid, draw_r1, draw_r2, stop, loops):
+        out = run_attempt(tracker, matroid, draw_r1, draw_r2, stop, loops)
         runs.append((stop, out[0]))
         return out
 
@@ -603,7 +604,7 @@ def _watch_settling(monkeypatch, fail_first_test=False):
             return dataclasses.replace(certificate, gap=math.inf)
         return certificate
 
-    monkeypatch.setattr(solvers, "_whole_r1_run", run)
+    monkeypatch.setattr(solvers, "_run", run)
     monkeypatch.setattr(solvers, "sample_without_replacement", draw)
     monkeypatch.setattr(solvers.LocalOptCertificate, "at", first_fails)
     return runs, draws
@@ -624,18 +625,20 @@ def test_a_settled_attempt_replays_its_skipped_draws(monkeypatch, seed):
     assert len(draws) < res.iterations
 
 
-def _unsettled_run(tracker, matroid, draw_r2, stop, loops):
-    # every iteration in full, each with a fresh exchange memo and no masks
+def _unsettled_run(tracker, matroid, draw_r1, draw_r2, stop, loops):
+    # every iteration in full, with no masks: R1 is drawn, or is S
     n = tracker.ground_size
     for _ in range(stop):
         s = tracker.current
+        r1 = s if draw_r1 is None else draw_r1(s)
+        stripped = s.mask & ~r1.mask
         feasible = [
             v
             for v in draw_r2()
-            if v not in s and matroid.is_independent(ElementSet(n, 1 << v))
+            if v not in s and matroid.is_independent(ElementSet(n, stripped | 1 << v))
         ]
-        if feasible and len(s) > 0:
-            swap = solvers._best_swap(tracker, matroid, s, s, feasible, {})[0]
+        if feasible and len(r1) > 0:
+            swap = solvers._best_swap(tracker, matroid, s, r1, feasible)[0]
             if swap is not None:
                 tracker.apply(add=swap[1], drop=swap[2])
     return stop, loops
@@ -651,6 +654,11 @@ def _unsettled_run(tracker, matroid, draw_r2, stop, loops):
 )
 @example(family="odd", n=10, r=3, levels=3, attempts=1, seed=143)
 @example(family="odd", n=4, r=3, levels=3, attempts=1, seed=524)
+# R1 sampled, min(r, ceil(sqrt(n * levels))) < r, and each search swaps
+@example(family="coverage", n=10, r=5, levels=1, attempts=2, seed=0)
+@example(family="coverage", n=12, r=6, levels=2, attempts=1, seed=3)
+@example(family="partition", n=12, r=6, levels=2, attempts=2, seed=0)
+@example(family="odd", n=4, r=3, levels=1, attempts=2, seed=5)
 @settings(max_examples=150, deadline=None)
 def test_settling_changes_nothing_a_search_returns(family, n, r, levels, attempts, seed):
     # also with NaN and -inf values: a candidate whose gain is a number that
@@ -658,8 +666,8 @@ def test_settling_changes_nothing_a_search_returns(family, n, r, levels, attempt
     # stays in the walk; dropping it with the masked ones changes answers
     f, m = _warm_instance(family, n, min(r, n), seed)
     outcomes = []
-    for run in (_unsettled_run, solvers._whole_r1_run):
-        with mock.patch.object(solvers, "_whole_r1_run", run):
+    for run in (_unsettled_run, solvers._run):
+        with mock.patch.object(solvers, "_run", run):
             guide = LiftedGuide(f, GuideWeights(levels))
             res = randomized_local_search(
                 guide, lift(m, levels), 0.5, RandomSource(seed), attempts=attempts
