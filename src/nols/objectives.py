@@ -22,6 +22,14 @@ from .core import ElementId, ElementSet, ValueOracle, left_sum
 MAX_LEVELS = 20
 
 
+def _require_finite(values: Sequence[float], name: str) -> None:
+    """Raise ValueError at the first NaN or infinite value, naming it as
+    name.format(index): "weight {}" names the index, "cap" stands alone."""
+    for i, v in enumerate(values):
+        if not -math.inf < v < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"{name.format(i)} must be finite, got {v!r}")
+
+
 class CoverageFunction:
     """Weighted coverage: f(S) = total weight of universe points covered by S.
 
@@ -57,9 +65,7 @@ class CoverageFunction:
         if point_weights is not None:
             if len(point_weights) != universe_size:
                 raise ValueError("one weight per universe point required")
-            for i, w in enumerate(point_weights):
-                if not -math.inf < w < math.inf:  # NaN fails both comparisons
-                    raise ValueError(f"point weight {i} must be finite, got {w!r}")
+            _require_finite(point_weights, "point weight {}")
             if any(w < 0 for w in point_weights):
                 raise ValueError("point weights must be non-negative")
             if any(w != 1 for w in point_weights):
@@ -101,6 +107,7 @@ class ModularFunction:
     __slots__ = ("ground_size", "weights")
 
     def __init__(self, weights: Sequence[float]):
+        _require_finite(weights, "modular objective weight {}")
         if any(w < 0 for w in weights):
             raise ValueError("modular objective weights must be non-negative")
         self.ground_size = len(weights)
@@ -120,10 +127,12 @@ class ConcaveOfModular:
     __slots__ = ("ground_size", "weights", "shape", "cap")
 
     def __init__(self, weights: Sequence[float], shape: str = "sqrt", cap: float = 0):
+        _require_finite(weights, "weight {}")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
         if shape not in ("sqrt", "cap"):
             raise ValueError(f"unknown shape {shape!r}")
+        _require_finite([cap], "cap")
         if shape == "cap" and cap < 0:
             raise ValueError("cap must be non-negative")
         self.ground_size = len(weights)
@@ -145,9 +154,7 @@ class LinearRegularizer:
     __slots__ = ("ground_size", "weights")
 
     def __init__(self, weights: Sequence[float]):
-        for i, w in enumerate(weights):
-            if not -math.inf < w < math.inf:  # NaN fails both comparisons
-                raise ValueError(f"regularizer weight {i} must be finite, got {w!r}")
+        _require_finite(weights, "regularizer weight {}")
         self.ground_size = len(weights)
         self.weights = tuple(weights)
 
@@ -243,13 +250,15 @@ class LiftedGuide:
     regularizer), reg_terms (reg_scale * reg_weights[x // levels], the
     regularizer's term in every marginal at lifted element x), and
     size_weight, the weight per level-subset size; nothing is built per
-    level subset. A tracker groups a level's subsets by projection, so its
-    marginal asks the memo once per distinct projection, not once per
-    subset. memo maps
-    a base-set mask to its f value; base_value, and so eval and every
-    tracker of this guide, reads and writes it, so the inner oracle sees a
-    set at most once in the guide's life (one solve, as the solvers build
-    it).
+    level subset.
+
+    The guide owns f's facts for its life (one solve, as the solvers build
+    it), shared by eval and every tracker of it: memo maps a base-set mask
+    to its f value, so the inner oracle sees a set at most once
+    (base_value); states maps it to f's incremental state, taken at no
+    charge, at most once, and only of a set already charged (base_state).
+    value(s, union) is the one value formula, so a tracker's value is eval
+    of its set bit for bit.
 
     inner_state(mask) and inner_extend(state, u) are f's incremental pair
     (see ValueOracle), picked once: f's own state/extend, else the mask and
@@ -259,7 +268,7 @@ class LiftedGuide:
 
     __slots__ = (
         "inner", "levels", "ground_size", "reg_scale", "reg_weights", "reg_terms",
-        "size_weight", "memo", "inner_state", "inner_extend",
+        "size_weight", "memo", "states", "inner_state", "inner_extend",
     )
 
     def __init__(
@@ -279,6 +288,7 @@ class LiftedGuide:
         self.reg_terms = tuple(scale * wu for wu in w for _ in range(ell))
         self.size_weight = weights.floats
         self.memo: dict[int, float] = {}
+        self.states: dict[int, object] = {}
         if hasattr(inner, "extend"):
             self.inner_state = lambda mask: inner.state(ElementSet(n, mask))
             self.inner_extend = inner.extend
@@ -295,22 +305,30 @@ class LiftedGuide:
             value = self.memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
         return value
 
-    def weighted_sum(self, union: Sequence[int]) -> float:
-        """Sum of weight(|J|) * f(union[J]) over the non-empty level subsets
-        J, in ascending subset order; union is indexed as subset_unions
-        returns it."""
+    def base_state(self, mask: int) -> object:
+        """f's incremental state of the base set with this mask, taken at
+        most once per guide; ask it only after base_value(mask)."""
+        states = self.states
+        if mask not in states:
+            states[mask] = self.inner_state(mask)
+        return states[mask]
+
+    def value(self, s: ElementSet, union: Sequence[int]) -> float:
+        """Guide value of s: the sum of weight(|J|) * f(union[J]) over the
+        non-empty level subsets J in ascending subset order, union indexed
+        as subset_unions returns it for s, plus reg_scale times the
+        left_sum of the regularizer over s."""
         w, base_value = self.size_weight, self.base_value
         total = 0.0
         for j in range(1, len(union)):
             total += w[j.bit_count()] * base_value(union[j])
-        return total
-
-    def eval(self, s: ElementSet) -> float:
-        total = self.weighted_sum(subset_unions(level_masks(s, self.levels)))
         # without a regularizer the weights are zeros, and adding 0.0 changes
         # no float
-        w = self.reg_weights
-        return total + self.reg_scale * left_sum(w[x // self.levels] for x in s)
+        reg, ell = self.reg_weights, self.levels
+        return total + self.reg_scale * left_sum(reg[x // ell] for x in s)
+
+    def eval(self, s: ElementSet) -> float:
+        return self.value(s, subset_unions(level_masks(s, self.levels)))
 
     def make_tracker(self, start: ElementSet) -> "LiftedTracker":
         return LiftedTracker(self, start)
@@ -320,43 +338,36 @@ class LiftedGuide:
 
 
 class LiftedTracker:
-    """Incremental guide state: the projection onto every level subset, the
-    inner state of each distinct projection, and the running regularizer
-    total. Each marginal adds the guide's reg_terms entry: zero without a
-    regularizer, which changes no float.
+    """Incremental guide state: the projection onto every level subset of
+    the tracked set, and nothing that set does not determine. value is
+    guide.value of the set, the formula eval uses, so it equals eval bit
+    for bit. Each marginal adds the guide's reg_terms entry: zero without
+    a regularizer, which changes no float.
 
     A marginal at a lifted element weighs the 2^(levels-1) subsets holding
     its level, but solutions sit on few levels, so most of those subsets
     share a projection. A per-level table lists the distinct projections
     among them (first seen in ascending subset order) with their inner
     states and f values, and each subset's weight with its projection's
-    place in that list. A marginal at x = (base element u, level) asks the memo, and on a
-    miss the inner oracle, once per distinct projection, then adds the
-    per-subset terms w_J * (f(P_J + u) - f(P_J)), or w_J * (f(P_J) -
+    place in that list. A marginal at x = (base element u, level) asks the
+    memo, and on a miss the inner oracle, once per distinct projection,
+    then adds the per-subset terms w_J * (f(P_J + u) - f(P_J)), or w_J * (f(P_J) -
     f(P_J - u)) for a drop, one at a time in ascending subset order, so it
     is the same float as a walk over the subsets. An add-marginal skips the
     subsets whose projection already holds u. The tracked set must keep
     each base element on at most one level (solvers maintain this through
     matroid independence).
 
-    f values are memoized by base-set mask in the guide's memo, which
-    outlives apply() and is shared by every tracker of the guide, so the
-    inner oracle sees a set at most once per guide. Repeats across levels,
-    across level subsets with equal projections, across swaps, and across
-    the trackers of one solve are free. The memo grows by at most one entry
-    per charged query. Reuse is exact because f is a pure function of the
-    set (the ValueOracle contract).
-
-    A memo miss in marginal_add extends the projection's stored state by
-    one element with the guide's inner_state/inner_extend pair, charged as
-    one value query, exactly where an eval of the grown set would be.
-    apply() recomputes the projections from the moved set and asks f of
-    every projection in subset order, so only the changed ones are charged, in
-    that order; then it takes inner_state once per new distinct projection,
-    at no charge, keeps the states of the others, and drops the level
-    tables, which the next marginal at a level rebuilds. Each set given to
-    inner_state is in the memo by then, so its value was charged once, and
-    no value is learned for free. marginal_drop always uses eval.
+    f's values and states come from the guide's memo and states, which
+    outlive apply() and are shared by every tracker of the guide, so
+    repeats across levels, subsets with equal projections, swaps and
+    trackers are free; reuse is exact because f is a pure function of the
+    set (the ValueOracle contract). A memo miss in marginal_add extends the
+    projection's state by one element (inner_extend), charged as one value
+    query, exactly where an eval of the grown set would be; marginal_drop
+    always uses eval. apply() recomputes the projections and the value,
+    which charges the projections not in the memo in subset order, and
+    drops the level tables, which the next marginal at a level rebuilds.
 
     Each marginal, regularizer term included, is also kept per lifted
     element until the next apply(), so a repeat is one dict lookup and the
@@ -365,10 +376,7 @@ class LiftedTracker:
     add-marginals of outside elements and the drop-marginals of members.
     """
 
-    __slots__ = (
-        "guide", "current", "value", "_proj", "_reg_total", "_states", "_tables",
-        "_marginal",
-    )
+    __slots__ = ("guide", "current", "value", "_proj", "_tables", "_marginal")
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
         self.guide = guide
@@ -378,8 +386,6 @@ class LiftedTracker:
         if proj[-1].bit_count() != len(start):
             raise ValueError("tracked set holds a base element on two levels")
         self._proj = proj
-        self._states: dict[int, object] = {}
-        self._reg_total = left_sum(guide.reg_weights[x // ell] for x in start)
         self._marginal: dict[ElementId, float] = {}
         self._refresh()
 
@@ -388,15 +394,8 @@ class LiftedTracker:
         return self.guide.ground_size
 
     def _refresh(self):
-        # value first: it charges every projection not in the memo, in
-        # subset order, before inner_state may see it
-        guide, proj = self.guide, self._proj
-        self.value = guide.weighted_sum(proj) + guide.reg_scale * self._reg_total
-        old, states = self._states, {}
-        for p in proj[1:]:
-            if p not in states:
-                states[p] = old[p] if p in old else guide.inner_state(p)
-        self._states = states
+        guide = self.guide
+        self.value = guide.value(self.current, self._proj)
         self._tables = [None] * guide.levels
 
     def _table(self, level: int) -> tuple[list, list]:
@@ -404,8 +403,8 @@ class LiftedTracker:
         state, f value) in first-seen order, terms lists (weight, place in
         distinct) per subset holding the level, both in ascending subset
         order."""
-        guide, proj, states = self.guide, self._proj, self._states
-        w, base_value = guide.size_weight, guide.base_value
+        guide, proj = self.guide, self._proj
+        w, base_value, base_state = guide.size_weight, guide.base_value, guide.base_state
         place: dict[int, int] = {}
         distinct, terms = [], []
         for j in range(1 << level, len(proj)):
@@ -415,7 +414,8 @@ class LiftedTracker:
             i = place.get(p)
             if i is None:
                 i = place[p] = len(distinct)
-                distinct.append((p, states[p], base_value(p)))
+                f = base_value(p)  # charged before its state is taken
+                distinct.append((p, base_state(p), f))
             terms.append((w[j.bit_count()], i))
         table = self._tables[level] = (distinct, terms)
         return table
@@ -469,8 +469,7 @@ class LiftedTracker:
         return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):
-        guide = self.guide
-        ell, w = guide.levels, guide.reg_weights
+        ell = self.guide.levels
         # drop, then add; a move that is not valid raises before any change
         s = self.current if drop is None else self.current.remove(drop)
         if add is not None:
@@ -481,10 +480,6 @@ class LiftedTracker:
             if held >> (add // ell) & 1:
                 raise ValueError("base element already tracked on another level")
         self._marginal.clear()
-        if drop is not None:
-            self._reg_total -= w[drop // ell]
-        if add is not None:
-            self._reg_total += w[add // ell]
         self.current = s
         self._proj = subset_unions(level_masks(s, ell))
         self._refresh()

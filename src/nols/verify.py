@@ -375,7 +375,9 @@ def check_certificate(
     two NaNs compare equal.
     A recheck asks through as_guide(f) and as_lifted(matroid), the doors
     the searches use, and pays for every query it asks: it first empties
-    both memos. An infinite or NaN gap fails the pass test.
+    both memos. The guide's states of f may stay: they are uncharged, and a
+    state is taken only of a set the recheck has already charged, so they
+    learn nothing free. An infinite or NaN gap fails the pass test.
     """
     guide, matroid = as_guide(f), as_lifted(matroid)
     guide.memo.clear()

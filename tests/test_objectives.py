@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nols.core import CountingValueOracle, ElementSet, QueryLedger, RandomSource, left_sum
@@ -319,7 +319,9 @@ _COVERS = [[0, 1], [1, 2, 3], [3], [4, 5, 0], [5, 6, 7, 2]]
     L=st.integers(1, 4),
     point_weights=st.none() | st.lists(st.integers(0, 9), min_size=8, max_size=8),
     reg_weights=st.none()
-    | st.lists(st.integers(-3, 5), min_size=_BASE_N, max_size=_BASE_N),
+    | st.lists(
+        st.integers(-3, 5) | st.floats(-1e16, 1e16), min_size=_BASE_N, max_size=_BASE_N
+    ),
     steps=st.lists(
         st.tuples(
             st.sampled_from(["add", "drop", "swap"]),
@@ -329,12 +331,21 @@ _COVERS = [[0, 1], [1, 2, 3], [3], [4, 5, 0], [5, 6, 7, 2]]
         max_size=12,
     ),
 )
+# 1.0 is lost when added to 1e16, so a regularizer total kept in swap order
+# would read 0.0 here where the set's own sum reads 1.0
+@example(
+    L=1,
+    point_weights=None,
+    reg_weights=[1e16, 1.0, 0, 0, 0],
+    steps=[("add", 0, 0), ("add", 0, 0), ("drop", 0, 0)],
+)
 @settings(max_examples=150, deadline=None)
 def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps):
     # after any add/drop/swap sequence the memoized tracker answers exactly
-    # like a fresh one, and its inner oracle never sees a set twice (the
-    # memo lasts as long as the guide and is never stale). A tracker that
-    # answers add-marginals by extend and one that only evaluates agree
+    # like a fresh one, its value is the guide's eval of its set bit for
+    # bit, and its inner oracle never sees a set twice (the memo lasts as
+    # long as the guide and is never stale). A tracker that answers
+    # add-marginals by extend and one that only evaluates agree
     # float-exactly, ask the same sets in the same order, and are charged
     # the same number of queries. Without a regularizer, a third tracker
     # under an all-zero one must agree with them in the same way.
@@ -357,6 +368,8 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
     def check():
         fresh = make_tracker(fresh_guide, tracker.current)
         assert [t.value for t in trackers] == [fresh.value] * len(trackers)
+        want_value = fresh_guide.eval(tracker.current).hex()
+        assert [t.value.hex() for t in trackers] == [want_value] * len(trackers)
         for _ in range(2):  # a repeated ask is answered from the memo
             for x in range(n2):
                 if x in tracker.current:
@@ -601,9 +614,30 @@ def test_sums_round_at_each_addition_on_every_python(oracle):
             lambda: LinearRegularizer([1.0, -math.inf]),
             "regularizer weight 1 must be finite, got -inf",
         ),
+        (
+            lambda: ModularFunction([5, float("nan"), 1, 0]),
+            "modular objective weight 1 must be finite, got nan",
+        ),
+        (
+            lambda: ModularFunction([math.inf]),
+            "modular objective weight 0 must be finite, got inf",
+        ),
         (lambda: ConcaveOfModular([1, -1]), "weights must be non-negative"),
+        (
+            lambda: ConcaveOfModular([1, 2, float("nan")]),
+            "weight 2 must be finite, got nan",
+        ),
+        (lambda: ConcaveOfModular([-math.inf]), "weight 0 must be finite, got -inf"),
         (lambda: ConcaveOfModular([1], shape="log"), "unknown shape 'log'"),
         (lambda: ConcaveOfModular([1], shape="cap", cap=-1), "cap must be non-negative"),
+        (
+            lambda: ConcaveOfModular([1], shape="cap", cap=float("nan")),
+            "cap must be finite, got nan",
+        ),
+        (
+            lambda: ConcaveOfModular([1], shape="cap", cap=math.inf),
+            "cap must be finite, got inf",
+        ),
         (
             lambda: level_masks(ElementSet(5), 2),
             "lifted universe size must be a multiple of levels",
@@ -612,8 +646,9 @@ def test_sums_round_at_each_addition_on_every_python(oracle):
     ids=[
         "coverage-point", "coverage-weight-count", "coverage-negative-weight",
         "coverage-nan-weight", "coverage-inf-weight", "regularizer-nan-weight",
-        "regularizer-inf-weight", "concave-negative-weight", "concave-shape", "concave-cap",
-        "level-masks",
+        "regularizer-inf-weight", "modular-nan-weight", "modular-inf-weight",
+        "concave-negative-weight", "concave-nan-weight", "concave-inf-weight",
+        "concave-shape", "concave-cap", "concave-nan-cap", "concave-inf-cap", "level-masks",
     ],
 )
 def test_objective_guards_name_the_problem(build, message):
