@@ -5,8 +5,11 @@ guide built from f: copies of the ground set are stacked into ``levels``
 layers, and the guide value of a lifted set is a weighted sum of f over the
 unions of every non-empty subset of layers. The weights (one per subset
 size) are chosen so the schedule telescopes, which is what buys the final
-approximation factor. This module owns those weights, the lifting/projection
-helpers, and the marginal tracker that keeps guide queries cheap.
+approximation factor. A union depends only on the occupied layers among
+its subset, so a guide evaluation asks f at most 2^|occupied| times and a
+marginal at a layer sums 2^(|occupied and that layer| - 1) terms. This
+module owns those weights, the lifting/projection helpers, and the
+marginal tracker that keeps guide queries cheap.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Sequence
 
 from .core import ElementId, ElementSet, ValueOracle, left_sum
 
-# hard cap: a marginal adds up 2**(levels-1) level-subset terms, though it
-# asks f at most once per distinct projection among them
+# hard cap: a marginal adds 2**(|occupied levels and its own| - 1) terms,
+# 2**(levels - 1) for a solution that occupies every level
 MAX_LEVELS = 20
 
 
@@ -235,10 +238,12 @@ class LiftedGuide:
     """Guide objective over the lifted ground set, as a value oracle.
 
     eval(S') sums weight(|J|) * f(projection of S' onto levels J) over
-    non-empty level subsets J, so one guide evaluation costs at most
-    2^levels - 1 inner value queries, one per distinct projection not yet
-    in the memo. Query accounting happens on the inner oracle; wrap f with
-    counting before lifting.
+    non-empty level subsets J. The projection of J is that of J's occupied
+    levels K, so eval sums occupied_weight[m][|K|] * f(projection onto K)
+    over the subsets K of the m occupied levels instead: one guide
+    evaluation costs at most 2^m inner value queries, one per projection
+    not yet in the memo. Query accounting happens on the inner oracle; wrap
+    f with counting before lifting.
 
     An optional regularizer adds reg_scale = top_weight * (levels + 1) times
     its weight for each lifted element's base element, at no query cost.
@@ -249,8 +254,9 @@ class LiftedGuide:
     Tables for eval and the tracker: reg_weights (zeros without a
     regularizer), reg_terms (reg_scale * reg_weights[x // levels], the
     regularizer's term in every marginal at lifted element x), and
-    size_weight, the weight per level-subset size; nothing is built per
-    level subset.
+    occupied_weight[m][k], the summed weight(|J|) of the level subsets J
+    holding k given levels of m occupied ones and any empty levels,
+    computed exactly and rounded once; [m][0] is 0 only for m = levels.
 
     The guide owns f's facts for its life (one solve, as the solvers build
     it), shared by eval and every tracker of it: memo maps a base-set mask
@@ -268,7 +274,7 @@ class LiftedGuide:
 
     __slots__ = (
         "inner", "levels", "ground_size", "reg_scale", "reg_weights", "reg_terms",
-        "size_weight", "memo", "states", "inner_state", "inner_extend",
+        "occupied_weight", "memo", "states", "inner_state", "inner_extend",
     )
 
     def __init__(
@@ -286,7 +292,13 @@ class LiftedGuide:
         scale = self.reg_scale = weights.floats[ell] * (ell + 1)
         w = self.reg_weights = (0.0,) * n if regularizer is None else regularizer.weights
         self.reg_terms = tuple(scale * wu for wu in w for _ in range(ell))
-        self.size_weight = weights.floats
+        # row m of W = occupied_weight from row m + 1: an empty level is in J
+        # or not, so W[m][k] = W[m + 1][k] + W[m + 1][k + 1]; W[levels][k] = weight(k)
+        rows = [weights.fractions[:-1]]
+        for m in range(ell - 1, -1, -1):
+            above = rows[-1]
+            rows.append([above[k] + above[k + 1] for k in range(m + 1)])
+        self.occupied_weight = tuple(tuple(map(float, row)) for row in reversed(rows))
         self.memo: dict[int, float] = {}
         self.states: dict[int, object] = {}
         if hasattr(inner, "extend"):
@@ -314,21 +326,24 @@ class LiftedGuide:
         return states[mask]
 
     def value(self, s: ElementSet, union: Sequence[int]) -> float:
-        """Guide value of s: the sum of weight(|J|) * f(union[J]) over the
-        non-empty level subsets J in ascending subset order, union indexed
-        as subset_unions returns it for s, plus reg_scale times the
-        left_sum of the regularizer over s."""
-        w, base_value = self.size_weight, self.base_value
+        """Guide value of s: the sum of occupied_weight[m][|K|] * f(union[K])
+        over the subsets K of s's m occupied levels in ascending subset
+        order, the empty K only where its weight is not 0, union indexed as
+        subset_unions returns it for the occupied level masks, plus
+        reg_scale times the left_sum of the regularizer over s."""
+        w = self.occupied_weight[len(union).bit_length() - 1]
+        base_value = self.base_value
         total = 0.0
-        for j in range(1, len(union)):
-            total += w[j.bit_count()] * base_value(union[j])
+        for k in range(0 if w[0] else 1, len(union)):
+            total += w[k.bit_count()] * base_value(union[k])
         # without a regularizer the weights are zeros, and adding 0.0 changes
         # no float
         reg, ell = self.reg_weights, self.levels
         return total + self.reg_scale * left_sum(reg[x // ell] for x in s)
 
     def eval(self, s: ElementSet) -> float:
-        return self.value(s, subset_unions(level_masks(s, self.levels)))
+        occupied = [mask for mask in level_masks(s, self.levels) if mask]
+        return self.value(s, subset_unions(occupied))
 
     def make_tracker(self, start: ElementSet) -> "LiftedTracker":
         return LiftedTracker(self, start)
@@ -338,36 +353,36 @@ class LiftedGuide:
 
 
 class LiftedTracker:
-    """Incremental guide state: the projection onto every level subset of
-    the tracked set, and nothing that set does not determine. value is
-    guide.value of the set, the formula eval uses, so it equals eval bit
-    for bit. Each marginal adds the guide's reg_terms entry: zero without
-    a regularizer, which changes no float.
+    """Incremental guide state: the level masks of the tracked set and the
+    projection onto every subset of its occupied levels, and nothing that
+    set does not determine. value is guide.value of the set, the formula
+    eval uses, so it equals eval bit for bit. Each marginal adds the
+    guide's reg_terms entry: zero without a regularizer, which changes no
+    float.
 
-    A marginal at a lifted element weighs the 2^(levels-1) subsets holding
-    its level, but solutions sit on few levels, so most of those subsets
-    share a projection. A per-level table lists the distinct projections
-    among them (first seen in ascending subset order) with their inner
-    states and f values, and each subset's weight with its projection's
-    place in that list. A marginal at x = (base element u, level) asks the
-    memo, and on a miss the inner oracle, once per distinct projection,
-    then adds the per-subset terms w_J * (f(P_J + u) - f(P_J)), or w_J * (f(P_J) -
-    f(P_J - u)) for a drop, one at a time in ascending subset order, so it
-    is the same float as a walk over the subsets. An add-marginal skips the
-    subsets whose projection already holds u. The tracked set must keep
+    A marginal at x = (base element u, level) sums over the subsets K of
+    the occupied levels and x's own level, m in all, that hold x's level:
+    2^(m-1) terms w_K * (f(P_K + u) - f(P_K)) for an add, skipping the K
+    whose projection P_K holds u, or w_K * (f(P_K) - f(P_K - u)) for a
+    drop, with w_K = occupied_weight[m][|K|], in ascending order of K. A
+    drop that empties its level may count it as occupied, since the rows
+    satisfy W[m - 1][k] = W[m][k] + W[m][k + 1]. The levels are disjoint
+    and non-empty, so every K has its own projection. A level's table
+    lists (w_K, P_K, inner state, f value) per K and is built by the first
+    marginal at that level after a move. The tracked set must keep
     each base element on at most one level (solvers maintain this through
     matroid independence).
 
     f's values and states come from the guide's memo and states, which
     outlive apply() and are shared by every tracker of the guide, so
-    repeats across levels, subsets with equal projections, swaps and
-    trackers are free; reuse is exact because f is a pure function of the
-    set (the ValueOracle contract). A memo miss in marginal_add extends the
-    projection's state by one element (inner_extend), charged as one value
-    query, exactly where an eval of the grown set would be; marginal_drop
-    always uses eval. apply() recomputes the projections and the value,
-    which charges the projections not in the memo in subset order, and
-    drops the level tables, which the next marginal at a level rebuilds.
+    repeats across levels, swaps and trackers are free; reuse is exact
+    because f is a pure function of the set (the ValueOracle contract). A
+    memo miss in marginal_add extends the projection's state by one element
+    (inner_extend), charged as one value query, exactly where an eval of
+    the grown set would be; marginal_drop always uses eval. apply()
+    recomputes the projections and the value, which charges the
+    projections not in the memo in subset order, and drops the level
+    tables.
 
     Each marginal, regularizer term included, is also kept per lifted
     element until the next apply(), so a repeat is one dict lookup and the
@@ -376,48 +391,43 @@ class LiftedTracker:
     add-marginals of outside elements and the drop-marginals of members.
     """
 
-    __slots__ = ("guide", "current", "value", "_proj", "_tables", "_marginal")
+    __slots__ = ("guide", "current", "value", "_masks", "_proj", "_tables", "_marginal")
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
         self.guide = guide
-        ell = guide.levels
-        self.current = start
-        proj = subset_unions(level_masks(start, ell))
-        if proj[-1].bit_count() != len(start):
-            raise ValueError("tracked set holds a base element on two levels")
-        self._proj = proj
-        self._marginal: dict[ElementId, float] = {}
-        self._refresh()
+        self._track(start)
 
     @property
     def ground_size(self) -> int:
         return self.guide.ground_size
 
-    def _refresh(self):
-        guide = self.guide
-        self.value = guide.value(self.current, self._proj)
-        self._tables = [None] * guide.levels
+    def _track(self, s: ElementSet):
+        """Make s the tracked set: its level masks and projections, checked
+        before anything is assigned, its value, and no tables or marginals."""
+        masks = level_masks(s, self.guide.levels)
+        proj = subset_unions([mask for mask in masks if mask])
+        if proj[-1].bit_count() != len(s):
+            raise ValueError("tracked set holds a base element on two levels")
+        self.current, self._masks, self._proj = s, masks, proj
+        self.value = self.guide.value(s, proj)
+        self._tables: dict[int, list] = {}
+        self._marginal: dict[ElementId, float] = {}
 
-    def _table(self, level: int) -> tuple[list, list]:
-        """(distinct, terms) at a level: distinct lists (projection, inner
-        state, f value) in first-seen order, terms lists (weight, place in
-        distinct) per subset holding the level, both in ascending subset
-        order."""
-        guide, proj = self.guide, self._proj
-        w, base_value, base_state = guide.size_weight, guide.base_value, guide.base_state
-        place: dict[int, int] = {}
-        distinct, terms = [], []
-        for j in range(1 << level, len(proj)):
-            if not j >> level & 1:
-                continue
-            p = proj[j]
-            i = place.get(p)
-            if i is None:
-                i = place[p] = len(distinct)
+    def _table(self, level: int) -> list:
+        """(w_K, P_K, inner state, f value) for each K holding the level,
+        in ascending order of K."""
+        guide, masks, proj = self.guide, self._masks, self._proj
+        base_value, base_state = guide.base_value, guide.base_state
+        # an empty level joins every subset of the occupied ones; an
+        # occupied one is bit `hold` of the subsets that hold it
+        empty = not masks[level]
+        hold = 0 if empty else 1 << sum(1 for mask in masks[:level] if mask)
+        w = guide.occupied_weight[len(proj).bit_length() - 1 + empty]
+        table = self._tables[level] = []
+        for k, p in enumerate(proj):
+            if k & hold == hold:
                 f = base_value(p)  # charged before its state is taken
-                distinct.append((p, base_state(p), f))
-            terms.append((w[j.bit_count()], i))
-        table = self._tables[level] = (distinct, terms)
+                table.append((w[k.bit_count() + empty], p, base_state(p), f))
         return table
 
     def marginal_add(self, x: ElementId) -> float:
@@ -431,22 +441,15 @@ class LiftedTracker:
         u = x // ell
         ubit = 1 << u
         memo, extend = guide.memo, guide.inner_extend
-        distinct, terms = self._tables[x % ell] or self._table(x % ell)
-        diffs = []
-        for p, state, f in distinct:
+        total = 0.0
+        for w, p, state, f in self._tables.get(x % ell) or self._table(x % ell):
             if p & ubit:
-                diffs.append(None)
                 continue
             mask = p | ubit
             value = memo.get(mask)
             if value is None:
                 value = memo[mask] = extend(state, u)
-            diffs.append(value - f)
-        total = 0.0
-        for w, i in terms:
-            d = diffs[i]
-            if d is not None:
-                total += w * d
+            total += w * (value - f)
         total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
@@ -460,11 +463,9 @@ class LiftedTracker:
         ell = guide.levels
         ubit = 1 << (x // ell)
         base_value = guide.base_value
-        distinct, terms = self._tables[x % ell] or self._table(x % ell)
-        diffs = [f - base_value(p & ~ubit) for p, _, f in distinct]
         total = 0.0
-        for w, i in terms:
-            total += w * diffs[i]
+        for w, p, _, f in self._tables.get(x % ell) or self._table(x % ell):
+            total += w * (f - base_value(p & ~ubit))
         total = self._marginal[x] = total + guide.reg_terms[x]
         return total
 
@@ -479,10 +480,7 @@ class LiftedTracker:
             held = self._proj[-1] & ~(0 if drop is None else 1 << drop // ell)
             if held >> (add // ell) & 1:
                 raise ValueError("base element already tracked on another level")
-        self._marginal.clear()
-        self.current = s
-        self._proj = subset_unions(level_masks(s, ell))
-        self._refresh()
+        self._track(s)
 
 
 def as_guide(oracle: ValueOracle) -> LiftedGuide:

@@ -90,6 +90,22 @@ def test_guide_weights_level_cap():
         GuideWeights(21)
 
 
+def test_occupied_weights_sum_the_subsets_they_stand_for():
+    # occupied_weight[m][k] is the float of the summed weight(|J|) over the
+    # level subsets J whose part in the first m levels is the first k
+    # levels, in exact arithmetic; a guide at the level cap builds it too
+    for L in range(1, 11):
+        fracs = GuideWeights(L).fractions
+        table = LiftedGuide(ModularFunction([1]), GuideWeights(L)).occupied_weight
+        assert [len(row) for row in table] == list(range(1, L + 2))
+        for m in range(L + 1):
+            for k in range(m + 1):
+                held = [j for j in range(1 << L) if j & (1 << m) - 1 == (1 << k) - 1]
+                want = sum((fracs[j.bit_count()] for j in held), Fraction(0))
+                assert table[m][k] == float(want)
+    assert len(LiftedGuide(ModularFunction([1]), GuideWeights(20)).occupied_weight) == 21
+
+
 def test_guide_value_cardinality_example():
     f = ModularFunction([1, 1, 1, 1])
     guide = LiftedGuide(f, GuideWeights(2))
@@ -109,6 +125,13 @@ def test_projection_round_trips():
     assert project_all(ElementSet.empty(6), 2).to_list() == []
 
 
+def _assert_sums(got, terms):
+    # got is the exact sum of the Fraction terms within a relative 1e-12 of
+    # their absolute sum, the rounding a float sum of few terms can reach
+    want = sum(terms, Fraction(0))
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * sum(map(abs, terms))
+
+
 def test_lifted_guide_eval_and_query_cost():
     # eval asks f through the guide memo: the first eval charges one query
     # per distinct projection onto a non-empty level subset (at L = 3 the
@@ -120,9 +143,9 @@ def test_lifted_guide_eval_and_query_cost():
         guide = LiftedGuide(CountingValueOracle(raw, ledger), GuideWeights(L))
         assert guide.ground_size == 4 * L
         s = _es(4 * L, [0, 4 * L - 1])
-        # manual recomputation from the definition
-        want = 0.0
-        fracs = GuideWeights(L).floats
+        # the terms of the definition, in exact arithmetic
+        terms = []
+        fracs = GuideWeights(L).fractions
         lm = level_masks(s, L)
         projections = set()
         for j in range(1, 1 << L):
@@ -131,10 +154,11 @@ def test_lifted_guide_eval_and_query_cost():
                 if j >> i & 1:
                     mask |= lm[i]
             projections.add(mask)
-            want += fracs[j.bit_count()] * raw.eval(ElementSet(4, mask))
-        assert guide.eval(s) == want
+            terms.append(fracs[j.bit_count()] * Fraction(raw.eval(ElementSet(4, mask))))
+        got = guide.eval(s)
+        _assert_sums(got, terms)
         assert ledger.value_queries == len(projections)
-        assert guide.eval(s) == want
+        assert guide.eval(s) == got
         assert ledger.value_queries == len(projections)
     assert len(projections) < 2**L - 1
 
@@ -240,8 +264,8 @@ def test_tracker_rejects_duplicate_base_levels():
     ids=["add-tracked", "swap-onto-held-base"],
 )
 def test_tracker_rejects_a_bad_move_before_changing_state(f, start, move, message):
-    # a rejected apply leaves the tracker as a fresh one at the same set,
-    # regularizer total included, so the next move lands where it should
+    # a rejected apply leaves the tracker as a fresh one at the same set, its
+    # marginals and value included, so the next move lands where it should
     guide = LiftedGuide(f, GuideWeights(2), LinearRegularizer([1] * 4))
     s = _es(8, start)
     tracker, fresh = make_tracker(guide, s), make_tracker(guide, s)
@@ -462,37 +486,34 @@ def _projection(lm, j):
 
 
 def _literal_marginal(f, weights, lm, x, reg, add):
-    # sum over the level subsets J holding x's level, in ascending order of
-    # J's bit mask, of w_J * (f(P_J + u) - f(P_J)) for an add (the subsets
-    # whose projection P_J holds u skipped) or w_J * (f(P_J) - f(P_J - u))
-    # for a drop, each f an eval on a fresh set; then the regularizer term
+    # the terms, in exact arithmetic, over the level subsets J holding x's
+    # level: w_J * (f(P_J + u) - f(P_J)) for an add or w_J * (f(P_J) -
+    # f(P_J - u)) for a drop, each f an eval on a fresh set; then the
+    # regularizer term, the guide's float scale times u's weight
     L, n = len(lm), f.ground_size
     u, level = divmod(x, L)
-    total = 0.0
+    terms = []
     for j in range(1, 1 << L):
         if not j >> level & 1:
             continue
         p = _projection(lm, j)
-        w = weights.floats[j.bit_count()]
-        if not add:
-            total += w * (f.eval(ElementSet(n, p)) - f.eval(ElementSet(n, p & ~(1 << u))))
-        elif not p >> u & 1:
-            total += w * (f.eval(ElementSet(n, p | 1 << u)) - f.eval(ElementSet(n, p)))
+        plus, minus = (p | 1 << u, p) if add else (p, p & ~(1 << u))
+        diff = f.eval(ElementSet(n, plus)) - f.eval(ElementSet(n, minus))
+        terms.append(weights.fractions[j.bit_count()] * Fraction(diff))
     scale = weights.floats[L] * (L + 1)
-    return total + scale * (0.0 if reg is None else reg[u])
+    return terms + [Fraction(scale) * Fraction(0.0 if reg is None else reg[u])]
 
 
 def _literal_value(f, weights, s, reg):
+    # the terms of the guide's value of s, in exact arithmetic
     L, n = weights.levels, f.ground_size
     lm = level_masks(s, L)
-    total = 0
+    terms = []
     for j in range(1, 1 << L):
         p = _projection(lm, j)
-        total += weights.floats[j.bit_count()] * f.eval(ElementSet(n, p))
-    reg_total = 0
-    for x in s:
-        reg_total += 0.0 if reg is None else reg[x // L]
-    return total + weights.floats[L] * (L + 1) * reg_total
+        terms.append(weights.fractions[j.bit_count()] * Fraction(f.eval(ElementSet(n, p))))
+    reg_total = sum(Fraction(0.0 if reg is None else reg[x // L]) for x in s)
+    return terms + [Fraction(weights.floats[L] * (L + 1)) * reg_total]
 
 
 @given(
@@ -514,11 +535,10 @@ def test_tracker_matches_the_guide_definition_subset_by_subset(
     L, reg_weights, incremental, steps
 ):
     # after any add/drop/swap sequence, every marginal and the value are the
-    # literal per-subset sums of the guide's definition, to the bit (the
-    # regularizer weights are quarters, so its running total is exact in
-    # any order); a marginal asked first after a move charges at most one
-    # query per distinct projection it can reach: those lacking u for an
-    # add, all of them for a drop
+    # exact per-subset sums of the guide's definition up to float rounding,
+    # and the value is eval's to the bit; a marginal asked first after a
+    # move charges at most one query per distinct projection it can reach:
+    # those lacking u for an add, all of them for a drop
     f = CoverageFunction(7, [[0, 1], [1, 2, 3], [3, 6], [4, 5, 0]])
     weights = GuideWeights(L)
     reg = None if reg_weights is None else LinearRegularizer(reg_weights)
@@ -530,7 +550,8 @@ def test_tracker_matches_the_guide_definition_subset_by_subset(
 
     def check():
         s = tracker.current
-        assert tracker.value.hex() == _literal_value(f, weights, s, reg_weights).hex()
+        assert tracker.value.hex() == guide.eval(s).hex()
+        _assert_sums(tracker.value, _literal_value(f, weights, s, reg_weights))
         lm = level_masks(s, L)
         for x in range(n2):
             u, level = divmod(x, L)
@@ -543,8 +564,7 @@ def test_tracker_matches_the_guide_definition_subset_by_subset(
                 got = tracker.marginal_add(x)
                 reach = sum(1 for p in projections if not p >> u & 1)
             assert ledger.value_queries - before <= reach
-            want = _literal_marginal(f, weights, lm, x, reg_weights, x not in s)
-            assert got.hex() == float(want).hex()
+            _assert_sums(got, _literal_marginal(f, weights, lm, x, reg_weights, x not in s))
 
     check()
     for op, a, b in steps:

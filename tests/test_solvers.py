@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import signal
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -783,6 +784,21 @@ def test_solve_wires_counting_through_guide_and_matroid():
     # run's ledger deliberately leaves uncounted
     assert ledger.value_queries == rep.ledger.value_queries + 1
     assert ledger.independence_queries == rep.ledger.independence_queries
+
+
+def test_a_solve_on_many_levels_costs_what_its_occupied_levels_cost():
+    # eps 1/16 lifts to 17 levels, but the solution sits on a few, and the
+    # guide's work follows those: the solve keeps its answer and counts and
+    # takes well under a second, where a walk over all 2^17 level subsets
+    # took about 30
+    instance = generate_instance("graphic", 128, 8, 0)
+    config = SolverConfig(eps=0.0625, variant=DETERMINISTIC, seed=0)
+    t0 = time.perf_counter()
+    rep = non_oblivious_solve(instance.build_objective(), instance.build_matroid(), config)
+    assert time.perf_counter() - t0 < 5
+    assert rep.levels == 17
+    assert rep.output_set.to_list() == [1, 23, 41, 44, 45, 93, 115, 120]
+    assert rep.ledger.value_queries == 952
 
 
 @pytest.mark.parametrize(
