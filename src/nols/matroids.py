@@ -314,7 +314,10 @@ def rank(matroid: MatroidOracle) -> int:
 
 
 def max_weight_independent(
-    matroid: MatroidOracle, weights: Sequence[float] | Mapping[ElementId, float]
+    matroid: MatroidOracle,
+    weights: Sequence[float] | Mapping[ElementId, float],
+    *,
+    rank: int | None = None,
 ) -> ElementSet:
     """Maximum-weight independent set by greedy, exact for matroids.
 
@@ -322,17 +325,26 @@ def max_weight_independent(
     Strictly negative weights are skipped (never helpful in a downward
     closed family); zero-weight elements are still added, so all-zero
     weights return the greedy base.
+
+    ``rank`` (trusted, not queried) is the matroid's rank. The greedy stops
+    once its set has that many elements: such a set is a base, so every
+    later element would be rejected, and the set is the one the full pass
+    returns without the queries that reject them.
     """
     n = matroid.ground_size
     w = [weights[u] for u in range(n)]
     order = sorted(range(n), key=lambda u: (-w[u], u))
     s = ElementSet.empty(n)
+    if rank == 0:
+        return s
     for u in order:
         if w[u] < 0:
             continue
         cand = s.add(u)
         if matroid.is_independent(cand):
             s = cand
+            if len(s) == rank:
+                break
     return s
 
 

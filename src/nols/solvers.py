@@ -114,7 +114,13 @@ class LocalOptCertificate:
 
     @classmethod
     def at(
-        cls, tracker, matroid: MatroidOracle, eps: float, warm_value: float
+        cls,
+        tracker,
+        matroid: MatroidOracle,
+        eps: float,
+        warm_value: float,
+        *,
+        rank: int | None = None,
     ) -> "LocalOptCertificate":
         """Greedy challenger certificate at the tracker's current solution.
 
@@ -123,13 +129,18 @@ class LocalOptCertificate:
         objectives over a matroid, so the gap equals the worst case over all
         independent challengers. Sums run in ascending element order so
         recomputation is float-identical.
+
+        rank (trusted, not queried) is handed to max_weight_independent, so
+        the greedy stops once its witness is a base. The searches pass it,
+        since their solution is a base; a recheck passes none, since it
+        must not trust that the claimed solution is one.
         """
         s = tracker.current
         mask = s.mask
         w: dict[ElementId, float] = {}
         for v in range(tracker.ground_size):
             w[v] = tracker.marginal_drop(v) if mask >> v & 1 else tracker.marginal_add(v)
-        witness = max_weight_independent(matroid, w)
+        witness = max_weight_independent(matroid, w, rank=rank)
         gap = left_sum(w[v] for v in witness) - left_sum(w[u] for u in s)
         return cls(witness, gap, eps * warm_value, eps, warm_value)
 
@@ -324,17 +335,22 @@ def deterministic_local_search(
     independent) find the cheapest feasible drop by binary search; the
     first pair clearing the threshold is swapped in. A scan with no
     accepted swap ends the search. Each swap raises f(S) by at least the
-    threshold, so scans are bounded by ceil(3 r / eps) + 1.
+    threshold, so scans are bounded by ceil(3 r / eps) + 1. A swap keeps
+    the size, so the solution stays a base and the certificate's greedy
+    stops once its witness has r elements.
 
     Three shortcuts skip queries without changing the trajectory. The
     binary search runs only when the upper bound gain_add - min(drop)
     clears the threshold: the feasible drop weighs at least the minimum,
     and float subtraction and the slack comparisons are monotone, so a
     candidate failing the bound fails the exact test too. A candidate's
-    singleton independence is asked only while it carries no bound (one is
-    carried only past a passing singleton), and the memo of
-    as_lifted(matroid) answers each ask after the first, so a loop (an
-    element dependent on its own) costs one query in all.
+    singleton independence, which the binary search needs, is asked only
+    once that bound clears, right before the search; a candidate that
+    fails is skipped whatever the answer. A loop (an element dependent on
+    its own) found there is masked and skipped before any other work for
+    the rest of the call, so its singleton is asked at most once. The
+    price is that a loop's add-marginal may be asked before it is known
+    to be a loop.
 
     The add-marginal itself is skipped when a bound carried across swaps
     shows the candidate cannot clear gain_add - min(drop). For the monotone
@@ -361,6 +377,7 @@ def deterministic_local_search(
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
     carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
     dropped = 0.0  # D
+    loops = 0  # mask of the candidates found dependent on their own
     iterations = 0
     while True:
         iterations += 1
@@ -373,11 +390,12 @@ def deterministic_local_search(
         drop_w = {u: tracker.marginal_drop(u) for u in s}
         min_drop = min(drop_w.values(), default=0.0)
         swapped = False
+        skip = s.mask | loops
         for v in range(n):
-            if v in s:
+            if skip >> v & 1:
                 continue
             known = carried.get(v)
-            if known is not None:  # carried only once its singleton passed
+            if known is not None:
                 bound = known[0] + (dropped - known[1])
                 # padded, a bound that reaches a positive threshold clears
                 # it; at a zero threshold this only skips less
@@ -385,12 +403,13 @@ def deterministic_local_search(
                     bound += COMPARISON_SLACK * max(1.0, abs(bound))
                     if not _clears(bound - min_drop, threshold):
                         continue
-            elif not matroid.is_independent(ElementSet(n, 1 << v)):
-                continue
             gain_add = tracker.marginal_add(v)
             if math.isfinite(gain_add):
                 carried[v] = (gain_add, dropped)
             if not _clears(gain_add - min_drop, threshold):
+                continue
+            if not matroid.is_independent(ElementSet(n, 1 << v)):
+                loops |= 1 << v
                 continue
             u_v = min_weight_exchange(matroid, s, s, v, drop_w)
             gain = gain_add - drop_w[u_v]
@@ -402,7 +421,7 @@ def deterministic_local_search(
         if not swapped:
             break
 
-    certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+    certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value, rank=r)
     return LocalSearchResult(
         solution=tracker.current,
         value=tracker.value,
@@ -500,7 +519,7 @@ def randomized_local_search(
         iterations += stop
         ran, loops = _run(tracker, matroid, draw_r1, draw_r2, stop, loops)
         owed = stop - ran
-        candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+        candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value, rank=r)
         if not _clears(candidate.gap, candidate.bound):
             certificate = candidate
     return LocalSearchResult(

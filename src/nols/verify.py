@@ -377,7 +377,10 @@ def check_certificate(
     the searches use, and pays for every query it asks: it first empties
     both memos. The guide's states of f may stay: they are uncharged, and a
     state is taken only of a set the recheck has already charged, so they
-    learn nothing free. An infinite or NaN gap fails the pass test.
+    learn nothing free. The witness greedy runs in full, with no rank: the
+    searches stop it at the rank because their solution is a base, and a
+    recheck must not trust that the claimed s is one. An infinite or NaN
+    gap fails the pass test.
     """
     guide, matroid = as_guide(f), as_lifted(matroid)
     guide.memo.clear()

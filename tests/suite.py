@@ -131,7 +131,9 @@ def _eager_warm(f, matroid):
 def eager_local_search(f, matroid, eps):
     """Reference deterministic search: the eager warm start, the base
     extension, then swap scans that ask every candidate's add-marginal,
-    with no bound carried across swaps, and the certificate.
+    with no bound carried across swaps, and the certificate, its greedy
+    stopped at the rank. A candidate's singleton is asked only after its
+    gain test, right before the exchange search.
     deterministic_local_search must make the same swaps in the same scans,
     ask the same independence queries and reach the same result, while in
     each state it asks no value query this search does not. It asks
@@ -159,10 +161,10 @@ def eager_local_search(f, matroid, eps):
         for v in range(n):
             if v in s:
                 continue
-            if not matroid.is_independent(ElementSet(n, 1 << v)):
-                continue
             gain_add = tracker.marginal_add(v)
             if not clears(gain_add - min_drop):
+                continue
+            if not matroid.is_independent(ElementSet(n, 1 << v)):
                 continue
             u_v = min_weight_exchange(matroid, s, s, v, drop_w)
             if clears(gain_add - drop_w[u_v]):
@@ -170,7 +172,7 @@ def eager_local_search(f, matroid, eps):
                 break
         else:
             break
-    certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+    certificate = LocalOptCertificate.at(tracker, matroid, eps, warm_value, rank=r)
     return LocalSearchResult(
         tracker.current, tracker.value, warm_set, iterations, certificate
     )
@@ -183,11 +185,11 @@ def full_budget_randomized_search(f, matroid, eps, rng, attempts):
     randomized_local_search does, then runs all k = ceil(18 r / eps)
     iterations with the same sampling (R1 taken without a draw when it is
     the whole solution), keeps the trajectory, and tests S_i on a tracker
-    made at it. The iterations after i draw from a generator of their own,
-    so they leave the stream the next attempt draws from as the search
-    leaves it: any difference in the answer would be theirs. Values and
-    independence go through as_guide(f) and as_lifted(matroid), as in the
-    search."""
+    made at it, the certificate's greedy stopped at the rank. The
+    iterations after i draw from a generator of their own, so they leave
+    the stream the next attempt draws from as the search leaves it: any
+    difference in the answer would be theirs. Values and independence go
+    through as_guide(f) and as_lifted(matroid), as in the search."""
     f, matroid = as_guide(f), as_lifted(matroid)
     n = f.ground_size
     tracker, dead = _eager_warm(f, matroid)
@@ -234,7 +236,7 @@ def full_budget_randomized_search(f, matroid, eps, rng, attempts):
                 tracker.apply(add=best[1], drop=best[2])
             trajectory.append(tracker.current)
         tracker = make_tracker(f, trajectory[stop])
-        candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value)
+        candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value, rank=r)
         gap, bound = candidate.gap, candidate.bound
         if not (ge(gap, bound) if bound > 0 else gt(gap, 0.0)):
             certificate = candidate

@@ -220,6 +220,48 @@ def test_max_weight_independent_examples():
     assert max_weight_independent(UniformMatroid(3, 2), [-1, 5, -2]) == _es(3, [1])
 
 
+def _restricted(m, k):
+    """m restricted to its first k elements (all of them if it has fewer),
+    as an ExplicitMatroid."""
+    n = m.ground_size
+    k = min(k, n)
+    return ExplicitMatroid(
+        k, [mask for mask in range(1 << k) if m.is_independent(ElementSet(n, mask))]
+    )
+
+
+@given(
+    kind=st.sampled_from(["uniform", "partition", "graphic", "explicit"]),
+    levels=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_max_weight_independent_stops_at_the_rank(kind, levels, seed, data):
+    # capped at the rank, the greedy returns the set the full pass returns
+    # and asks exactly the full pass's queries up to the one that makes its
+    # set a base; weights come with ties, zeros and negatives
+    rng = RandomSource(seed)
+    if kind == "explicit":
+        m = _restricted(_random_matroid(rng, rng.randrange(3)), 2 + rng.randrange(6))
+    else:
+        m = _random_matroid(rng, ["uniform", "partition", "graphic"].index(kind))
+    matroid = m if levels is None else lift(m, levels)
+    r = rank(matroid)
+    weight = st.integers(-4, 6).map(lambda k: k / 2)
+    n = matroid.ground_size
+    w = data.draw(st.lists(weight, min_size=n, max_size=n))
+    full, capped = RecordingMatroid(matroid), RecordingMatroid(matroid)
+    s = max_weight_independent(full, w)
+    assert max_weight_independent(capped, w, rank=r) == s
+    if len(s) < r:  # negative weights kept the greedy below the rank
+        assert capped.seen == full.seen
+    elif r == 0:
+        assert capped.seen == []
+    else:
+        assert capped.seen == full.seen[: full.seen.index(s.mask) + 1]
+
+
 def test_min_weight_exchange_matches_linear_scan():
     rng = RandomSource(42)
     cases = 0

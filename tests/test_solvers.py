@@ -1,11 +1,14 @@
 import contextlib
 import dataclasses
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import time
-from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,6 +26,7 @@ from nols.core import (
 )
 from nols.matroids import (
     GraphicMatroid,
+    LiftedMatroid,
     PartitionMatroid,
     UniformMatroid,
     as_lifted,
@@ -384,29 +388,79 @@ def test_carried_bounds_skip_only_marginals_the_eager_scan_rejects(
 
 def test_carried_bounds_skip_add_marginals_on_a_bait_chain():
     # the carried bounds and the solve-long memos hold the value queries to
-    # 643 here (the scans stay 6), and each projected set's independence is
-    # asked once
+    # 643 here (the scans stay 6); each projected set's independence is
+    # asked once, singletons only past the gain test and the certificate's
+    # greedy only up to the rank, which holds them to 90
     f, m = bait_chain(64, 8, 0)
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
     assert rep.ledger.value_queries == 643
-    assert rep.ledger.independence_queries == 204
+    assert rep.ledger.independence_queries == 90
     assert rep.iterations == 6
+
+
+class _Expired(Exception):
+    """The alarm of _deadline, raised where the block happens to be."""
 
 
 @contextlib.contextmanager
 def _deadline(seconds):
-    """Turn a hang in the block into a failure after this many seconds."""
+    """Turn a hang in the block into a failure after this many seconds.
+
+    The alarm can land on a bytecode with no line number (on Python 3.11,
+    the backward jump of a for loop whose body ends in an if), and pytest
+    stops the whole session with INTERNALERROR when it formats a traceback
+    through such a frame. So the alarm's exception is raised again here as
+    a TimeoutError, from None, whose traceback starts at this block."""
 
     def hang(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
+        raise _Expired
 
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(seconds)
     try:
         yield
+    except _Expired:
+        raise TimeoutError(f"no answer within {seconds} s") from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+HANGING_TEST = """
+from test_solvers import _deadline
+
+
+def spin(terms):
+    total = 0.0
+    while True:
+        for d in terms:
+            if d is not None:
+                total += d
+
+
+def test_hang():
+    with _deadline(1):
+        spin([1.0, None] * 100)
+"""
+
+
+def test_a_deadline_that_expires_fails_one_test(tmp_path):
+    # the alarm lands on the line-less jump of spin's for loop; the run
+    # must report one failed test (exit 1), not an internal error (exit 3)
+    (tmp_path / "test_hang.py").write_text(HANGING_TEST)
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_hang.py"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "TimeoutError: no answer within 1 s" in proc.stdout
+    assert "1 failed" in proc.stdout
 
 
 def _assert_fails_closed(f, matroid, variant, seconds):
@@ -598,8 +652,8 @@ def _watch_settling(monkeypatch, fail_first_test=False):
         draws.append(k)
         return sample(rng, pool, k)
 
-    def first_fails(tracker, matroid, eps, warm_value):
-        certificate = at(tracker, matroid, eps, warm_value)
+    def first_fails(tracker, matroid, eps, warm_value, *, rank=None):
+        certificate = at(tracker, matroid, eps, warm_value, rank=rank)
         if fail_first_test and id(tracker.guide) not in tested:
             tested.add(id(tracker.guide))
             return dataclasses.replace(certificate, gap=math.inf)
@@ -926,18 +980,34 @@ def test_partition_constraint_respected_end_to_end():
         assert rep.objective_value == 6  # one two-point element per block
 
 
-class _SingletonRecorder:
-    """Pass-through matroid that counts singleton queries per element."""
+class _SingletonLog(LiftedMatroid):
+    """Lifted matroid that logs each singleton asked of it, memo hits
+    included: as_lifted takes it as it is, so every ask a search makes
+    lands here."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.ground_size = inner.ground_size
-        self.singletons = Counter()
+    def __init__(self, inner, levels, events):
+        super().__init__(inner, levels)
+        self.events = events
 
     def is_independent(self, s):
         if len(s) == 1:
-            self.singletons[s.to_list()[0]] += 1
-        return self.inner.is_independent(s)
+            self.events.append(("singleton", s.to_list()[0]))
+        return super().is_independent(s)
+
+
+class _AddLog:
+    """Tracker proxy that logs each add-marginal asked of it."""
+
+    def __init__(self, inner, events):
+        self.inner = inner
+        self.events = events
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def marginal_add(self, v):
+        self.events.append(("add", v))
+        return self.inner.marginal_add(v)
 
 
 def _with_loops(f, loops, capacity, loop_cover):
@@ -966,22 +1036,59 @@ def test_solves_never_output_a_loop():
             assert len(rep.output_set) == 2
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_deterministic_search_asks_each_loop_once(levels):
-    # zero-value loops: the warm start and the certificate's greedy never
-    # reach them while their sets are empty, so every singleton query of a
-    # loop comes from the swap scans, which must ask it once per call
+def _loop_events(monkeypatch, valued, levels):
+    # a deterministic search on a bait chain with loops {3, 8, 15, 32, 36},
+    # each covering every point if valued and none if not: its events, and
+    # the lifted copies of the loops
     bait, _ = bait_chain(32, 5, 0)
     loops = {3, 8, 15, 32, 36}
-    f, m = _with_loops(bait, loops, 5, [])
-    recorder = _SingletonRecorder(lift(m, levels))
+    cover = list(range(bait.universe_size)) if valued else []
+    f, m = _with_loops(bait, loops, 5, cover)
+    events = []
+    extend, at = solvers.extend_to_base, solvers.LocalOptCertificate.at
+    track = solvers.make_tracker
+
+    def mark(name, fn):
+        def marked(*args, **kwargs):
+            events.append((name, None))
+            return fn(*args, **kwargs)
+
+        return marked
+
+    monkeypatch.setattr(solvers, "extend_to_base", mark("extend", extend))
+    monkeypatch.setattr(solvers.LocalOptCertificate, "at", mark("certificate", at))
+    monkeypatch.setattr(solvers, "make_tracker", lambda g, s: _AddLog(track(g, s), events))
     guide = LiftedGuide(f, GuideWeights(levels))
-    res = deterministic_local_search(guide, recorder, 0.1)
+    res = deterministic_local_search(guide, _SingletonLog(m, levels, events), 0.1)
     assert res.iterations >= 2
-    for u in loops:
-        for level in range(levels):
-            assert recorder.singletons[u * levels + level] == 1
     assert not set(project_all(res.solution, levels)) & loops
+    return events, {u * levels + level for u in loops for level in range(levels)}
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_deterministic_search_asks_each_loop_once(monkeypatch, levels):
+    # zero-value loops never clear the gain test, so the swap scans never
+    # ask their singletons, and the warm start and the certificate's greedy
+    # never reach them while their sets are empty: no ask at all
+    events, copies = _loop_events(monkeypatch, False, levels)
+    assert not [v for kind, v in events if kind == "singleton" and v in copies]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_a_found_loop_costs_the_scans_nothing_more(monkeypatch, levels):
+    # loops that cover every point clear the gain test; in the swap scans
+    # (from the base extension to the certificate) each copy's singleton
+    # is asked right after its add-marginal, at most once, and once found
+    # the loop gets no further add-marginal
+    events, copies = _loop_events(monkeypatch, True, levels)
+    scans = events[events.index(("extend", None)) + 1 : events.index(("certificate", None))]
+    asked = [i for i, (kind, v) in enumerate(scans) if kind == "singleton" and v in copies]
+    assert asked
+    for i in asked:
+        v = scans[i][1]
+        assert scans[i - 1] == ("add", v)
+        assert ("singleton", v) not in scans[i + 1 :]
+        assert ("add", v) not in scans[i + 1 :]
 
 
 @given(

@@ -11,6 +11,7 @@ from nols.core import (
     QueryLedger,
     RandomSource,
 )
+from nols.instances import generate_instance
 from nols.matroids import ExplicitMatroid, UniformMatroid, lift
 from nols.objectives import (
     GuideWeights,
@@ -292,6 +293,26 @@ def test_check_certificate_names_a_forged_witness():
     certificate, f, m, s = _unfinished_certificate(10.0)
     forged = replace(certificate, witness=_es(3, [1]))
     assert check_certificate(forged, f, m, s) == ["witness mismatch"]
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("family", ["coverage", "partition", "graphic"])
+def test_check_certificate_trusts_no_rank(family, levels):
+    # a certificate whose greedy stopped at |s| for an s that is not a base
+    # is rejected: the recheck runs the full greedy, which grows past |s|
+    # on these non-negative weights; a real solve's certificate, whose
+    # greedy stopped at the rank, rechecks clean
+    instance = generate_instance(family, 10, 3, 0)
+    f, m = instance.build_objective(), instance.build_matroid()
+    rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, levels_override=levels))
+    guide, lifted = LiftedGuide(f, GuideWeights(levels)), lift(m, levels)
+    assert check_certificate(rep.certificate, guide, lifted, rep.lifted_solution) == []
+    s = rep.lifted_solution
+    s = s.remove(s.to_list()[-1])  # independent, one short of a base
+    certificate = LocalOptCertificate.at(
+        make_tracker(guide, s), lifted, 0.5, rep.certificate.warm_value, rank=len(s)
+    )
+    assert "witness mismatch" in check_certificate(certificate, guide, lifted, s)
 
 
 def test_check_certificate_names_a_forged_bound():
