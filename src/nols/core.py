@@ -225,7 +225,9 @@ class ValueOracle(Protocol):
 
     eval must be a pure function of the set: the same set always gives the
     same value, with no side effect the solver relies on. The lifted guide
-    memoizes answers for the whole solve on that basis.
+    memoizes answers for the whole solve on that basis. eval and extend
+    must return finite numbers; the guide raises ValueError on a NaN or
+    infinite value.
 
     An oracle may also offer an incremental pair, state(S) -> state and
     extend(state, u) -> value, which the lifted guide built on it picks up

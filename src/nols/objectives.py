@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import ElementId, ElementSet, ValueOracle, left_sum
+from .matroids import mask_text
 
 # hard cap: a marginal adds 2**(|occupied levels and its own| - 1) terms,
 # 2**(levels - 1) for a solution that occupies every level
@@ -31,6 +32,14 @@ def _require_finite(values: Sequence[float], name: str) -> None:
     for i, v in enumerate(values):
         if not -math.inf < v < math.inf:  # NaN fails both comparisons
             raise ValueError(f"{name.format(i)} must be finite, got {v!r}")
+
+
+def _not_finite(value: float, mask: int) -> ValueError:
+    """The error for an f value that is NaN or infinite, naming the set."""
+    return ValueError(
+        f"the value oracle returned {value!r} on the set {mask_text(mask)}; "
+        "values must be finite"
+    )
 
 
 class CoverageFunction:
@@ -246,7 +255,8 @@ class LiftedGuide:
     f with counting before lifting.
 
     An optional regularizer adds reg_scale = top_weight * (levels + 1) times
-    its weight for each lifted element's base element, at no query cost.
+    its weight for each lifted element's base element, at no query cost;
+    a scaled weight that is not finite raises ValueError naming its index.
     With non-negative regularizer weights the guide stays monotone
     submodular; negative weights are accepted but the solver guarantees are
     then not certified by this package's checks.
@@ -265,6 +275,11 @@ class LiftedGuide:
     charge, at most once, and only of a set already charged (base_state).
     value(s, union) is the one value formula, so a tracker's value is eval
     of its set bit for bit.
+
+    The guide is also the one door for f's values: each enters the memo
+    through base_value or a tracker's marginal_add, and one that is NaN or
+    infinite raises ValueError naming it and its base set there. Every
+    search and check that asks through as_guide sees finite f values only.
 
     inner_state(mask) and inner_extend(state, u) are f's incremental pair
     (see ValueOracle), picked once: f's own state/extend, else the mask and
@@ -291,7 +306,9 @@ class LiftedGuide:
         self.ground_size = n * ell
         scale = self.reg_scale = weights.floats[ell] * (ell + 1)
         w = self.reg_weights = (0.0,) * n if regularizer is None else regularizer.weights
-        self.reg_terms = tuple(scale * wu for wu in w for _ in range(ell))
+        scaled = [scale * wu for wu in w]
+        _require_finite(scaled, f"regularizer weight {{}} times reg_scale {scale!r}")
+        self.reg_terms = tuple(t for t in scaled for _ in range(ell))
         # row m of W = occupied_weight from row m + 1: an empty level is in J
         # or not, so W[m][k] = W[m + 1][k] + W[m + 1][k + 1]; W[levels][k] = weight(k)
         rows = [weights.fractions[:-1]]
@@ -314,7 +331,10 @@ class LiftedGuide:
         value = self.memo.get(mask)
         if value is None:
             inner = self.inner
-            value = self.memo[mask] = inner.eval(ElementSet(inner.ground_size, mask))
+            value = inner.eval(ElementSet(inner.ground_size, mask))
+            if not -math.inf < value < math.inf:  # NaN fails both comparisons
+                raise _not_finite(value, mask)
+            self.memo[mask] = value
         return value
 
     def base_state(self, mask: int) -> object:
@@ -448,7 +468,10 @@ class LiftedTracker:
             mask = p | ubit
             value = memo.get(mask)
             if value is None:
-                value = memo[mask] = extend(state, u)
+                value = extend(state, u)
+                if not -math.inf < value < math.inf:
+                    raise _not_finite(value, mask)
+                memo[mask] = value
             total += w * (value - f)
         total = self._marginal[x] = total + guide.reg_terms[x]
         return total

@@ -229,24 +229,21 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     The live elements wait in a heap keyed by (-bound, id), so a sweep pops
     the elements that clear tau instead of walking all n. It pops exactly
     the ones the eager sweep would visit, and they are visited in the same
-    order: ge(x, tau) is monotone in x for tau > 0 (-inf is queued with
-    +inf, since the slack lets both clear), and a bound changes only when
-    its element is visited. So the same marginals, independence queries
-    and applies happen in the same order. An element whose bound is NaN
-    clears no threshold; it never enters the heap, just as the eager sweep
-    never visits it.
+    order: ge(x, tau) is monotone in x for tau > 0, and a bound changes
+    only when its element is visited. So the same marginals, independence
+    queries and applies happen in the same order.
     """
     n = f.ground_size
     tracker = make_tracker(f, ElementSet.empty(n))
     ub = [tracker.marginal_add(u) for u in range(n)]
     tau = max((tracker.value + m for m in ub), default=0.0)  # largest singleton
-    if not 0 < tau < math.inf:  # NaN, non-positive or infinite: no sweep
+    if not 0 < tau < math.inf:  # non-positive, or the guide's sums overflowed
         return tracker, ElementSet.empty(n)
     floor = _DECAY * tau / n
     # the decay takes tau below the floor within this many sweeps, plus float
     # slack; the cap alone ends a subnormal tau, whose floor underflows to 0
     sweeps = math.floor(math.log(n / _DECAY) / -math.log1p(-_DECAY)) + 2
-    live = [(_heap_key(m), u) for u, m in enumerate(ub) if not math.isnan(m)]
+    live = [(-m, u) for u, m in enumerate(ub)]
     heapq.heapify(live)
     dead = 0
     while live and tau >= floor and sweeps:
@@ -257,19 +254,13 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
         for u in sorted(clearing):
             m = tracker.marginal_add(u)
             if not ge(m, tau):
-                if not math.isnan(m):
-                    heapq.heappush(live, (_heap_key(m), u))
+                heapq.heappush(live, (-m, u))
             elif matroid.is_independent(tracker.current.add(u)):
                 tracker.apply(add=u)
             else:
                 dead |= 1 << u
         tau *= 1.0 - _DECAY
     return tracker, ElementSet(n, dead)
-
-
-def _heap_key(bound: float) -> float:
-    # -inf clears every tau (its slack term is infinite), so it queues with +inf
-    return -math.inf if bound == -math.inf else -bound
 
 
 def warm_start(f: ValueOracle, matroid: MatroidOracle) -> ElementSet:
@@ -300,9 +291,9 @@ def _warm_base(f: ValueOracle, matroid: MatroidOracle):
 
 
 def _clears(value: float, threshold: float) -> bool:
-    """The searches' acceptance test: value reaches a positive threshold up
-    to the slack; with a zero threshold it must beat 0 strictly, since
-    accepting rounding noise there could swap forever."""
+    """The deterministic search's acceptance test: value reaches a positive
+    threshold up to the slack; with a zero threshold it must beat 0
+    strictly, since accepting rounding noise there could swap forever."""
     return ge(value, threshold) if threshold > 0 else gt(value, 0.0)
 
 
@@ -343,7 +334,7 @@ def deterministic_local_search(
     binary search runs only when the upper bound gain_add - min(drop)
     clears the threshold: the feasible drop weighs at least the minimum,
     and float subtraction and the slack comparisons are monotone, so a
-    candidate failing the bound fails the exact test too. A candidate's
+    candidate that fails the bound fails the exact test too. A candidate's
     singleton independence, which the binary search needs, is asked only
     once that bound clears, right before the search; a candidate that
     fails is skipped whatever the answer. A loop (an element dependent on
@@ -404,8 +395,7 @@ def deterministic_local_search(
                     if not _clears(bound - min_drop, threshold):
                         continue
             gain_add = tracker.marginal_add(v)
-            if math.isfinite(gain_add):
-                carried[v] = (gain_add, dropped)
+            carried[v] = (gain_add, dropped)
             if not _clears(gain_add - min_drop, threshold):
                 continue
             if not matroid.is_independent(ElementSet(n, 1 << v)):
@@ -472,17 +462,16 @@ def randomized_local_search(
     Three shortcuts skip work. A candidate's exchange binary search is
     skipped when the upper bound gain_add - min(drop) over R1 fails the
     acceptance test or does not beat the best gain so far: its true gain is
-    no larger, so when no gain is NaN or -inf the applied swap, ties
-    included, is the one the full search picks (otherwise it may not be; a
-    solve still rechecks its certificate and fails closed). When R1 is the
-    whole solution it is taken without a draw (an r-of-r sample is the
-    whole pool), and the feasibility test is a singleton query, which the
-    lifted memo answers after the first ask. And an attempt whose R1 is
-    the whole solution stops drawing once it settles (see _run): its
-    remaining iterations are counted but not run. The draws they would
-    have made are made before the next attempt draws, so every attempt sees
-    the stream it would see without the shortcut; after the last attempt
-    the generator may stand before the draws of its skipped iterations.
+    no larger, so the applied swap, ties included, is the one the full
+    search picks. When R1 is the whole solution it is taken without a draw
+    (an r-of-r sample is the whole pool), and the feasibility test is a
+    singleton query, which the lifted memo answers after the first ask. And
+    an attempt whose R1 is the whole solution stops drawing once it settles
+    (see _run): its remaining iterations are counted but not run. The draws
+    they would have made are made before the next attempt draws, so every
+    attempt sees the stream it would see without the shortcut; after the
+    last attempt the generator may stand before the draws of its skipped
+    iterations.
 
     eps must be a positive finite real number and attempts, when given, a
     non-negative int (neither may be a bool); any other raises ValueError.
@@ -520,7 +509,7 @@ def randomized_local_search(
         ran, loops = _run(tracker, matroid, draw_r1, draw_r2, stop, loops)
         owed = stop - ran
         candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value, rank=r)
-        if not _clears(candidate.gap, candidate.bound):
+        if candidate.passes():
             certificate = candidate
     return LocalSearchResult(
         solution=tracker.current,
@@ -535,33 +524,31 @@ def _best_swap(tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, f
     """One iteration's choice among the feasible candidates (ascending),
     each dropping its cheapest feasible partner from R1 = r1.
 
-    Returns (swap, upper_fails, gain_fails). swap is (gain, v, u_v) for the
-    best candidate, the first of largest gain, or None when its gain fails
-    the acceptance test; a NaN gain that comes first is best, since nothing
-    compares greater. upper_fails and gain_fails are the masks of the
-    candidates whose upper bound, and whose gain when it is not NaN, fails
-    the test.
+    Returns (swap, fails). swap is (gain, v, u_v) for the best candidate,
+    the first of largest gain, or None when its gain fails the acceptance
+    test. fails is the mask of the candidates whose upper bound or gain
+    fails the test.
     """
     drop_w = {u: tracker.marginal_drop(u) for u in r1}
     min_drop = min(drop_w.values())
     best: tuple[float, ElementId, ElementId] | None = None
-    upper_fails = gain_fails = 0
+    fails = 0
     for v in feasible:  # first best kept on ties
         gain_add = tracker.marginal_add(v)
         upper = gain_add - min_drop
         if not ge(upper, 0.0):
-            upper_fails |= 1 << v
+            fails |= 1 << v
             continue
         if best is not None and not upper > best[0]:
             continue
         u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
         gain = gain_add - drop_w[u_v]
-        if not ge(gain, 0.0) and not math.isnan(gain):
-            gain_fails |= 1 << v
+        if not ge(gain, 0.0):
+            fails |= 1 << v
         if best is None or gain > best[0]:
             best = (gain, v, u_v)
     swap = best if best is not None and ge(best[0], 0.0) else None
-    return swap, upper_fails, gain_fails
+    return swap, fails
 
 
 def _run(tracker, matroid: MatroidOracle, draw_r1, draw_r2, stop: int, loops: int):
@@ -577,27 +564,23 @@ def _run(tracker, matroid: MatroidOracle, draw_r1, draw_r2, stop: int, loops: in
     (S - R1) + v the singleton.
 
     While S and R1 stand, the drop marginals and each candidate's
-    add-marginal and cheapest drop are fixed, so the run keeps two masks of
-    candidates that cannot be swapped in; R1 stands across iterations only
-    when it is S, and only until the next apply. A candidate whose upper
-    bound fails the acceptance test is skipped by every iteration: R2 loses
-    it, and the loops, before any other work. A candidate whose gain is a
-    number that fails the test stays in the walk: as the best so far it
-    keeps a later NaN gain from coming first and a later -inf gain, which
-    the slack lets pass, from being applied, so dropping it could change
-    the swap. Its exchange search is asked again, which the lifted memo
-    answers with no charged query. Once every element outside S is in one
-    of the masks, every gain an iteration searches fails the test, so S
-    cannot change: the remaining iterations are not run and their R2 draws
-    are not made.
+    add-marginal and cheapest drop are fixed; R1 stands across iterations
+    only when it is S, and only until the next apply. So a candidate whose
+    upper bound or gain fails the acceptance test is masked with the loops,
+    and R2 loses the mask before any other work. Masking changes no swap:
+    ge(x, 0.0) is x >= -1e-9, so a gain that fails is below the upper
+    bound of every candidate that reaches the exchange search; it is never
+    applied and never prunes another candidate. Once every element outside
+    S is masked, S cannot change: the remaining iterations are not run and
+    their R2 draws are not made.
     """
     n = tracker.ground_size
     full = (1 << n) - 1
-    shut, failing = loops, 0
+    shut = loops
     for ran in range(stop):
         s = tracker.current
         if draw_r1 is None:
-            if (s.mask | shut | failing) == full:
+            if (s.mask | shut) == full:
                 return ran, loops
             r1 = s
         else:
@@ -614,13 +597,12 @@ def _run(tracker, matroid: MatroidOracle, draw_r1, draw_r2, stop: int, loops: in
                 loops |= low
                 shut |= low
         if feasible and r1.mask:
-            swap, upper_fails, gain_fails = _best_swap(tracker, matroid, s, r1, feasible)
+            swap, fails = _best_swap(tracker, matroid, s, r1, feasible)
             if swap is not None:
                 tracker.apply(add=swap[1], drop=swap[2])
-                shut, failing = loops, 0
+                shut = loops
             elif draw_r1 is None:
-                shut |= upper_fails
-                failing |= gain_fails
+                shut |= fails
     return stop, loops
 
 
@@ -674,7 +656,7 @@ def non_oblivious_solve(
         raise RuntimeError(
             f"solve produced a certificate that does not pass (gap {certificate.gap!r}"
             f" > bound {certificate.bound!r}); the value oracle is likely not "
-            "monotone submodular or returned a non-finite value"
+            "monotone submodular"
         )
     failed = certificate is None
     # a failed run reports the empty set; the set it last tested is a base,

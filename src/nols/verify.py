@@ -1,18 +1,18 @@
 """Ground-truth verification at desk scale.
 
 Brute force, the exact-arithmetic reference search, axiom checkers, and
-certificate recomputation. Everything here is exhaustive or sampled against
-explicit definitions, never against the solvers' own bookkeeping, so these
-routines are the arbiter in tests. The one piece shared with the solvers is
-the certificate constructor, ``LocalOptCertificate.at``, run here on a fresh
-tracker so a stored certificate can be compared float-exactly.
+certificate recomputation. Everything here is exhaustive against explicit
+definitions, never against the solvers' own bookkeeping, so these routines
+are the arbiter in tests. The one piece shared with the solvers is the
+certificate constructor, ``LocalOptCertificate.at``, run here on a fresh
+tracker so a stored certificate can be compared float-exactly; it asks f
+through the lifted guide, which rejects a NaN or infinite value.
 
 Each check has a fixed scale cap, a module constant rather than a
 parameter: brute force to n = 22, the exhaustive gap to n = 64, the
 reference search to n = 16 and rank 6, and the matroid-axiom and
-value-oracle checks exhaustive to n = 16 (above that the axiom check
-refuses and the oracle check samples 10,000 triples from seed 0). The
-checkers report at most 20 violations.
+value-oracle checks to n = 16; above its cap a check refuses. The checkers
+report at most 20 violations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     COMPARISON_SLACK,
     ElementSet,
     MatroidOracle,
-    RandomSource,
     ValueOracle,
     ge,
     left_sum,
@@ -41,8 +40,7 @@ MAX_BRUTE_FORCE = 22
 MAX_GAP_GROUND = 64
 MAX_REFERENCE_GROUND = 16
 MAX_REFERENCE_RANK = 6
-MAX_EXHAUSTIVE = 16  # axiom and value-oracle checks; the oracle check samples above
-SAMPLED_TRIALS = 10_000
+MAX_EXHAUSTIVE = 16  # axiom and value-oracle checks
 MAX_REPORTS = 20
 
 
@@ -246,18 +244,16 @@ def check_matroid_axioms(matroid: MatroidOracle) -> list[str]:
 
 
 def check_value_oracle(f: ValueOracle) -> list[str]:
-    """Non-negativity, monotonicity, submodularity check.
+    """Exhaustive non-negativity, monotonicity and submodularity check over
+    all 2^n sets, capped at n <= 16.
 
-    Exhaustive up to n = 16 ground elements (pairwise local submodularity
-    over all sets, which is equivalent to the lattice definition); above
-    that, 10,000 sampled S subset of T triples drawn from RandomSource(0).
-    Returns the first 20 violation descriptions, empty on pass.
+    Submodularity is checked pairwise and locally, which is equivalent to
+    the lattice definition. Returns the first 20 violation descriptions,
+    empty on pass.
     """
-    if f.ground_size <= MAX_EXHAUSTIVE:
-        violations = _exhaustive_value_violations(f)
-    else:
-        violations = _sampled_value_violations(f)
-    return list(islice(violations, MAX_REPORTS))
+    if f.ground_size > MAX_EXHAUSTIVE:
+        raise ValueError(f"value oracle check capped at n <= {MAX_EXHAUSTIVE}")
+    return list(islice(_exhaustive_value_violations(f), MAX_REPORTS))
 
 
 def _exhaustive_value_violations(f: ValueOracle) -> Iterator[str]:
@@ -293,39 +289,6 @@ def _exhaustive_value_violations(f: ValueOracle) -> Iterator[str]:
                     f"submodularity fails: element {u} gains more on "
                     f"{mask_text(int(withv[i]))} than on {mask_text(int(both[i]))}"
                 )
-
-
-def _random_mask(rng: RandomSource, n: int) -> int:
-    mask = 0
-    for shift in range(0, n, 64):
-        mask |= rng.next_u64() << shift
-    return mask & ((1 << n) - 1)
-
-
-def _sampled_value_violations(f: ValueOracle) -> Iterator[str]:
-    n = f.ground_size
-    rng = RandomSource(0)
-    for _ in range(SAMPLED_TRIALS):
-        t_mask = _random_mask(rng, n)
-        s_mask = t_mask & _random_mask(rng, n)
-        t = ElementSet(n, t_mask)
-        s = ElementSet(n, s_mask)
-        ft = f.eval(t)
-        fs = f.eval(s)
-        if not (ge(ft, 0.0) and ge(fs, 0.0)):
-            yield "negative value on sampled set"
-        if not ge(ft, fs):
-            yield f"monotonicity fails: f({mask_text(t_mask)}) < f({mask_text(s_mask)})"
-        outside = ElementSet(n, ((1 << n) - 1) & ~t_mask)
-        if len(outside) == 0:
-            continue
-        members = outside.to_list()
-        u = members[rng.randrange(len(members))]
-        if not ge(f.eval(s.add(u)) - fs, f.eval(t.add(u)) - ft):
-            yield (
-                f"submodularity fails for element {u} between {mask_text(s_mask)} "
-                f"and {mask_text(t_mask)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -372,15 +335,17 @@ def check_certificate(
 
     Float equality is intentional: both computations follow the same
     canonical summation order, so any difference means the inputs changed;
-    two NaNs compare equal.
+    two NaNs compare equal, since a stored certificate may carry a NaN gap
+    or bound.
     A recheck asks through as_guide(f) and as_lifted(matroid), the doors
     the searches use, and pays for every query it asks: it first empties
     both memos. The guide's states of f may stay: they are uncharged, and a
     state is taken only of a set the recheck has already charged, so they
     learn nothing free. The witness greedy runs in full, with no rank: the
     searches stop it at the rank because their solution is a base, and a
-    recheck must not trust that the claimed s is one. An infinite or NaN
-    gap fails the pass test.
+    recheck must not trust that the claimed s is one. f is asked through
+    the guide, so a NaN or infinite value of f raises ValueError naming it
+    and its set; a stored gap that is infinite or NaN fails the pass test.
     """
     guide, matroid = as_guide(f), as_lifted(matroid)
     guide.memo.clear()

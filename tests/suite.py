@@ -237,8 +237,7 @@ def full_budget_randomized_search(f, matroid, eps, rng, attempts):
             trajectory.append(tracker.current)
         tracker = make_tracker(f, trajectory[stop])
         candidate = LocalOptCertificate.at(tracker, matroid, eps, warm_value, rank=r)
-        gap, bound = candidate.gap, candidate.bound
-        if not (ge(gap, bound) if bound > 0 else gt(gap, 0.0)):
+        if candidate.passes():
             certificate = candidate
     return LocalSearchResult(
         tracker.current, tracker.value, warm_set, iterations, certificate

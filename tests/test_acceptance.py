@@ -68,6 +68,7 @@ from nols import (
     reference_local_search,
     warm_start,
 )
+from nols.cli import det_normalizer, rand_normalizer
 from nols.cli import main as cli_main
 from nols.core import CountingMatroidOracle
 from nols.solvers import ceil_sqrt
@@ -304,15 +305,14 @@ def test_criterion_07_query_scaling():
     for n in (64, 128, 256, 512):
         r = ceil_sqrt(n)
         f, m = bait_chain(n, r, seed=0)
-        log_term = 1 + math.log2(r)
         rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant="deterministic"))
-        det_ratios.append(rep.ledger.total / (n * r * log_term))
+        det_ratios.append(rep.ledger.total / det_normalizer(n, r))
         f, m = bait_chain(n, r, seed=0)
         rep = non_oblivious_solve(
             f, m, SolverConfig(eps=0.5, variant="randomized", seed=0)
         )
         assert not rep.failed
-        rand_ratios.append(rep.ledger.total / ((n + r * ceil_sqrt(n)) * log_term))
+        rand_ratios.append(rep.ledger.total / rand_normalizer(n, r))
     det_spread = max(det_ratios) / min(det_ratios)
     rand_spread = max(rand_ratios) / min(rand_ratios)
     wall = time.perf_counter() - t0

@@ -377,6 +377,22 @@ def test_a_solve_that_fails_closed_exits_one_with_one_stderr_line(tmp_path, caps
     assert len(err.splitlines()) == 1
 
 
+def test_a_regularizer_that_overflows_once_scaled_exits_one(tmp_path, capsys):
+    # the weight is finite, but 1e308 times the 3-level scale 64/9 is not
+    inst = _gen(tmp_path)
+    doc = json.loads(inst.read_text())
+    doc["regularizer"] = {"weights": [1e308] + [0] * (doc["n"] - 1)}
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst), "--eps", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "nols solve: error: regularizer weight 0 times reg_scale 7.111111111111111 "
+        "must be finite, got inf\n"
+    )
+
+
 def test_gen_rejects_bad_shapes(tmp_path, capsys):
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit):

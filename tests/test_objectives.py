@@ -662,6 +662,15 @@ def test_sums_round_at_each_addition_on_every_python(oracle):
             lambda: level_masks(ElementSet(5), 2),
             "lifted universe size must be a multiple of levels",
         ),
+        (  # finite, but 1e308 times the 3-level scale 64/9 is not
+            lambda: LiftedGuide(
+                ModularFunction([1] * 4),
+                GuideWeights(3),
+                LinearRegularizer([1e308, 0, 0, 0]),
+            ),
+            "regularizer weight 0 times reg_scale 7.111111111111111 must be finite, "
+            "got inf",
+        ),
     ],
     ids=[
         "coverage-point", "coverage-weight-count", "coverage-negative-weight",
@@ -669,6 +678,7 @@ def test_sums_round_at_each_addition_on_every_python(oracle):
         "regularizer-inf-weight", "modular-nan-weight", "modular-inf-weight",
         "concave-negative-weight", "concave-nan-weight", "concave-inf-weight",
         "concave-shape", "concave-cap", "concave-nan-cap", "concave-inf-cap", "level-masks",
+        "regularizer-overflow",
     ],
 )
 def test_objective_guards_name_the_problem(build, message):
