@@ -112,6 +112,12 @@ def cmd_verify(args) -> int:
 
     f, matroid = instance.build_objective(), instance.build_matroid()
     output, levels = report.output_set, report.levels
+    if not report.failed:
+        # built before the first check line, so an input the guide refuses
+        # leaves stdout empty
+        regularizer = instance.build_regularizer() if report.regularized else None
+        guide = LiftedGuide(f, GuideWeights(levels), regularizer)
+        lifted_matroid = lift(matroid, levels)
     check(
         f.eval(output) == report.objective_value,
         "objective value matches the output set",
@@ -123,9 +129,6 @@ def cmd_verify(args) -> int:
         print("verified (failed run, consistent)")
         return 0
 
-    regularizer = instance.build_regularizer() if report.regularized else None
-    guide = LiftedGuide(f, GuideWeights(levels), regularizer)
-    lifted_matroid = lift(matroid, levels)
     lifted_solution = report.lifted_solution
     lifted_independent = lifted_matroid.is_independent(lifted_solution)
     check(lifted_independent, "lifted solution is independent in the lifted matroid")

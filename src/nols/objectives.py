@@ -42,6 +42,15 @@ def _not_finite(value: float, mask: int) -> ValueError:
     )
 
 
+def _overflowed(total: float, mask: int) -> ValueError:
+    """The error for a guide total that is not finite, naming the lifted
+    set it was summed on."""
+    return ValueError(
+        f"the guide's weighted sum overflowed to {total!r} on the lifted set "
+        f"{mask_text(mask)}; f's values are too large for the guide's weights"
+    )
+
+
 class CoverageFunction:
     """Weighted coverage: f(S) = total weight of universe points covered by S.
 
@@ -278,8 +287,11 @@ class LiftedGuide:
 
     The guide is also the one door for f's values: each enters the memo
     through base_value or a tracker's marginal_add, and one that is NaN or
-    infinite raises ValueError naming it and its base set there. Every
-    search and check that asks through as_guide sees finite f values only.
+    infinite raises ValueError naming it and its base set there. A value or
+    marginal whose weighted sum of finite f values overflows raises
+    ValueError naming the lifted set, checked once per computed total.
+    Every search and check that asks through as_guide sees finite f values
+    and finite guide totals only.
 
     inner_state(mask) and inner_extend(state, u) are f's incremental pair
     (see ValueOracle), picked once: f's own state/extend, else the mask and
@@ -359,7 +371,10 @@ class LiftedGuide:
         # without a regularizer the weights are zeros, and adding 0.0 changes
         # no float
         reg, ell = self.reg_weights, self.levels
-        return total + self.reg_scale * left_sum(reg[x // ell] for x in s)
+        total += self.reg_scale * left_sum(reg[x // ell] for x in s)
+        if not -math.inf < total < math.inf:
+            raise _overflowed(total, s.mask)
+        return total
 
     def eval(self, s: ElementSet) -> float:
         occupied = [mask for mask in level_masks(s, self.levels) if mask]
@@ -473,7 +488,10 @@ class LiftedTracker:
                     raise _not_finite(value, mask)
                 memo[mask] = value
             total += w * (value - f)
-        total = self._marginal[x] = total + guide.reg_terms[x]
+        total += guide.reg_terms[x]
+        if not -math.inf < total < math.inf:
+            raise _overflowed(total, self.current.mask | 1 << x)
+        self._marginal[x] = total
         return total
 
     def marginal_drop(self, x: ElementId) -> float:
@@ -489,7 +507,10 @@ class LiftedTracker:
         total = 0.0
         for w, p, _, f in self._tables.get(x % ell) or self._table(x % ell):
             total += w * (f - base_value(p & ~ubit))
-        total = self._marginal[x] = total + guide.reg_terms[x]
+        total += guide.reg_terms[x]
+        if not -math.inf < total < math.inf:
+            raise _overflowed(total, self.current.mask)
+        self._marginal[x] = total
         return total
 
     def apply(self, add: ElementId | None = None, drop: ElementId | None = None):

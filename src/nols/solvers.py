@@ -213,8 +213,11 @@ def amplification_attempts(eps: float) -> int:
 
 
 def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
-    """Descending-thresholds greedy from the empty set; returns its tracker
-    and the set of elements it found dependent.
+    """Descending-thresholds greedy from the empty set; returns its tracker,
+    the set of elements it found dependent, and its first bounds ub, the
+    add-marginal of every element at the empty set (regularizer term
+    included), which later marginals of a monotone submodular f never
+    exceed.
 
     tau starts at the largest singleton value and decays by (1 - 1/8) until
     below (1/8) * max / n; each sweep visits, in ascending id, every live
@@ -237,8 +240,8 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     tracker = make_tracker(f, ElementSet.empty(n))
     ub = [tracker.marginal_add(u) for u in range(n)]
     tau = max((tracker.value + m for m in ub), default=0.0)  # largest singleton
-    if not 0 < tau < math.inf:  # non-positive, or the guide's sums overflowed
-        return tracker, ElementSet.empty(n)
+    if tau <= 0:
+        return tracker, ElementSet.empty(n), ub
     floor = _DECAY * tau / n
     # the decay takes tau below the floor within this many sweeps, plus float
     # slack; the cap alone ends a subnormal tau, whose floor underflows to 0
@@ -260,7 +263,7 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
             else:
                 dead |= 1 << u
         tau *= 1.0 - _DECAY
-    return tracker, ElementSet(n, dead)
+    return tracker, ElementSet(n, dead), ub
 
 
 def warm_start(f: ValueOracle, matroid: MatroidOracle) -> ElementSet:
@@ -278,16 +281,17 @@ def _warm_base(f: ValueOracle, matroid: MatroidOracle):
     """Warm-start a tracker from the empty set, then extend it to a base,
     skipping the elements the warm start found dependent.
 
-    Returns (tracker at the base, warm set, warm value); no randomness, so
-    every search attempt reaches the same base.
+    Returns (tracker at the base, warm set, warm value, the warm start's
+    singleton marginals ub); no randomness, so every search attempt reaches
+    the same base.
     """
-    tracker, dead = _threshold_greedy_warm(f, matroid)
+    tracker, dead, ub = _threshold_greedy_warm(f, matroid)
     warm_set = tracker.current
     warm_value = tracker.value
     base = extend_to_base(matroid, warm_set, dead)
     for u in base.difference(warm_set):
         tracker.apply(add=u)
-    return tracker, warm_set, warm_value
+    return tracker, warm_set, warm_value, ub
 
 
 def _clears(value: float, threshold: float) -> bool:
@@ -351,9 +355,13 @@ def deterministic_local_search(
     of the dropped elements' guide-part drop marginals, m_v + (D - D_v)
     bounds v's marginal, where m_v was computed when D was D_v. The
     regularizer term is modular: it stays in m_v and is kept out of D. The
-    bound is padded by the comparison slack against rounding; a skipped
+    bound is capped by ub_v, v's marginal at the empty set, which the warm
+    start computed as its first bound: g(v | S) <= g(v | empty) for every
+    S, and the regularizer term is in both. A candidate with no carried
+    entry is bounded by ub_v alone, so the first scan skips too. The bound
+    is padded by the comparison slack against rounding; a skipped
     candidate would have failed the exact test, so the same swaps are made.
-    Bounds start empty on each call.
+    Carried bounds start empty on each call.
 
     eps must be a positive finite real number (not a bool); any other
     raises ValueError.
@@ -362,7 +370,7 @@ def deterministic_local_search(
     _check_ground(f, matroid)
     f, matroid = as_guide(f), as_lifted(matroid)
     n = f.ground_size
-    tracker, warm_set, warm_value = _warm_base(f, matroid)
+    tracker, warm_set, warm_value, ub = _warm_base(f, matroid)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
@@ -386,14 +394,13 @@ def deterministic_local_search(
             if skip >> v & 1:
                 continue
             known = carried.get(v)
-            if known is not None:
-                bound = known[0] + (dropped - known[1])
-                # padded, a bound that reaches a positive threshold clears
-                # it; at a zero threshold this only skips less
-                if bound - min_drop < threshold:
-                    bound += COMPARISON_SLACK * max(1.0, abs(bound))
-                    if not _clears(bound - min_drop, threshold):
-                        continue
+            bound = ub[v] if known is None else min(ub[v], known[0] + (dropped - known[1]))
+            # padded, a bound that reaches a positive threshold clears it; at
+            # a zero threshold this only skips less
+            if bound - min_drop < threshold:
+                bound += COMPARISON_SLACK * max(1.0, abs(bound))
+                if not _clears(bound - min_drop, threshold):
+                    continue
             gain_add = tracker.marginal_add(v)
             carried[v] = (gain_add, dropped)
             if not _clears(gain_add - min_drop, threshold):
@@ -486,7 +493,7 @@ def randomized_local_search(
     n = f.ground_size
     root = ceil_sqrt(n)
     ground = ElementSet.full(n)
-    tracker, warm_set, warm_value = _warm_base(f, matroid)
+    tracker, warm_set, warm_value, _ = _warm_base(f, matroid)
     base = tracker.current
     r = len(base)
     k = max(1, math.ceil(18 * r / eps))

@@ -393,6 +393,28 @@ def test_a_regularizer_that_overflows_once_scaled_exits_one(tmp_path, capsys):
     )
 
 
+def test_verify_refuses_an_overflowing_regularizer_before_any_check_line(tmp_path, capsys):
+    # the report was solved on a zero regularizer, which then grew to the
+    # weight that overflows once scaled; verify builds the guide before its
+    # first check line, so stdout stays empty
+    inst = _gen(tmp_path)
+    doc = json.loads(inst.read_text())
+    doc["regularizer"] = {"weights": [0] * doc["n"]}
+    inst.write_text(json.dumps(doc))
+    rep = tmp_path / "report.json"
+    assert main(["solve", "--instance", str(inst), "--eps", "0.5", "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["regularized"] is True
+    doc["regularizer"] = {"weights": [1e308] + [0] * (doc["n"] - 1)}
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--report", str(rep)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "nols verify: error: regularizer weight 0 times reg_scale 7.111111111111111 "
+        "must be finite, got inf\n"
+    )
+
 def test_gen_rejects_bad_shapes(tmp_path, capsys):
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit):

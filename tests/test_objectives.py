@@ -686,6 +686,39 @@ def test_objective_guards_name_the_problem(build, message):
         build()
 
 
+class _Swing:
+    """Finite values on two elements whose differences overflow: f({1}) is
+    -1e308 and f({0, 1}) is 1e308."""
+
+    ground_size = 2
+
+    def eval(self, s):
+        return (0.0, 0.0, -1e308, 1e308)[s.mask]
+
+
+@pytest.mark.parametrize(
+    "total, named",
+    [
+        (  # 37/9 times a finite f value at 3 levels
+            lambda: LiftedGuide(
+                ConcaveOfModular([1e308] * 2, shape="cap", cap=1.7e308), GuideWeights(3)
+            ).eval(ElementSet(6, 1)),
+            "{0}",
+        ),
+        (lambda: make_tracker(_Swing(), ElementSet(2, 2)).marginal_add(0), "{0,1}"),
+        (lambda: make_tracker(_Swing(), ElementSet(2, 3)).marginal_drop(0), "{0,1}"),
+    ],
+    ids=["value", "add", "drop"],
+)
+def test_a_guide_total_that_overflows_names_its_set(total, named):
+    message = (
+        f"the guide's weighted sum overflowed to inf on the lifted set {named}; "
+        "f's values are too large for the guide's weights"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        total()
+
+
 def test_as_guide_returns_a_guide_as_it_is_and_wraps_any_other_oracle():
     f, _ = tiny_coverage()
     guide = LiftedGuide(f, GuideWeights(3))

@@ -34,9 +34,11 @@ from nols.matroids import (
     rank,
 )
 from nols.objectives import (
+    ConcaveOfModular,
     CoverageFunction,
     GuideWeights,
     LiftedGuide,
+    LiftedTracker,
     LinearRegularizer,
     ModularFunction,
     as_guide,
@@ -226,6 +228,19 @@ def test_a_non_finite_value_is_refused_at_the_guide(entry, named, value, kind):
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry(kind(value), UniformMatroid(4, 2))
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+def test_a_guide_sum_that_overflows_is_refused_by_name(variant):
+    # every f value is finite, but at 3 levels the warm start's first
+    # marginal weighs f({0}) = 1e308 by 37/9
+    f = ConcaveOfModular([1e308] * 6, shape="cap", cap=1.7e308)
+    message = (
+        "the guide's weighted sum overflowed to inf on the lifted set {0}; "
+        "f's values are too large for the guide's weights"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        non_oblivious_solve(f, UniformMatroid(6, 3), SolverConfig(eps=0.5, variant=variant))
 
 
 def test_level_and_eps_schedule():
@@ -442,15 +457,75 @@ def test_carried_bounds_skip_only_marginals_the_eager_scan_rejects(
 
 
 def test_carried_bounds_skip_add_marginals_on_a_bait_chain():
-    # the carried bounds and the solve-long memos hold the value queries to
-    # 643 here (the scans stay 6); each projected set's independence is
-    # asked once, singletons only past the gain test and the certificate's
-    # greedy only up to the rank, which holds them to 90
+    # the carried bounds, capped by the singleton marginals, and the
+    # solve-long memos hold the value queries to 545 here (the scans stay
+    # 6); each projected set's independence is asked once, singletons only
+    # past the gain test and the certificate's greedy only up to the rank,
+    # which holds them to 90
     f, m = bait_chain(64, 8, 0)
     rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
-    assert rep.ledger.value_queries == 643
+    assert rep.ledger.value_queries == 545
     assert rep.ledger.independence_queries == 90
     assert rep.iterations == 6
+
+
+def test_the_scans_ask_no_junk_add_marginal_on_a_bait_chain():
+    # a junk element's singleton marginal, which the warm start computed,
+    # never reaches the threshold, so no scan asks its add-marginal, the
+    # first scan included, though each swap lifts its carried bound past
+    # the threshold
+    f, m = bait_chain(64, 8, 0)
+    junk = 64 - (2 * 8 - 1)  # the low elements
+    phase, asked = ["warm start"], []
+    marginal_add, warm_base = LiftedTracker.marginal_add, solvers._warm_base
+    certify = solvers.LocalOptCertificate.at
+
+    def logged_add(tracker, x):
+        asked.append((phase[0], x))
+        return marginal_add(tracker, x)
+
+    def logged_warm(*args):
+        out = warm_base(*args)
+        phase[0] = "scan"
+        return out
+
+    def logged_certify(cls, *args, **kwargs):
+        phase[0] = "certificate"
+        return certify(*args, **kwargs)
+
+    with mock.patch.object(LiftedTracker, "marginal_add", logged_add), \
+            mock.patch.object(solvers, "_warm_base", logged_warm), \
+            mock.patch.object(solvers.LocalOptCertificate, "at", classmethod(logged_certify)):
+        rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
+    junk_asked = {"warm start": set(), "scan": set(), "certificate": set()}
+    for p, x in asked:
+        if x // rep.levels < junk:
+            junk_asked[p].add(x)
+    assert rep.iterations == 6
+    assert not junk_asked["scan"]
+    # the warm start and the certificate ask every junk element
+    assert junk_asked["warm start"] == junk_asked["certificate"] == set(range(junk * rep.levels))
+
+
+def _shared_bait_chain(n, r, shared=300):
+    """bait_chain(n, r, 0) with one shared set of points added to every
+    element, so every singleton marginal clears the scan's threshold."""
+    f, m = bait_chain(n, r, 0)
+    extra = list(range(f.universe_size, f.universe_size + shared))
+    covers = [f.covers(u) + extra for u in range(n)]
+    return CoverageFunction(f.universe_size + shared, covers), m
+
+
+def test_the_carried_bound_skips_where_the_singleton_cap_cannot():
+    # the shared points lift every singleton marginal by 300 and the
+    # marginal at any non-empty set by nothing, so the cap skips no junk;
+    # the carried bound, m_v plus the drops since, still does. With the cap
+    # alone this solve asks 3,046 value queries
+    f, m = _shared_bait_chain(128, 8)
+    rep = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
+    assert rep.ledger.value_queries == 2591
+    assert rep.ledger.independence_queries == 142
+    assert rep.iterations == 3
 
 
 class _Expired(Exception):
@@ -907,7 +982,7 @@ def test_a_solve_on_many_levels_costs_what_its_occupied_levels_cost():
     assert time.perf_counter() - t0 < 5
     assert rep.levels == 17
     assert rep.output_set.to_list() == [1, 23, 41, 44, 45, 93, 115, 120]
-    assert rep.ledger.value_queries == 952
+    assert rep.ledger.value_queries == 912
 
 
 @pytest.mark.parametrize(
