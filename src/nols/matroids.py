@@ -330,6 +330,13 @@ def max_weight_independent(
     once its set has that many elements: such a set is a base, so every
     later element would be rejected, and the set is the one the full pass
     returns without the queries that reject them.
+
+    On a LiftedMatroid the answer is already known for some copies of a
+    base element, and is not asked: a copy of a base element the set holds
+    is rejected by the fold, and a copy of one refused since the set last
+    grew would be a memo hit on the same projection. Both are rejected, as
+    the answer would reject them, so the inner matroid is asked the same
+    sets in the same order.
     """
     n = matroid.ground_size
     w = [weights[u] for u in range(n)]
@@ -337,14 +344,23 @@ def max_weight_independent(
     s = ElementSet.empty(n)
     if rank == 0:
         return s
+    ell = matroid.levels if isinstance(matroid, LiftedMatroid) else 1
+    held = known = 0  # base elements held; held or refused since the last add
     for u in order:
         if w[u] < 0:
+            continue
+        base = 1 << u // ell
+        if known & base:
             continue
         cand = s.add(u)
         if matroid.is_independent(cand):
             s = cand
             if len(s) == rank:
                 break
+            held |= base
+            known = held
+        else:
+            known |= base
     return s
 
 

@@ -42,7 +42,7 @@ def _not_finite(value: float, mask: int) -> ValueError:
     )
 
 
-def _overflowed(total: float, mask: int) -> ValueError:
+def overflow_error(total: float, mask: int) -> ValueError:
     """The error for a guide total that is not finite, naming the lifted
     set it was summed on."""
     return ValueError(
@@ -373,7 +373,7 @@ class LiftedGuide:
         reg, ell = self.reg_weights, self.levels
         total += self.reg_scale * left_sum(reg[x // ell] for x in s)
         if not -math.inf < total < math.inf:
-            raise _overflowed(total, s.mask)
+            raise overflow_error(total, s.mask)
         return total
 
     def eval(self, s: ElementSet) -> float:
@@ -490,7 +490,7 @@ class LiftedTracker:
             total += w * (value - f)
         total += guide.reg_terms[x]
         if not -math.inf < total < math.inf:
-            raise _overflowed(total, self.current.mask | 1 << x)
+            raise overflow_error(total, self.current.mask | 1 << x)
         self._marginal[x] = total
         return total
 
@@ -509,7 +509,7 @@ class LiftedTracker:
             total += w * (f - base_value(p & ~ubit))
         total += guide.reg_terms[x]
         if not -math.inf < total < math.inf:
-            raise _overflowed(total, self.current.mask)
+            raise overflow_error(total, self.current.mask)
         self._marginal[x] = total
         return total
 

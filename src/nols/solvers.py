@@ -10,6 +10,7 @@ regularizer) to reach the target approximation factor.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -32,7 +33,12 @@ from .core import (
     sample_without_replacement,
 )
 from .matroids import (
-    as_lifted, extend_to_base, lift, max_weight_independent, min_weight_exchange
+    LiftedMatroid,
+    as_lifted,
+    extend_to_base,
+    lift,
+    max_weight_independent,
+    min_weight_exchange,
 )
 from .objectives import (
     LiftedGuide,
@@ -41,6 +47,7 @@ from .objectives import (
     GuideWeights,
     as_guide,
     make_tracker,
+    overflow_error,
     project_all,
 )
 
@@ -227,7 +234,9 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     dead for good (downward closure), so the output matches the eager sweep
     exactly at a fraction of the queries. There are O(log n) sweeps of at
     most n value queries each, so the warm start stays inside both
-    searches' query bounds.
+    searches' query bounds. A largest singleton value that overflows (two
+    finite guide totals can sum to inf) raises the guide's ValueError,
+    naming that lifted singleton, before the first sweep.
 
     The live elements wait in a heap keyed by (-bound, id), so a sweep pops
     the elements that clear tau instead of walking all n. It pops exactly
@@ -235,11 +244,23 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     order: ge(x, tau) is monotone in x for tau > 0, and a bound changes
     only when its element is visited. So the same marginals, independence
     queries and applies happen in the same order.
+
+    On a LiftedMatroid the independence answer is already known for some
+    copies of a base element, and is not asked: a copy of a base element
+    the set holds is rejected by the fold, and a copy of one refused since
+    the set last grew would be a memo hit on the same projection. Both are
+    dead, as the answer would make them. Their add-marginal is still
+    asked, so the value queries and the charged independence queries are
+    those of the full sweep.
     """
     n = f.ground_size
     tracker = make_tracker(f, ElementSet.empty(n))
     ub = [tracker.marginal_add(u) for u in range(n)]
-    tau = max((tracker.value + m for m in ub), default=0.0)  # largest singleton
+    empty = tracker.value
+    singles = [empty + m for m in ub]
+    tau = max(singles, default=0.0)  # largest singleton
+    if math.isinf(tau):
+        raise overflow_error(tau, 1 << singles.index(tau))
     if tau <= 0:
         return tracker, ElementSet.empty(n), ub
     floor = _DECAY * tau / n
@@ -248,7 +269,9 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     sweeps = math.floor(math.log(n / _DECAY) / -math.log1p(-_DECAY)) + 2
     live = [(-m, u) for u, m in enumerate(ub)]
     heapq.heapify(live)
+    ell = matroid.levels if isinstance(matroid, LiftedMatroid) else 1
     dead = 0
+    held = known = 0  # base elements held; held or refused since the last add
     while live and tau >= floor and sweeps:
         sweeps -= 1
         clearing = []
@@ -256,12 +279,16 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
             clearing.append(heapq.heappop(live)[1])
         for u in sorted(clearing):
             m = tracker.marginal_add(u)
+            base = 1 << u // ell
             if not ge(m, tau):
                 heapq.heappush(live, (-m, u))
-            elif matroid.is_independent(tracker.current.add(u)):
+            elif not known & base and matroid.is_independent(tracker.current.add(u)):
                 tracker.apply(add=u)
+                held |= base
+                known = held
             else:
                 dead |= 1 << u
+                known |= base
         tau *= 1.0 - _DECAY
     return tracker, ElementSet(n, dead), ub
 
@@ -363,6 +390,15 @@ def deterministic_local_search(
     candidate would have failed the exact test, so the same swaps are made.
     Carried bounds start empty on each call.
 
+    Since every bound is at most ub_v, which is fixed for the whole search,
+    a scan visits only the candidates whose ub_v reaches a cut: the ids are
+    sorted by ub once, descending, and each scan bisects at threshold +
+    min(drop), lowered by a margin of four slacks of the largest of 1 and
+    the three magnitudes. Any candidate below the margin fails the padded
+    bound test above by more than the slack and any rounding, so the cut
+    skips only what the test skips. The candidates above it are visited in
+    ascending id and go through the unchanged test.
+
     eps must be a positive finite real number (not a bool); any other
     raises ValueError.
     """
@@ -374,6 +410,8 @@ def deterministic_local_search(
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
     max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
+    by_ub = sorted(range(n), key=ub.__getitem__, reverse=True)
+    neg_ub = [-ub[v] for v in by_ub]  # ascending, for bisect
     carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
     dropped = 0.0  # D
     loops = 0  # mask of the candidates found dependent on their own
@@ -390,7 +428,10 @@ def deterministic_local_search(
         min_drop = min(drop_w.values(), default=0.0)
         swapped = False
         skip = s.mask | loops
-        for v in range(n):
+        cut = threshold + min_drop
+        margin = 4 * COMPARISON_SLACK * max(1.0, abs(cut), abs(threshold), abs(min_drop))
+        reach = bisect.bisect_right(neg_ub, margin - cut)  # every ub >= cut - margin
+        for v in sorted(by_ub[:reach]):
             if skip >> v & 1:
                 continue
             known = carried.get(v)

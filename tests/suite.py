@@ -11,9 +11,25 @@ import math
 
 from hypothesis import strategies as st
 
-from nols.core import ElementSet, RandomSource, ge, gt, sample_without_replacement
+from nols.core import (
+    COMPARISON_SLACK,
+    ElementSet,
+    RandomSource,
+    ge,
+    gt,
+    left_sum,
+    sample_without_replacement,
+)
 from nols.instances import InstanceFile, generate_instance
-from nols.matroids import UniformMatroid, as_lifted, extend_to_base, min_weight_exchange
+from nols.matroids import (
+    ExplicitMatroid,
+    GraphicMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+    as_lifted,
+    extend_to_base,
+    min_weight_exchange,
+)
 from nols.objectives import CoverageFunction, as_guide, make_tracker
 from nols.solvers import LocalOptCertificate, LocalSearchResult, ceil_sqrt
 
@@ -98,17 +114,19 @@ def eager_threshold_greedy(f, matroid):
 
 
 def _eager_warm(f, matroid):
-    # eager_threshold_greedy, plus the mask of elements found dependent
+    # eager_threshold_greedy, plus the mask of elements found dependent and
+    # the first bounds, every element's add-marginal at the empty set
     n = f.ground_size
     tracker = make_tracker(f, ElementSet.empty(n))
     dead = 0
     if n == 0:
-        return tracker, dead
+        return tracker, dead, []
     empty_value = tracker.value
     ub = [tracker.marginal_add(u) for u in range(n)]
+    first = list(ub)
     tau_max = max(empty_value + m for m in ub)  # largest singleton value
     if tau_max <= 0:
-        return tracker, dead
+        return tracker, dead, first
     floor = 0.125 * tau_max / n
     tau = tau_max
     while tau >= floor:
@@ -125,7 +143,7 @@ def _eager_warm(f, matroid):
                 else:
                     dead |= 1 << u
         tau *= 1.0 - 0.125
-    return tracker, dead
+    return tracker, dead, first
 
 
 def eager_local_search(f, matroid, eps):
@@ -140,7 +158,7 @@ def eager_local_search(f, matroid, eps):
     independence through as_lifted(matroid), as the search does."""
     matroid = as_lifted(matroid)
     n = f.ground_size
-    tracker, dead = _eager_warm(f, matroid)
+    tracker, dead, _ = _eager_warm(f, matroid)
     warm_set, warm_value = tracker.current, tracker.value
     for u in extend_to_base(matroid, warm_set, ElementSet(n, dead)).difference(warm_set):
         tracker.apply(add=u)
@@ -178,6 +196,109 @@ def eager_local_search(f, matroid, eps):
     )
 
 
+def asking_greedy(matroid, weights, *, rank=None):
+    """Reference max-weight greedy that asks the matroid about every
+    element it tries: descending weight, ties toward the smaller id,
+    negative weights skipped, stopped once the set has rank elements.
+    max_weight_independent must return the same set, and the oracle under
+    a lift must be asked the same sets in the same order."""
+    n = matroid.ground_size
+    order = sorted(range(n), key=lambda u: (-weights[u], u))
+    s = ElementSet.empty(n)
+    if rank == 0:
+        return s
+    for u in order:
+        if weights[u] < 0:
+            continue
+        if matroid.is_independent(s.add(u)):
+            s = s.add(u)
+            if len(s) == rank:
+                break
+    return s
+
+
+def full_scan_local_search(f, matroid, eps):
+    """Reference deterministic search that walks all n candidates in every
+    scan, with the carried bounds capped by the singleton marginals, on the
+    eager warm start, which asks the matroid about every element that
+    clears; its certificate's greedy is asking_greedy stopped at the rank.
+    deterministic_local_search must reach the same result, and the oracles
+    under the guide and the lift must be asked the same sets in the same
+    order."""
+    f, matroid = as_guide(f), as_lifted(matroid)
+    n = f.ground_size
+    tracker, dead, ub = _eager_warm(f, matroid)
+    warm_set, warm_value = tracker.current, tracker.value
+    for u in extend_to_base(matroid, warm_set, ElementSet(n, dead)).difference(warm_set):
+        tracker.apply(add=u)
+    r = len(tracker.current)
+    threshold = (eps / r) * warm_value if r > 0 else 0.0
+
+    def clears(value):
+        return ge(value, threshold) if threshold > 0 else gt(value, 0.0)
+
+    carried = {}
+    dropped = 0.0
+    loops = 0
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > math.ceil(3 * r / eps) + 1:
+            raise RuntimeError("swap-count invariant violated")
+        s = tracker.current
+        drop_w = {u: tracker.marginal_drop(u) for u in s}
+        min_drop = min(drop_w.values(), default=0.0)
+        for v in range(n):
+            if (s.mask | loops) >> v & 1:
+                continue
+            known = carried.get(v)
+            bound = ub[v] if known is None else min(ub[v], known[0] + (dropped - known[1]))
+            if bound - min_drop < threshold:
+                bound += COMPARISON_SLACK * max(1.0, abs(bound))
+                if not clears(bound - min_drop):
+                    continue
+            gain_add = tracker.marginal_add(v)
+            carried[v] = (gain_add, dropped)
+            if not clears(gain_add - min_drop):
+                continue
+            if not matroid.is_independent(ElementSet(n, 1 << v)):
+                loops |= 1 << v
+                continue
+            u_v = min_weight_exchange(matroid, s, s, v, drop_w)
+            if clears(gain_add - drop_w[u_v]):
+                tracker.apply(add=v, drop=u_v)
+                dropped += drop_w[u_v] - f.reg_terms[u_v]
+                break
+        else:
+            break
+    s = tracker.current
+    w = [tracker.marginal_drop(v) if v in s else tracker.marginal_add(v) for v in range(n)]
+    witness = asking_greedy(matroid, w, rank=r)
+    gap = left_sum(w[v] for v in witness) - left_sum(w[u] for u in s)
+    certificate = LocalOptCertificate(witness, gap, eps * warm_value, eps, warm_value)
+    return LocalSearchResult(s, tracker.value, warm_set, iterations, certificate)
+
+
+def small_matroid(kind: str, n: int, r: int, seed: int):
+    """A uniform, partition, graphic or explicit matroid on n elements.
+
+    uniform has rank min(r, n); partition has r blocks (u mod r), one pick
+    each; graphic has n random edges on r + 1 vertices, self-loops among
+    them; explicit lists the graphic one's independent sets (n <= 20)."""
+    if kind == "uniform":
+        return UniformMatroid(n, min(r, n))
+    if kind == "partition":
+        return PartitionMatroid(n, [range(i, n, r) for i in range(r)], [1] * r)
+    rng = RandomSource(seed)
+    edges = [(rng.randrange(r + 1), rng.randrange(r + 1)) for _ in range(n)]
+    graphic = GraphicMatroid(r + 1, edges)
+    if kind == "graphic":
+        return graphic
+    return ExplicitMatroid(
+        n, [mask for mask in range(1 << n) if graphic.is_independent(ElementSet(n, mask))]
+    )
+
+
 def full_budget_randomized_search(f, matroid, eps, rng, attempts):
     """Reference randomized search that runs every attempt's whole budget.
 
@@ -192,7 +313,7 @@ def full_budget_randomized_search(f, matroid, eps, rng, attempts):
     through as_guide(f) and as_lifted(matroid), as in the search."""
     f, matroid = as_guide(f), as_lifted(matroid)
     n = f.ground_size
-    tracker, dead = _eager_warm(f, matroid)
+    tracker, dead, _ = _eager_warm(f, matroid)
     warm_set, warm_value = tracker.current, tracker.value
     for u in extend_to_base(matroid, warm_set, ElementSet(n, dead)).difference(warm_set):
         tracker.apply(add=u)

@@ -31,6 +31,7 @@ from nols.matroids import (
     UniformMatroid,
     as_lifted,
     lift,
+    max_weight_independent,
     rank,
 )
 from nols.objectives import (
@@ -241,6 +242,40 @@ def test_a_guide_sum_that_overflows_is_refused_by_name(variant):
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         non_oblivious_solve(f, UniformMatroid(6, 3), SolverConfig(eps=0.5, variant=variant))
+
+
+class _NearTheLimit:
+    """f(empty) = 2e307 and f(S) = 4e307 + 1e300 * min(S): finite, but at
+    3 levels the guide's value of the empty set plus a singleton's
+    add-marginal overflows."""
+
+    ground_size = 4
+
+    def eval(self, s):
+        return 4e307 + 1e300 * min(s) if s else 2e307
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda f, m: warm_start(LiftedGuide(f, GuideWeights(3)), lift(m, 3)),
+        lambda f, m: non_oblivious_solve(f, m, SolverConfig(eps=0.5)),
+        lambda f, m: non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=RANDOMIZED)),
+    ],
+    ids=["warm-start", "solve-det", "solve-rand"],
+)
+def test_a_warm_start_threshold_that_overflows_is_refused_before_a_sweep(solve):
+    # tau, the largest singleton value, would be inf, so every sweep would
+    # take nothing and the warm set would be empty; the warm start names the
+    # first singleton at inf before its first sweep, and no base extension
+    # runs
+    message = (
+        "the guide's weighted sum overflowed to inf on the lifted set {0}; "
+        "f's values are too large for the guide's weights"
+    )
+    with mock.patch.object(solvers, "extend_to_base", side_effect=AssertionError), \
+            pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(_NearTheLimit(), UniformMatroid(4, 2))
 
 
 def test_level_and_eps_schedule():
@@ -505,6 +540,131 @@ def test_the_scans_ask_no_junk_add_marginal_on_a_bait_chain():
     assert not junk_asked["scan"]
     # the warm start and the certificate ask every junk element
     assert junk_asked["warm start"] == junk_asked["certificate"] == set(range(junk * rep.levels))
+
+
+def _charged_runs(search, reference, f, m, levels):
+    """Run search and reference, each on a fresh guide over a recorder of f
+    and a fresh lift of a recorder of m; returns each one's result, the
+    value sets and the independence sets the base oracles were charged."""
+    runs = []
+    for run in (search, reference):
+        recorder, asked = RecordingOracle(f, hasattr(f, "extend")), RecordingMatroid(m)
+        out = run(LiftedGuide(recorder, GuideWeights(levels)), lift(asked, levels))
+        runs.append((out, recorder.seen, asked.seen))
+    return runs
+
+
+@given(
+    kind=st.sampled_from(["uniform", "partition", "graphic", "explicit"]),
+    objective=st.sampled_from(["modular", "coverage"]),
+    n=st.integers(2, 9),
+    r=st.integers(1, 4),
+    levels=st.integers(1, 3),
+    ranked=st.booleans(),
+    eps=st.sampled_from([0.5, 0.25, 0.0625]),
+    weights=st.lists(st.integers(0, 31), min_size=9, max_size=9),
+    seed=st.integers(0, 10**6),
+)
+# the warm start leaves element 2 in the block of element 0, whose weight it
+# beats by the threshold exactly (1 = (0.0625 / 2) * 32), so the only swap
+# needs a cut at threshold + min(drop) that keeps a bound equal to it
+@example(kind="partition", objective="modular", n=3, r=2, levels=1, ranked=False,
+         eps=0.0625, weights=[14, 18, 15] + [0] * 6, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_the_skipping_loops_charge_the_sets_of_the_full_loops(
+    kind, objective, n, r, levels, ranked, eps, weights, seed
+):
+    # the sorted-bound scan visits a prefix of the candidates, and both
+    # greedies skip the copies whose answer the lift already knows: the
+    # oracles under the guide and the lift are charged the same sets in the
+    # same order as by loops that visit and ask every element, and the
+    # results are equal
+    w = weights[:n]
+    if objective == "modular":
+        f = ModularFunction(w)
+    else:  # element u covers the points of u's weight bits
+        f = CoverageFunction(5, [[p for p in range(5) if x >> p & 1] for x in w])
+    m = suite.small_matroid(kind, n, r, seed)
+    cap = rank(lift(m, levels)) if ranked else None
+    lifted_w = [(w[x // levels] - 8 - x % levels) / 2 for x in range(n * levels)]
+    (got, *charged), (want, *want_charged) = _charged_runs(
+        lambda g, lm: max_weight_independent(lm, lifted_w, rank=cap),
+        lambda g, lm: suite.asking_greedy(lm, lifted_w, rank=cap),
+        f, m, levels,
+    )
+    assert (got, charged) == (want, want_charged)
+    (got, *charged), (want, *want_charged) = _charged_runs(
+        solvers._threshold_greedy_warm, suite._eager_warm, f, m, levels
+    )
+    assert (got[0].current, got[1].mask, got[2]) == (want[0].current, want[1], want[2])
+    assert charged == want_charged
+    (got, *charged), (want, *want_charged) = _charged_runs(
+        lambda g, lm: deterministic_local_search(g, lm, eps),
+        lambda g, lm: suite.full_scan_local_search(g, lm, eps),
+        f, m, levels,
+    )
+    assert got == want
+    assert charged == want_charged
+
+
+class _HiddenLift:
+    """Matroid proxy that is not a LiftedMatroid, as a tracing proxy is not,
+    so the searches put a one-level lift in front of it and know no answer
+    in advance."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ground_size = inner.ground_size
+
+    def is_independent(self, s):
+        return self.inner.is_independent(s)
+
+
+class _CountingLift(LiftedMatroid):
+    __slots__ = ("calls",)
+
+    def __init__(self, inner, levels):
+        super().__init__(inner, levels)
+        self.calls = 0
+
+    def is_independent(self, s):
+        self.calls += 1
+        return super().is_independent(s)
+
+
+def _graphic_32():
+    instance = generate_instance("graphic", 32, 8, 0)
+    return instance.build_objective(), instance.build_matroid()
+
+
+@pytest.mark.parametrize("build", [lambda: bait_chain(64, 8, 0), _graphic_32],
+                         ids=["bait-64-8", "graphic-32-8"])
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+def test_a_hidden_lift_gives_the_solve_of_the_plain_lift(build, variant):
+    # behind a proxy the lift answers every copy the plain solve skips, but
+    # the ledger, outputs and certificate are those of the plain solve
+    f, m = build()
+    config = SolverConfig(eps=0.5, variant=variant)
+    plain = non_oblivious_solve(f, m, config)
+    with mock.patch.object(solvers, "lift", lambda *args: _HiddenLift(lift(*args))):
+        hidden = non_oblivious_solve(f, m, config)
+    assert hidden == plain
+
+
+def test_the_greedies_ask_the_lift_once_per_base_element_on_a_bait_chain():
+    # at 3 levels, asking every copy would take the warm start 186 lifted
+    # calls and the recheck's greedy 192; the copies of a held or
+    # just-refused base element are answered without a call, so each asks
+    # once per base element here
+    f, m = bait_chain(64, 8, 0)
+    guide = LiftedGuide(f, GuideWeights(3))
+    lifted = _CountingLift(m, 3)
+    solvers._threshold_greedy_warm(guide, lifted)
+    assert lifted.calls == 64
+    report = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
+    lifted = _CountingLift(m, 3)
+    assert check_certificate(report.certificate, guide, lifted, report.lifted_solution) == []
+    assert lifted.calls == 64
 
 
 def _shared_bait_chain(n, r, shared=300):
