@@ -251,6 +251,14 @@ class MatroidOracle(Protocol):
     is_independent must be a pure function of the set: the same set always
     gives the same answer. The lifted matroid memoizes answers by projected
     set on that basis.
+
+    An oracle may also offer an incremental pair, state(S) -> state and
+    extends(state, u) -> bool, which the lifted matroid built on it picks
+    up once. extends(state(S), u) must equal is_independent(S + u) for
+    every u outside S. An extends is charged as one independence query,
+    exactly where is_independent(S + u) would be. state is not charged, so
+    it may only be asked of a set the caller already holds as independent:
+    one whose independence has been charged, or the empty set.
     """
 
     ground_size: int
@@ -291,13 +299,23 @@ class CountingValueOracle:
 
 
 class CountingMatroidOracle:
-    """Pass-through independence oracle that charges one query per call."""
+    """Pass-through independence oracle that charges one query per call.
 
-    __slots__ = ("inner", "ledger")
+    It offers the incremental pair exactly when its inner oracle does, and
+    charges one query per extends. state is passed through uncharged, so a
+    caller may only ask it of a set it already holds as independent (see
+    MatroidOracle). An unset slot is a missing attribute, so hasattr tells
+    the two cases apart.
+    """
+
+    __slots__ = ("inner", "ledger", "state", "extends")
 
     def __init__(self, inner: MatroidOracle, ledger: QueryLedger):
         self.inner = inner
         self.ledger = ledger
+        if hasattr(inner, "extends"):
+            self.state = inner.state
+            self.extends = self._counted_extends
 
     @property
     def ground_size(self) -> int:
@@ -306,3 +324,7 @@ class CountingMatroidOracle:
     def is_independent(self, s: ElementSet) -> bool:
         self.ledger.independence_queries += 1
         return self.inner.is_independent(s)
+
+    def _counted_extends(self, state, u: ElementId) -> bool:
+        self.ledger.independence_queries += 1
+        return self.inner.extends(state, u)

@@ -1,10 +1,15 @@
 """Matroid independence oracles and exchange subroutines.
 
-All matroids answer through ``is_independent(S)`` only; solvers never peek
-at internal structure. The exchange helpers (``extend_to_base``,
-``max_weight_independent``, ``min_weight_exchange``) are written against
-that interface so they work unchanged on counted oracles and on lifted
-matroids.
+Every matroid answers ``is_independent(S)``, and solvers never peek at
+internal structure. A matroid may also offer the incremental pair
+``state(S)`` and ``extends(state, u)`` (see ``core.MatroidOracle``), which
+asks S + u from a state held for S instead of from S itself: the uniform,
+partition and graphic matroids do, and ``LiftedMatroid`` always does, over
+its inner pair when there is one and over ``is_independent`` when not.
+The exchange helpers (``extend_to_base``, ``max_weight_independent``,
+``min_weight_exchange``) ask through ``as_lifted``, so they work unchanged
+on counted oracles, on proxies that offer ``is_independent`` alone, and on
+lifted matroids.
 
 ``matroid_axiom_violations`` is the one matroid-axiom checker: it backs
 ``ExplicitMatroid`` (at most 20 elements, checked at construction) and
@@ -13,6 +18,7 @@ matroids.
 
 from __future__ import annotations
 
+import math
 from typing import Collection, Iterator, Mapping, Sequence
 
 from .core import ElementId, ElementSet, MatroidOracle
@@ -32,6 +38,13 @@ class UniformMatroid:
     def is_independent(self, s: ElementSet) -> bool:
         return len(s) <= self.k
 
+    def state(self, s: ElementSet) -> int:
+        """The incremental state of S: its size."""
+        return len(s)
+
+    def extends(self, size: int, u: ElementId) -> bool:
+        return size < self.k
+
     def __repr__(self):
         return f"UniformMatroid(n={self.ground_size}, k={self.k})"
 
@@ -39,7 +52,7 @@ class UniformMatroid:
 class PartitionMatroid:
     """Blocks partition the ground set; at most capacity[i] picks per block."""
 
-    __slots__ = ("ground_size", "capacities", "_block_masks")
+    __slots__ = ("ground_size", "capacities", "_block_masks", "_block_of")
 
     def __init__(
         self,
@@ -50,13 +63,15 @@ class PartitionMatroid:
         if len(blocks) != len(capacities):
             raise ValueError("one capacity per block required")
         masks = []
+        block_of = [0] * n
         seen = 0
-        for block in blocks:
+        for i, block in enumerate(blocks):
             m = 0
             for u in block:
                 if not 0 <= u < n:
                     raise ValueError(f"element {u} outside universe")
                 m |= 1 << u
+                block_of[u] = i
             if m & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= m
@@ -68,12 +83,21 @@ class PartitionMatroid:
         self.ground_size = n
         self.capacities = tuple(capacities)
         self._block_masks = tuple(masks)
+        self._block_of = tuple(block_of)
 
     def is_independent(self, s: ElementSet) -> bool:
         return all(
             (s.mask & m).bit_count() <= c
             for m, c in zip(self._block_masks, self.capacities)
         )
+
+    def state(self, s: ElementSet) -> list[int]:
+        """The incremental state of S: its count in each block."""
+        return [(s.mask & m).bit_count() for m in self._block_masks]
+
+    def extends(self, counts: list[int], u: ElementId) -> bool:
+        block = self._block_of[u]
+        return counts[block] < self.capacities[block]
 
     def __repr__(self):
         return f"PartitionMatroid(n={self.ground_size}, blocks={len(self.capacities)})"
@@ -84,6 +108,8 @@ class GraphicMatroid:
 
     Each query runs a fresh union-find with path halving over the selected
     edges, on a local parent list, so the oracle is stateless between calls.
+    The incremental state of S is the root of every vertex's component in
+    S's forest, so S + u is independent iff edge u joins two roots.
     """
 
     __slots__ = ("ground_size", "vertex_count", "edges")
@@ -112,6 +138,31 @@ class GraphicMatroid:
                 return False  # self-loop or cycle closed
             parent[a] = b
         return True
+
+    def state(self, s: ElementSet) -> list[int]:
+        parent = list(range(self.vertex_count))
+        edges = self.edges
+        m = s.mask
+        while m:
+            low = m & -m
+            m ^= low
+            a, b = edges[low.bit_length() - 1]
+            while (up := parent[a]) != a:
+                parent[a] = a = parent[up]
+            while (up := parent[b]) != b:
+                parent[b] = b = parent[up]
+            parent[a] = b
+        # point every vertex at its root
+        for x in range(self.vertex_count):
+            root = x
+            while (up := parent[root]) != root:
+                parent[root] = root = parent[up]
+            parent[x] = root
+        return parent
+
+    def extends(self, roots: list[int], u: ElementId) -> bool:
+        a, b = self.edges[u]
+        return roots[a] != roots[b]
 
     def __repr__(self):
         return (
@@ -215,9 +266,19 @@ class LiftedMatroid:
     check and a memo hit cost a few big-int operations whatever the size of
     the set. Only a miss, which asks the inner matroid anyway, walks the
     occupied bits to build the base set it asks.
+
+    The lift always offers the incremental pair. state(S) holds S's
+    occupied first-level bits, its base mask and the inner matroid's state
+    of that base set (None when the inner matroid has no pair).
+    extends(state, u) is a bit test for the multiplicity check and a lookup
+    in the same memo, under the same key, as is_independent(S + u); a miss
+    asks the inner matroid's extends, or its is_independent of the base
+    set plus u's base element. Neither walks bits.
     """
 
-    __slots__ = ("inner", "levels", "ground_size", "memo", "_shifts", "_firsts")
+    __slots__ = (
+        "inner", "levels", "ground_size", "memo", "_shifts", "_firsts", "_inner_state",
+    )
 
     def __init__(self, inner: MatroidOracle, levels: int):
         if levels < 1:
@@ -238,31 +299,69 @@ class LiftedMatroid:
         self._shifts = tuple(shifts)
         # bit u*levels for every base element u: the first level of each
         self._firsts = ((1 << self.ground_size) - 1) // ((1 << levels) - 1)
+        self._inner_state = inner.state if hasattr(inner, "extends") else None
 
-    def is_independent(self, s: ElementSet) -> bool:
+    def _occupied(self, s: ElementSet) -> int:
+        """Bit u*levels for each base element u with a member in s."""
         if s.n != self.ground_size:
             raise ValueError(
                 f"lifted set over {s.n} elements, lifted matroid over "
                 f"{self.ground_size}"
             )
-        mask = s.mask
-        folded = mask
+        folded = s.mask
         for step in self._shifts:
             folded |= folded >> step
-        occupied = folded & self._firsts  # bit u*levels per occupied base u
-        if occupied.bit_count() != mask.bit_count():
+        return folded & self._firsts
+
+    def _base(self, occupied: int) -> int:
+        """The base-set mask of occupied first-level bits."""
+        levels = self.levels
+        if levels == 1:
+            return occupied
+        base = 0
+        while occupied:
+            low = occupied & -occupied
+            base |= 1 << ((low.bit_length() - 1) // levels)
+            occupied ^= low
+        return base
+
+    def is_independent(self, s: ElementSet) -> bool:
+        occupied = self._occupied(s)
+        if occupied.bit_count() != s.mask.bit_count():
             return False  # same base element at two levels
         known = self.memo.get(occupied)
         if known is None:
-            levels = self.levels
-            base = 0
-            rest = occupied
-            while rest:
-                low = rest & -rest
-                base |= 1 << ((low.bit_length() - 1) // levels)
-                rest ^= low
-            known = self.inner.is_independent(ElementSet(self.inner.ground_size, base))
+            base = ElementSet(self.inner.ground_size, self._base(occupied))
+            known = self.inner.is_independent(base)
             self.memo[occupied] = known
+        return known
+
+    def state(self, s: ElementSet) -> tuple[int, int, object]:
+        """The incremental state of an independent lifted set s, uncharged:
+        (occupied first-level bits, base mask, inner state or None)."""
+        occupied = self._occupied(s)
+        base = self._base(occupied)
+        take = self._inner_state
+        inner = None if take is None else take(ElementSet(self.inner.ground_size, base))
+        return occupied, base, inner
+
+    def extends(self, state: tuple[int, int, object], u: ElementId) -> bool:
+        """is_independent(S + u) from state(S), for u outside S."""
+        occupied, base, inner_state = state
+        b = u // self.levels
+        first = 1 << b * self.levels
+        if occupied & first:
+            return False  # u's base element is already in S
+        key = occupied | first
+        known = self.memo.get(key)
+        if known is None:
+            if inner_state is None:
+                known = self.inner.is_independent(
+                    ElementSet(self.inner.ground_size, base | 1 << b)
+                )
+            else:
+                known = self.inner.extends(inner_state, b)
+            self.memo[key] = known
         return known
 
     def __repr__(self):
@@ -297,14 +396,23 @@ def extend_to_base(
     make some subset W of start dependent. They are skipped without a
     query, which is exact by downward closure: W + u dependent and W within
     every set the pass builds make each of those sets plus u dependent too.
+
+    Each S + u is asked through as_lifted's incremental pair from a state
+    of S, taken again after each add. A start or dependent set over
+    another ground size raises ValueError.
     """
+    matroid = as_lifted(matroid)
     n = matroid.ground_size
+    for name, given in (("start", start), ("dependent", dependent)):
+        if given is not None and given.n != n:
+            raise ValueError(f"{name} set over {given.n} elements, matroid over {n}")
     s = start
+    state = matroid.state(s)
     skipped = start.mask | (0 if dependent is None else dependent.mask)
     for u in ElementSet(n, ((1 << n) - 1) & ~skipped):
-        cand = s.add(u)
-        if matroid.is_independent(cand):
-            s = cand
+        if matroid.extends(state, u):
+            s = s.add(u)
+            state = matroid.state(s)
     return s
 
 
@@ -333,18 +441,30 @@ def max_weight_independent(
 
     On a LiftedMatroid the answer is already known for some copies of a
     base element, and is not asked: a copy of a base element the set holds
-    is rejected by the fold, and a copy of one refused since the set last
-    grew would be a memo hit on the same projection. Both are rejected, as
-    the answer would reject them, so the inner matroid is asked the same
-    sets in the same order.
+    is rejected by the multiplicity check, and a copy of one refused since
+    the set last grew would be a memo hit on the same projection. Both are
+    rejected, as the answer would reject them, so the inner matroid is
+    asked the same sets in the same order. The others are asked through
+    as_lifted's incremental pair, from a state of the set taken again after
+    each add.
+
+    weights must hold one weight per ground element, none of them NaN (a
+    NaN would poison the sort); either mistake raises ValueError.
     """
+    matroid = as_lifted(matroid)
     n = matroid.ground_size
+    if len(weights) != n:
+        raise ValueError(f"{len(weights)} weights for a matroid over {n} elements")
     w = [weights[u] for u in range(n)]
+    for u, wu in enumerate(w):
+        if math.isnan(wu):
+            raise ValueError(f"weight {u} is NaN")
     order = sorted(range(n), key=lambda u: (-w[u], u))
     s = ElementSet.empty(n)
     if rank == 0:
         return s
-    ell = matroid.levels if isinstance(matroid, LiftedMatroid) else 1
+    state = matroid.state(s)
+    ell = matroid.levels
     held = known = 0  # base elements held; held or refused since the last add
     for u in order:
         if w[u] < 0:
@@ -352,11 +472,11 @@ def max_weight_independent(
         base = 1 << u // ell
         if known & base:
             continue
-        cand = s.add(u)
-        if matroid.is_independent(cand):
-            s = cand
+        if matroid.extends(state, u):
+            s = s.add(u)
             if len(s) == rank:
                 break
+            state = matroid.state(s)
             held |= base
             known = held
         else:

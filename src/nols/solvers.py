@@ -33,7 +33,6 @@ from .core import (
     sample_without_replacement,
 )
 from .matroids import (
-    LiftedMatroid,
     as_lifted,
     extend_to_base,
     lift,
@@ -245,14 +244,16 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     only when its element is visited. So the same marginals, independence
     queries and applies happen in the same order.
 
-    On a LiftedMatroid the independence answer is already known for some
-    copies of a base element, and is not asked: a copy of a base element
-    the set holds is rejected by the fold, and a copy of one refused since
-    the set last grew would be a memo hit on the same projection. Both are
-    dead, as the answer would make them. Their add-marginal is still
-    asked, so the value queries and the charged independence queries are
-    those of the full sweep.
+    Independence of S + u is asked through as_lifted's incremental pair,
+    from a state of S taken again after each add. On a lift the answer is
+    already known for some copies of a base element, and is not asked: a
+    copy of a base element the set holds is rejected by the multiplicity
+    check, and a copy of one refused since the set last grew would be a
+    memo hit on the same projection. Both are dead, as the answer would
+    make them. Their add-marginal is still asked, so the value queries and
+    the charged independence queries are those of the full sweep.
     """
+    matroid = as_lifted(matroid)
     n = f.ground_size
     tracker = make_tracker(f, ElementSet.empty(n))
     ub = [tracker.marginal_add(u) for u in range(n)]
@@ -269,7 +270,8 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     sweeps = math.floor(math.log(n / _DECAY) / -math.log1p(-_DECAY)) + 2
     live = [(-m, u) for u, m in enumerate(ub)]
     heapq.heapify(live)
-    ell = matroid.levels if isinstance(matroid, LiftedMatroid) else 1
+    ell = matroid.levels
+    state = matroid.state(tracker.current)
     dead = 0
     held = known = 0  # base elements held; held or refused since the last add
     while live and tau >= floor and sweeps:
@@ -282,8 +284,9 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
             base = 1 << u // ell
             if not ge(m, tau):
                 heapq.heappush(live, (-m, u))
-            elif not known & base and matroid.is_independent(tracker.current.add(u)):
+            elif not known & base and matroid.extends(state, u):
                 tracker.apply(add=u)
+                state = matroid.state(tracker.current)
                 held |= base
                 known = held
             else:
@@ -604,7 +607,8 @@ def _run(tracker, matroid: MatroidOracle, draw_r1, draw_r2, stop: int, loops: in
     solution S; with no draw_r1, R1 is S itself.
 
     Each iteration draws R1, then R2, keeps the candidates v in R2 - S with
-    (S - R1) + v independent, and applies the best swap (_best_swap).
+    (S - R1) + v independent, asked through the matroid's incremental pair
+    from one state of S - R1, and applies the best swap (_best_swap).
     Returns how many iterations ran, fewer than stop only when an attempt
     whose R1 is S settles, and the mask of loops (elements dependent on
     their own) known after them, which the caller carries to the next
@@ -635,12 +639,14 @@ def _run(tracker, matroid: MatroidOracle, draw_r1, draw_r2, stop: int, loops: in
             r1 = draw_r1(s)
         live = draw_r2().mask & ~(s.mask | shut)
         stripped = s.mask & ~r1.mask
+        state = matroid.state(ElementSet(n, stripped))
         feasible = []
         while live:
             low = live & -live
             live ^= low
-            if matroid.is_independent(ElementSet(n, stripped | low)):
-                feasible.append(low.bit_length() - 1)
+            v = low.bit_length() - 1
+            if matroid.extends(state, v):
+                feasible.append(v)
             elif not stripped:
                 loops |= low
                 shut |= low

@@ -83,16 +83,30 @@ class RecordingOracle:
 
 
 class RecordingMatroid:
-    """Pass-through independence oracle that records every set it is asked."""
+    """Pass-through independence oracle that records every set it is asked.
 
-    def __init__(self, inner):
+    With incremental=True it offers the inner oracle's state/extends pair;
+    its states carry the set's mask, so each extends records the set it
+    asks, and extended counts the extends calls."""
+
+    def __init__(self, inner, incremental=False):
         self.inner = inner
         self.ground_size = inner.ground_size
         self.seen = []
+        self.extended = 0
+        if incremental:
+            self.state = lambda s: (s.mask, inner.state(s))
+            self.extends = self._extends
 
     def is_independent(self, s: ElementSet) -> bool:
         self.seen.append(s.mask)
         return self.inner.is_independent(s)
+
+    def _extends(self, state, u):
+        mask, inner_state = state
+        self.seen.append(mask | 1 << u)
+        self.extended += 1
+        return self.inner.extends(inner_state, u)
 
 
 class SquaredSize:

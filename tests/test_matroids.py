@@ -20,7 +20,7 @@ from nols.matroids import (
 )
 from nols.objectives import MAX_LEVELS
 from nols.verify import check_matroid_axioms
-from suite import FamilyMatroid, RecordingMatroid, greedy_independent
+from suite import FamilyMatroid, RecordingMatroid, greedy_independent, small_matroid
 
 
 def _es(n, items):
@@ -375,6 +375,56 @@ def test_lifted_membership_matches_projection_rule(n, levels, k, data):
     assert asked.seen == reference_asked.seen
 
 
+@given(
+    kind=st.sampled_from(["uniform", "partition", "graphic", "explicit"]),
+    levels=st.sampled_from([None, 1, 2, 3]),
+    n=st.integers(1, 12),
+    r=st.integers(1, 5),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_incremental_pair_answers_and_charges_as_is_independent(
+    kind, levels, n, r, seed
+):
+    # along a random chain of growing independent sets S, the pair asked
+    # from state(S) answers is_independent(S + u) for every u outside S, and
+    # the counted inner oracle is charged the same, query for query; the
+    # lift under the pair is its own, so its misses go through the inner
+    # pair (or through is_independent, for the explicit matroid)
+    m = small_matroid(kind, n, r, seed)
+    if levels is None and kind == "explicit":
+        assert not hasattr(m, "extends")
+        return
+    asked, told = QueryLedger(), QueryLedger()
+    paired = CountingMatroidOracle(m, told)
+    whole = CountingMatroidOracle(m, asked)
+    assert hasattr(paired, "extends") == (kind != "explicit")
+    grow = m
+    if levels is not None:
+        paired, whole, grow = lift(paired, levels), lift(whole, levels), lift(m, levels)
+    size = paired.ground_size
+    order = list(range(size))
+    RandomSource(seed).shuffle(order)
+    s = ElementSet.empty(size)
+    for v in order:
+        state = paired.state(s)
+        for u in range(size):
+            if u not in s:
+                assert paired.extends(state, u) == whole.is_independent(s.add(u)), (s, u)
+                assert told.independence_queries == asked.independence_queries
+        if grow.is_independent(s.add(v)):
+            s = s.add(v)
+
+
+def test_the_graphic_state_sees_a_cycle_through_a_long_path():
+    # the unions along a path leave a parent chain four links deep, so the
+    # state must point every vertex at its root for the closing edge to see
+    # both ends in one tree
+    m = GraphicMatroid(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert not m.extends(m.state(ElementSet(5, 0b01111)), 4)
+    assert m.extends(m.state(ElementSet(5, 0b00111)), 4)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -391,11 +441,39 @@ def test_lifted_membership_matches_projection_rule(n, levels, k, data):
             lambda: lift(UniformMatroid(4, 2), 3).is_independent(ElementSet(15, 1 << 13)),
             "lifted set over 15 elements, lifted matroid over 12",
         ),
+        (
+            lambda: lift(UniformMatroid(4, 2), 3).state(ElementSet(15, 1 << 13)),
+            "lifted set over 15 elements, lifted matroid over 12",
+        ),
+        (
+            lambda: extend_to_base(UniformMatroid(3, 2), ElementSet(4, 1)),
+            "start set over 4 elements, matroid over 3",
+        ),
+        (
+            lambda: extend_to_base(
+                UniformMatroid(3, 2), ElementSet(3, 1), ElementSet(4, 2)
+            ),
+            "dependent set over 4 elements, matroid over 3",
+        ),
+        (
+            lambda: max_weight_independent(UniformMatroid(3, 1), [1.0, math.nan, 2.0]),
+            "weight 1 is NaN",
+        ),
+        (
+            lambda: max_weight_independent(UniformMatroid(3, 1), [1.0, 2.0]),
+            "2 weights for a matroid over 3 elements",
+        ),
+        (
+            lambda: max_weight_independent(UniformMatroid(3, 1), [1.0, 2.0, 3.0, 4.0]),
+            "4 weights for a matroid over 3 elements",
+        ),
     ],
     ids=[
         "uniform-n", "uniform-k", "partition-capacities", "partition-element",
         "partition-negative", "graphic-edge", "explicit-cap", "explicit-mask",
-        "lift-levels", "lift-universe",
+        "lift-levels", "lift-universe", "lift-state-universe", "extend-start-universe",
+        "extend-dependent-universe", "max-weight-nan", "max-weight-short",
+        "max-weight-long",
     ],
 )
 def test_matroid_guards_name_the_problem(build, message):

@@ -621,6 +621,9 @@ class _HiddenLift:
 
 
 class _CountingLift(LiftedMatroid):
+    """A lift that counts the questions it is asked, whole sets and
+    extensions of a held state alike."""
+
     __slots__ = ("calls",)
 
     def __init__(self, inner, levels):
@@ -630,6 +633,10 @@ class _CountingLift(LiftedMatroid):
     def is_independent(self, s):
         self.calls += 1
         return super().is_independent(s)
+
+    def extends(self, state, u):
+        self.calls += 1
+        return super().extends(state, u)
 
 
 def _graphic_32():
@@ -649,6 +656,38 @@ def test_a_hidden_lift_gives_the_solve_of_the_plain_lift(build, variant):
     with mock.patch.object(solvers, "lift", lambda *args: _HiddenLift(lift(*args))):
         hidden = non_oblivious_solve(f, m, config)
     assert hidden == plain
+
+
+@pytest.mark.parametrize("build", [lambda: bait_chain(64, 8, 0), _graphic_32],
+                         ids=["bait-64-8", "graphic-32-8"])
+@pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
+def test_the_incremental_pair_charges_the_sets_of_is_independent(build, variant):
+    # the solve and the recheck asked through the matroid's pair, and again
+    # through proxies that offer is_independent alone, as a tracing proxy
+    # does: the matroid is asked the same sets in the same order, and the
+    # ledgers, outputs and certificates are equal
+    f, m = build()
+    config = SolverConfig(eps=0.5, variant=variant)
+    paired, whole = suite.RecordingMatroid(m, incremental=True), suite.RecordingMatroid(m)
+    report = non_oblivious_solve(f, paired, config)
+    with mock.patch.object(solvers, "lift", lambda *args: _HiddenLift(lift(*args))):
+        hidden = non_oblivious_solve(f, whole, config)
+    assert hidden == report
+    assert paired.extended > 0 and whole.extended == 0
+    assert paired.seen == whole.seen
+    paired.seen.clear()
+    whole.seen.clear()
+    checks = [
+        check_certificate(
+            report.certificate,
+            LiftedGuide(f, GuideWeights(report.levels)),
+            lifted,
+            report.lifted_solution,
+        )
+        for lifted in (lift(paired, report.levels), _HiddenLift(lift(whole, report.levels)))
+    ]
+    assert checks == [[], []]
+    assert paired.seen == whole.seen
 
 
 def test_the_greedies_ask_the_lift_once_per_base_element_on_a_bait_chain():
