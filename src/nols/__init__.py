@@ -20,6 +20,7 @@ from .matroids import (
     LiftedMatroid,
     PartitionMatroid,
     UniformMatroid,
+    exchange_pool,
     extend_to_base,
     lift,
     max_weight_independent,
@@ -78,6 +79,7 @@ __all__ = [
     "LiftedMatroid",
     "PartitionMatroid",
     "UniformMatroid",
+    "exchange_pool",
     "extend_to_base",
     "lift",
     "matroid_rank",

@@ -10,6 +10,7 @@ fixed relative slack, ``COMPARISON_SLACK``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
 
@@ -208,16 +209,37 @@ COMPARISON_SLACK = 1e-9  # relative; objective values are floats
 
 
 def ge(lhs: float, rhs: float) -> bool:
-    """lhs >= rhs up to the slack, scaled by max(1, |lhs|, |rhs|)."""
-    return lhs >= rhs - COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
+    """lhs >= rhs up to the slack, scaled by max(1, |lhs|, |rhs|).
+
+    An infinite operand would make the slack infinite too, so then the
+    operands are compared plainly."""
+    scale = max(1.0, abs(lhs), abs(rhs))
+    if scale == math.inf:
+        return lhs >= rhs
+    return lhs >= rhs - COMPARISON_SLACK * scale
 
 
 def gt(lhs: float, rhs: float) -> bool:
-    """Strict comparison with the slack on the other side.
+    """Strict comparison with the slack on the other side; an infinite
+    operand is compared plainly, as in ge.
 
     Used where accepting a rounding-noise improvement would break
     termination (zero-threshold loops)."""
-    return lhs > rhs + COMPARISON_SLACK * max(1.0, abs(lhs), abs(rhs))
+    scale = max(1.0, abs(lhs), abs(rhs))
+    if scale == math.inf:
+        return lhs > rhs
+    return lhs > rhs + COMPARISON_SLACK * scale
+
+
+def ge_cutoff(rhs: float) -> float:
+    """The cutoff of ge against a fixed positive finite rhs: ge(x, rhs) is
+    x >= ge_cutoff(rhs) for every x but NaN.
+
+    Where |x| <= max(1, rhs) the two are the same expression. A larger
+    finite x is either above rhs, so both hold, or below -max(1, rhs), so
+    both fail; an infinite x is compared plainly by both. A loop that tests
+    many values against one rhs computes the cutoff once."""
+    return rhs - COMPARISON_SLACK * max(1.0, rhs)
 
 
 class ValueOracle(Protocol):
@@ -258,7 +280,8 @@ class MatroidOracle(Protocol):
     every u outside S. An extends is charged as one independence query,
     exactly where is_independent(S + u) would be. state is not charged, so
     it may only be asked of a set the caller already holds as independent:
-    one whose independence has been charged, or the empty set.
+    one whose independence has been charged, or a subset of one (the empty
+    set, or an exchange search's suffix set of an independent S).
     """
 
     ground_size: int

@@ -90,8 +90,14 @@ def _list(value, name: str, item=None) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list, got {type(value).__name__}")
     if item is not None:
-        for i, x in enumerate(value):
-            item(x, f"{name}[{i}]")
+        try:
+            for x in value:
+                item(x, name)
+        except ValueError:
+            # walk again, naming each element, for the message
+            for i, x in enumerate(value):
+                item(x, f"{name}[{i}]")
+            raise
     return value
 
 

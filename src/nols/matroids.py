@@ -7,9 +7,9 @@ asks S + u from a state held for S instead of from S itself: the uniform,
 partition and graphic matroids do, and ``LiftedMatroid`` always does, over
 its inner pair when there is one and over ``is_independent`` when not.
 The exchange helpers (``extend_to_base``, ``max_weight_independent``,
-``min_weight_exchange``) ask through ``as_lifted``, so they work unchanged
-on counted oracles, on proxies that offer ``is_independent`` alone, and on
-lifted matroids.
+``exchange_pool`` with ``min_weight_exchange``) ask through ``as_lifted``,
+so they work unchanged on counted oracles, on proxies that offer
+``is_independent`` alone, and on lifted matroids.
 
 ``matroid_axiom_violations`` is the one matroid-axiom checker: it backs
 ``ExplicitMatroid`` (at most 20 elements, checked at construction) and
@@ -484,44 +484,65 @@ def max_weight_independent(
     return s
 
 
-def min_weight_exchange(
+class _ExchangePool:
+    """What exchange_pool builds; min_weight_exchange reads it."""
+
+    __slots__ = ("matroid", "n", "labels", "sets", "states")
+
+
+def exchange_pool(
     matroid: MatroidOracle,
     s: ElementSet,
     s_prime: ElementSet,
-    v: ElementId,
     weights: Mapping[ElementId, float],
-) -> ElementId:
-    """Cheapest u in s_prime whose removal lets v join: argmin w(u) with
-    S - u + v independent.
+) -> _ExchangePool:
+    """The part of min_weight_exchange's search that (S, s_prime, weights)
+    fix, built once for every candidate v searched against them.
 
-    Preconditions (trusted, not queried): S independent, s_prime subset of
-    S, v outside S with S + v dependent, and (S - s_prime) + v independent.
-    Label s_prime ascending by (weight, id); feasibility of keeping the
-    label suffix is monotone, so the boundary label is found by binary
-    search in at most ceil(log2(|s_prime|)) queries, and the boundary
-    element is exactly the (weight, id)-minimal feasible swap.
+    It labels s_prime ascending by (weight, id) and holds the mask of every
+    kept-suffix set (S - s_prime) + labels[i:]. The state of a suffix set,
+    through as_lifted's incremental pair, is taken the first time a search
+    asks that set and kept for the later ones. Each search then asks
+    extends(state, v), which the lift memoizes and charges exactly as
+    is_independent((S - s_prime) + v + labels[i:]). An empty s_prime raises
+    ValueError.
     """
     if len(s_prime) == 0:
         raise ValueError("s_prime must be non-empty")
-    labels = sorted(s_prime, key=lambda u: (weights[u], u))
-    m = len(labels)
-    # suffix[i] = mask of labels[i:]
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << labels[i])
-    outside = (s.mask & ~s_prime.mask) | (1 << v)
-    n = s.n
+    pool = _ExchangePool()
+    pool.matroid = as_lifted(matroid)
+    pool.n = s.n
+    pool.labels = labels = sorted(s_prime, key=lambda u: (weights[u], u))
+    # sets[i] = mask of (S - s_prime) + labels[i:]
+    sets = [s.mask & ~s_prime.mask] * (len(labels) + 1)
+    for i in range(len(labels) - 1, -1, -1):
+        sets[i] = sets[i + 1] | (1 << labels[i])
+    pool.sets = sets
+    pool.states = [None] * len(sets)
+    return pool
 
-    def keeps_suffix(i: int) -> bool:
-        # independent when keeping labels[i-1:] (1-indexed position i)
-        return matroid.is_independent(ElementSet(n, outside | suffix[i - 1]))
 
-    # invariant: P(lo) false, P(hi) true, with P(1) false and P(m+1) true
-    # guaranteed by the preconditions
-    lo, hi = 1, m + 1
+def min_weight_exchange(pool: _ExchangePool, v: ElementId) -> ElementId:
+    """Cheapest u in s_prime whose removal lets v join: argmin w(u) with
+    S - u + v independent, for the (S, s_prime, weights) of the pool.
+
+    Preconditions (trusted, not queried): S independent, s_prime subset of
+    S, v outside S with S + v dependent, and (S - s_prime) + v independent.
+    Feasibility of keeping a label suffix is monotone, so the boundary
+    label is found by binary search in at most ceil(log2(|s_prime|))
+    queries, and the boundary element is exactly the (weight, id)-minimal
+    feasible swap.
+    """
+    matroid, labels, sets, states = pool.matroid, pool.labels, pool.sets, pool.states
+    # keeping labels[i-1:] (1-indexed position i) is P(i); invariant: P(lo)
+    # false, P(hi) true, with P(1) false and P(m+1) true by the preconditions
+    lo, hi = 1, len(labels) + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if keeps_suffix(mid):
+        state = states[mid - 1]
+        if state is None:
+            state = states[mid - 1] = matroid.state(ElementSet(pool.n, sets[mid - 1]))
+        if matroid.extends(state, v):
             hi = mid
         else:
             lo = mid

@@ -424,9 +424,19 @@ class LiftedTracker:
     same float: it is a pure function of the tracked state, which only
     apply() changes. Membership is checked first, so one dict serves the
     add-marginals of outside elements and the drop-marginals of members.
+
+    Every empty level has the same table, every K of the occupied levels
+    with weight row m + 1, and a base element's copies share its
+    regularizer term. So the first marginal at an empty level builds the
+    one table for all of them, and an add-marginal computed for a copy of
+    base element u on an empty level is kept for u's copy on every empty
+    level: the sum each of them would compute, term for term. Members sit
+    on occupied levels, so drop-marginals never share.
     """
 
-    __slots__ = ("guide", "current", "value", "_masks", "_proj", "_tables", "_marginal")
+    __slots__ = (
+        "guide", "current", "value", "_masks", "_empty", "_proj", "_tables", "_marginal",
+    )
 
     def __init__(self, guide: LiftedGuide, start: ElementSet):
         self.guide = guide
@@ -444,6 +454,7 @@ class LiftedTracker:
         if proj[-1].bit_count() != len(s):
             raise ValueError("tracked set holds a base element on two levels")
         self.current, self._masks, self._proj = s, masks, proj
+        self._empty = [level for level, mask in enumerate(masks) if not mask]
         self.value = self.guide.value(s, proj)
         self._tables: dict[int, list] = {}
         self._marginal: dict[ElementId, float] = {}
@@ -458,11 +469,13 @@ class LiftedTracker:
         empty = not masks[level]
         hold = 0 if empty else 1 << sum(1 for mask in masks[:level] if mask)
         w = guide.occupied_weight[len(proj).bit_length() - 1 + empty]
-        table = self._tables[level] = []
+        table = []
         for k, p in enumerate(proj):
             if k & hold == hold:
                 f = base_value(p)  # charged before its state is taken
                 table.append((w[k.bit_count() + empty], p, base_state(p), f))
+        for other in self._empty if empty else (level,):
+            self._tables[other] = table
         return table
 
     def marginal_add(self, x: ElementId) -> float:
@@ -473,11 +486,11 @@ class LiftedTracker:
             return total
         guide = self.guide
         ell = guide.levels
-        u = x // ell
+        u, level = x // ell, x % ell
         ubit = 1 << u
         memo, extend = guide.memo, guide.inner_extend
         total = 0.0
-        for w, p, state, f in self._tables.get(x % ell) or self._table(x % ell):
+        for w, p, state, f in self._tables.get(level) or self._table(level):
             if p & ubit:
                 continue
             mask = p | ubit
@@ -491,7 +504,11 @@ class LiftedTracker:
         total += guide.reg_terms[x]
         if not -math.inf < total < math.inf:
             raise overflow_error(total, self.current.mask | 1 << x)
-        self._marginal[x] = total
+        if self._masks[level]:
+            self._marginal[x] = total
+        else:
+            for other in self._empty:
+                self._marginal[u * ell + other] = total
         return total
 
     def marginal_drop(self, x: ElementId) -> float:

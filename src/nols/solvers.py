@@ -28,12 +28,14 @@ from .core import (
     RandomSource,
     ValueOracle,
     ge,
+    ge_cutoff,
     gt,
     left_sum,
     sample_without_replacement,
 )
 from .matroids import (
     as_lifted,
+    exchange_pool,
     extend_to_base,
     lift,
     max_weight_independent,
@@ -242,7 +244,10 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     the ones the eager sweep would visit, and they are visited in the same
     order: ge(x, tau) is monotone in x for tau > 0, and a bound changes
     only when its element is visited. So the same marginals, independence
-    queries and applies happen in the same order.
+    queries and applies happen in the same order. Each sweep takes
+    ge_cutoff(tau) once and tests both the bounds it pops and the
+    marginals against it: ge(x, tau) is x >= ge_cutoff(tau) at tau > 0 for
+    every x but NaN, and the guide's bounds and marginals are finite.
 
     Independence of S + u is asked through as_lifted's incremental pair,
     from a state of S taken again after each add. On a lift the answer is
@@ -276,13 +281,14 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     held = known = 0  # base elements held; held or refused since the last add
     while live and tau >= floor and sweeps:
         sweeps -= 1
+        cutoff = ge_cutoff(tau)  # ge(x, tau) is x >= cutoff
         clearing = []
-        while live and ge(-live[0][0], tau):
+        while live and -live[0][0] >= cutoff:
             clearing.append(heapq.heappop(live)[1])
         for u in sorted(clearing):
             m = tracker.marginal_add(u)
             base = 1 << u // ell
-            if not ge(m, tau):
+            if m < cutoff:
                 heapq.heappush(live, (-m, u))
             elif not known & base and matroid.extends(state, u):
                 tracker.apply(add=u)
@@ -358,11 +364,16 @@ def deterministic_local_search(
     Warm start, extend to a base, then repeat: compute the drop marginal of
     every member, and for each candidate v (ascending, singleton
     independent) find the cheapest feasible drop by binary search; the
-    first pair clearing the threshold is swapped in. A scan with no
-    accepted swap ends the search. Each swap raises f(S) by at least the
-    threshold, so scans are bounded by ceil(3 r / eps) + 1. A swap keeps
-    the size, so the solution stays a base and the certificate's greedy
-    stops once its witness has r elements.
+    first pair clearing the threshold is swapped in. The search's fixed
+    part, the members sorted by drop marginal and the states of their
+    suffix sets, depends on the scan and not on v: the scan builds one
+    exchange_pool at its first candidate that reaches the search, and every
+    candidate asks min_weight_exchange of it, at the same queries a search
+    of its own would ask. A scan with no accepted swap ends the search.
+    Each swap raises f(S) by at least the threshold, so scans are bounded
+    by ceil(3 r / eps) + 1. A swap keeps the size, so the solution stays a
+    base and the certificate's greedy stops once its witness has r
+    elements.
 
     Three shortcuts skip queries without changing the trajectory. The
     binary search runs only when the upper bound gain_add - min(drop)
@@ -371,11 +382,12 @@ def deterministic_local_search(
     candidate that fails the bound fails the exact test too. A candidate's
     singleton independence, which the binary search needs, is asked only
     once that bound clears, right before the search; a candidate that
-    fails is skipped whatever the answer. A loop (an element dependent on
-    its own) found there is masked and skipped before any other work for
-    the rest of the call, so its singleton is asked at most once. The
-    price is that a loop's add-marginal may be asked before it is known
-    to be a loop.
+    fails is skipped whatever the answer. It is asked as an extension of
+    the empty set's state, taken once per call, which the lift memoizes and
+    charges as the singleton set. A loop (an element dependent on its own)
+    found there is masked and skipped before any other work for the rest
+    of the call, so its singleton is asked at most once. The price is that
+    a loop's add-marginal may be asked before it is known to be a loop.
 
     The add-marginal itself is skipped when a bound carried across swaps
     shows the candidate cannot clear gain_add - min(drop). For the monotone
@@ -418,6 +430,7 @@ def deterministic_local_search(
     carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
     dropped = 0.0  # D
     loops = 0  # mask of the candidates found dependent on their own
+    empty = matroid.state(ElementSet.empty(n))
     iterations = 0
     while True:
         iterations += 1
@@ -434,6 +447,7 @@ def deterministic_local_search(
         cut = threshold + min_drop
         margin = 4 * COMPARISON_SLACK * max(1.0, abs(cut), abs(threshold), abs(min_drop))
         reach = bisect.bisect_right(neg_ub, margin - cut)  # every ub >= cut - margin
+        pool = None
         for v in sorted(by_ub[:reach]):
             if skip >> v & 1:
                 continue
@@ -449,10 +463,12 @@ def deterministic_local_search(
             carried[v] = (gain_add, dropped)
             if not _clears(gain_add - min_drop, threshold):
                 continue
-            if not matroid.is_independent(ElementSet(n, 1 << v)):
+            if not matroid.extends(empty, v):
                 loops |= 1 << v
                 continue
-            u_v = min_weight_exchange(matroid, s, s, v, drop_w)
+            if pool is None:
+                pool = exchange_pool(matroid, s, s, drop_w)
+            u_v = min_weight_exchange(pool, v)
             gain = gain_add - drop_w[u_v]
             if _clears(gain, threshold):
                 tracker.apply(add=v, drop=u_v)
@@ -573,7 +589,9 @@ def randomized_local_search(
 
 def _best_swap(tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, feasible):
     """One iteration's choice among the feasible candidates (ascending),
-    each dropping its cheapest feasible partner from R1 = r1.
+    each dropping its cheapest feasible partner from R1 = r1. The
+    iteration's exchange_pool for (S, R1) is built at the first candidate
+    that reaches the exchange search and serves every later one.
 
     Returns (swap, fails). swap is (gain, v, u_v) for the best candidate,
     the first of largest gain, or None when its gain fails the acceptance
@@ -584,6 +602,7 @@ def _best_swap(tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, f
     min_drop = min(drop_w.values())
     best: tuple[float, ElementId, ElementId] | None = None
     fails = 0
+    pool = None
     for v in feasible:  # first best kept on ties
         gain_add = tracker.marginal_add(v)
         upper = gain_add - min_drop
@@ -592,7 +611,9 @@ def _best_swap(tracker, matroid: MatroidOracle, s: ElementSet, r1: ElementSet, f
             continue
         if best is not None and not upper > best[0]:
             continue
-        u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
+        if pool is None:
+            pool = exchange_pool(matroid, s, r1, drop_w)
+        u_v = min_weight_exchange(pool, v)
         gain = gain_add - drop_w[u_v]
         if not ge(gain, 0.0):
             fails |= 1 << v

@@ -28,7 +28,6 @@ from nols.matroids import (
     UniformMatroid,
     as_lifted,
     extend_to_base,
-    min_weight_exchange,
 )
 from nols.objectives import CoverageFunction, as_guide, make_tracker
 from nols.solvers import LocalOptCertificate, LocalSearchResult, ceil_sqrt
@@ -198,7 +197,7 @@ def eager_local_search(f, matroid, eps):
                 continue
             if not matroid.is_independent(ElementSet(n, 1 << v)):
                 continue
-            u_v = min_weight_exchange(matroid, s, s, v, drop_w)
+            u_v = reference_exchange(matroid, s, s, v, drop_w)
             if clears(gain_add - drop_w[u_v]):
                 tracker.apply(add=v, drop=u_v)
                 break
@@ -208,6 +207,28 @@ def eager_local_search(f, matroid, eps):
     return LocalSearchResult(
         tracker.current, tracker.value, warm_set, iterations, certificate
     )
+
+
+def reference_exchange(matroid, s, s_prime, v, weights):
+    """Reference exchange search for one candidate v, with nothing shared
+    between candidates: it labels s_prime ascending by (weight, id) and
+    binary-searches the kept label suffix, asking is_independent((S -
+    s_prime) + v + suffix) of the matroid itself. min_weight_exchange on an
+    exchange_pool of the same (S, s_prime, weights) must return the same
+    partner and, through as_lifted, ask the same sets in the same order."""
+    labels = sorted(s_prime, key=lambda u: (weights[u], u))
+    outside = (s.mask & ~s_prime.mask) | (1 << v)
+    lo, hi = 1, len(labels) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        kept = outside
+        for u in labels[mid - 1 :]:
+            kept |= 1 << u
+        if matroid.is_independent(ElementSet(s.n, kept)):
+            hi = mid
+        else:
+            lo = mid
+    return labels[hi - 2]
 
 
 def asking_greedy(matroid, weights, *, rank=None):
@@ -278,7 +299,7 @@ def full_scan_local_search(f, matroid, eps):
             if not matroid.is_independent(ElementSet(n, 1 << v)):
                 loops |= 1 << v
                 continue
-            u_v = min_weight_exchange(matroid, s, s, v, drop_w)
+            u_v = reference_exchange(matroid, s, s, v, drop_w)
             if clears(gain_add - drop_w[u_v]):
                 tracker.apply(add=v, drop=u_v)
                 dropped += drop_w[u_v] - f.reg_terms[u_v]
@@ -363,7 +384,7 @@ def full_budget_randomized_search(f, matroid, eps, rng, attempts):
                 drop_w = {u: tracker.marginal_drop(u) for u in r1}
                 for v in feasible:
                     gain_add = tracker.marginal_add(v)
-                    u_v = min_weight_exchange(matroid, s, r1, v, drop_w)
+                    u_v = reference_exchange(matroid, s, r1, v, drop_w)
                     gain = gain_add - drop_w[u_v]
                     if best is None or gain > best[0]:
                         best = (gain, v, u_v)

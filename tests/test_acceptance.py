@@ -58,6 +58,7 @@ from nols import (
     brute_force_opt,
     check_matroid_axioms,
     check_value_oracle,
+    exchange_pool,
     exhaustive_gap,
     generate_instance,
     inner_eps,
@@ -260,7 +261,8 @@ def test_criterion_05_exchange_equivalence():
         v = blocked[rng.randrange(len(blocked))]
         weights = {u: rng.randrange(100) / 7.0 for u in s}
         ledger = QueryLedger()
-        got = min_weight_exchange(CountingMatroidOracle(m, ledger), s, s, v, weights)
+        pool = exchange_pool(CountingMatroidOracle(m, ledger), s, s, weights)
+        got = min_weight_exchange(pool, v)
         want = min((weights[u], u) for u in s if m.is_independent(s.remove(u).add(v)))[1]
         assert got == want
         budget = (math.ceil(math.log2(len(s))) if len(s) > 1 else 0) + 2

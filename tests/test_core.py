@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nols.core import (
@@ -11,6 +11,7 @@ from nols.core import (
     QueryLedger,
     RandomSource,
     ge,
+    ge_cutoff,
     gt,
     sample_without_replacement,
 )
@@ -208,6 +209,44 @@ def test_numeric_policy_slack():
     assert not gt(1.0 + 1e-12, 1.0)
     # slack scales with magnitude, not just absolute size
     assert ge(1e12, 1e12 + 100.0)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, want_ge, want_gt",
+    [
+        (-INF, 1.0, False, False),
+        (INF, 1.0, True, True),
+        (INF, INF, True, False),
+        (-INF, -INF, True, False),
+        (1.0, INF, False, False),
+        (1.0, -INF, True, True),
+        (-INF, INF, False, False),
+        (INF, -INF, True, True),
+    ],
+)
+def test_an_infinite_operand_is_compared_plainly(lhs, rhs, want_ge, want_gt):
+    # a slack scaled by an infinite operand would be infinite, and ge(-inf,
+    # 1.0) would hold
+    assert ge(lhs, rhs) is want_ge
+    assert gt(lhs, rhs) is want_gt
+
+
+@given(
+    st.floats(allow_nan=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(-2.0, 5e-324)
+@example(-1e300, 1e300)
+@example(1e300 * (1 - 1e-9), 1e300)
+@example(1.0 - 1e-9, 1.0)
+@example(-INF, 1.0)
+@example(INF, 1e300)
+@settings(max_examples=500)
+def test_ge_cutoff_is_ge_against_a_fixed_positive_rhs(x, rhs):
+    assert (x >= ge_cutoff(rhs)) is ge(x, rhs)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from nols.matroids import (
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
+    as_lifted,
+    exchange_pool,
     extend_to_base,
     lift,
     max_weight_independent,
@@ -20,7 +22,13 @@ from nols.matroids import (
 )
 from nols.objectives import MAX_LEVELS
 from nols.verify import check_matroid_axioms
-from suite import FamilyMatroid, RecordingMatroid, greedy_independent, small_matroid
+from suite import (
+    FamilyMatroid,
+    RecordingMatroid,
+    greedy_independent,
+    reference_exchange,
+    small_matroid,
+)
 
 
 def _es(n, items):
@@ -296,7 +304,8 @@ def test_min_weight_exchange_matches_linear_scan():
         v = blocked[rng.randrange(len(blocked))]
         weights = {u: rng.randrange(100) / 7.0 for u in s}
         ledger = QueryLedger()
-        got = min_weight_exchange(CountingMatroidOracle(m, ledger), s, s, v, weights)
+        pool = exchange_pool(CountingMatroidOracle(m, ledger), s, s, weights)
+        got = min_weight_exchange(pool, v)
         want = min(
             (weights[u], u) for u in s if m.is_independent(s.remove(u).add(v))
         )[1]
@@ -305,10 +314,61 @@ def test_min_weight_exchange_matches_linear_scan():
         assert ledger.independence_queries <= log_term + 2
 
 
+@given(
+    kind=st.sampled_from(["uniform", "partition", "graphic", "explicit"]),
+    levels=st.sampled_from([None, 2, 3]),
+    n=st.integers(2, 10),
+    r=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    whole=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_exchange_pool_answers_every_candidate_as_its_own_search(
+    kind, levels, n, r, seed, whole
+):
+    # one pool for (S, S', weights) serves every candidate the search may
+    # ask, in turn: each gets the partner of a search of its own
+    # (suite.reference_exchange), and the base oracle is charged the same
+    # queries on the same sets in the same order
+    base = small_matroid(kind, n, r, seed)
+    incremental = hasattr(base, "extends")
+    stacks = []
+    for pair in (incremental, False):
+        recorder, ledger = RecordingMatroid(base, pair), QueryLedger()
+        counted = CountingMatroidOracle(recorder, ledger)
+        stacks.append((recorder, ledger, counted if levels is None else lift(counted, levels)))
+    (pool_seen, pool_ledger, pooled), (ref_seen, ref_ledger, referenced) = stacks
+    plain = base if levels is None else lift(base, levels)
+    size = plain.ground_size
+    rng = RandomSource(seed)
+    s = greedy_independent(plain, size, rng)
+    s_prime = s if whole else ElementSet(size, s.mask & rng.randrange(1 << size))
+    if len(s_prime) == 0:
+        return
+    weights = {u: rng.randrange(4) / 3 for u in s}  # ties broken by id
+    stripped = s.difference(s_prime)
+    candidates = [
+        v
+        for v in range(size)
+        if v not in s
+        and plain.is_independent(stripped.add(v))
+        and not plain.is_independent(s.add(v))
+    ]
+    pool = exchange_pool(pooled, s, s_prime, weights)
+    referenced = as_lifted(referenced)
+    for v in candidates:
+        got = min_weight_exchange(pool, v)
+        assert got == reference_exchange(referenced, s, s_prime, v, weights), v
+        assert plain.is_independent(s.remove(got).add(v))
+        assert pool_ledger == ref_ledger
+        assert pool_seen.seen == ref_seen.seen
+    assert pool_seen.extended == (pool_ledger.independence_queries if incremental else 0)
+
+
 def test_min_weight_exchange_rejects_empty_pool():
     m = UniformMatroid(3, 1)
     with pytest.raises(ValueError):
-        min_weight_exchange(m, _es(3, [0]), ElementSet.empty(3), 1, {})
+        exchange_pool(m, _es(3, [0]), ElementSet.empty(3), {})
 
 
 def test_lifted_matroid_counts_one_base_query():

@@ -18,6 +18,7 @@ from nols.objectives import (
     level_masks,
     make_tracker,
     project_all,
+    subset_unions,
 )
 from suite import TINY_COVERS, TINY_UNIVERSE, RecordingOracle, tiny_coverage
 
@@ -586,6 +587,66 @@ def test_tracker_matches_the_guide_definition_subset_by_subset(
         else:
             continue
         check()
+
+
+def _unshared_marginal_add(guide, s, x):
+    # x's add-marginal summed afresh, in the tracker's order and float
+    # operations, with no table or marginal of another level reused
+    L = guide.levels
+    u, level = divmod(x, L)
+    masks = level_masks(s, L)
+    proj = subset_unions([mask for mask in masks if mask])
+    empty = not masks[level]
+    hold = 0 if empty else 1 << sum(1 for mask in masks[:level] if mask)
+    w = guide.occupied_weight[len(proj).bit_length() - 1 + empty]
+    total = 0.0
+    for k, p in enumerate(proj):
+        if k & hold == hold and not p >> u & 1:
+            total += w[k.bit_count() + empty] * (
+                guide.base_value(p | 1 << u) - guide.base_value(p)
+            )
+    return total + guide.reg_terms[x]
+
+
+@given(
+    L=st.integers(2, 5),
+    regularized=st.booleans(),
+    incremental=st.booleans(),
+    placed=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=5),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_copies_on_empty_levels_share_the_marginal_they_would_each_sum(
+    L, regularized, incremental, placed, seed
+):
+    # on a set with at least one empty level, every outside copy's
+    # add-marginal, asked in a random order, is bit for bit the sum of its
+    # own, and the tracker charges the value queries that summing each
+    # afresh charges, marginal by marginal
+    f = CoverageFunction(9, [[0, 1], [1, 2, 3], [3, 6], [4, 5, 0], [7], [2, 8]])
+    reg = LinearRegularizer([0.5, -0.25, 1.0, 0.0, 2.0, 0.75]) if regularized else None
+    hole = seed % L  # stays empty
+    lifted = {}
+    for u, level in placed:
+        if level % L != hole:
+            lifted.setdefault(u, u * L + level % L)
+    n2 = f.ground_size * L
+    s = ElementSet.from_iterable(n2, lifted.values())
+    order = [x for x in range(n2) if x not in s]
+    RandomSource(seed).shuffle(order)
+    sides = []
+    for _ in range(2):
+        ledger = QueryLedger()
+        counted = CountingValueOracle(RecordingOracle(f, incremental), ledger)
+        sides.append((ledger, LiftedGuide(counted, GuideWeights(L), reg)))
+    (shared_ledger, shared), (fresh_ledger, fresh) = sides
+    tracker = make_tracker(shared, s)
+    make_tracker(fresh, s)  # charges the projections, as the tracker does
+    assert shared_ledger == fresh_ledger
+    for x in order:
+        got = tracker.marginal_add(x)
+        assert got.hex() == _unshared_marginal_add(fresh, s, x).hex(), x
+        assert shared_ledger == fresh_ledger
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ from nols.objectives import (
 from nols.solvers import (
     DETERMINISTIC,
     RANDOMIZED,
+    LocalOptCertificate,
     SolverConfig,
     amplification_attempts,
     ceil_sqrt,
@@ -1311,8 +1312,9 @@ def test_partition_constraint_respected_end_to_end():
 
 class _SingletonLog(LiftedMatroid):
     """Lifted matroid that logs each singleton asked of it, memo hits
-    included: as_lifted takes it as it is, so every ask a search makes
-    lands here."""
+    included, whether as a set or as an extension of the empty set's
+    state: as_lifted takes it as it is, so every ask a search makes lands
+    here."""
 
     def __init__(self, inner, levels, events):
         super().__init__(inner, levels)
@@ -1322,6 +1324,11 @@ class _SingletonLog(LiftedMatroid):
         if len(s) == 1:
             self.events.append(("singleton", s.to_list()[0]))
         return super().is_independent(s)
+
+    def extends(self, state, u):
+        if not state[0]:  # no occupied level: the empty set's state
+            self.events.append(("singleton", u))
+        return super().extends(state, u)
 
 
 class _AddLog:
@@ -1451,6 +1458,13 @@ def test_every_passed_solve_carries_a_passing_certificate(
     guide = LiftedGuide(f, GuideWeights(rep.levels))
     lifted = lift(m, rep.levels)
     assert check_certificate(rep.certificate, guide, lifted, rep.lifted_solution) == []
+
+
+def test_an_infinitely_negative_bound_passes_no_certificate():
+    # the slack of ge scaled by the infinite bound used to let any gap pass
+    witness = ElementSet(3, 1)
+    assert not LocalOptCertificate(witness, 5.0, -math.inf, 0.5, -math.inf).passes()
+    assert LocalOptCertificate(witness, -math.inf, -math.inf, 0.5, 1.0).passes()
 
 
 @pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])

@@ -43,6 +43,7 @@ EXPECTED_ALL = [
     "LiftedMatroid",
     "PartitionMatroid",
     "UniformMatroid",
+    "exchange_pool",
     "extend_to_base",
     "lift",
     "matroid_rank",
