@@ -247,9 +247,9 @@ class ValueOracle(Protocol):
 
     eval must be a pure function of the set: the same set always gives the
     same value, with no side effect the solver relies on. The lifted guide
-    memoizes answers for the whole solve on that basis. eval and extend
-    must return finite numbers; the guide raises ValueError on a NaN or
-    infinite value.
+    memoizes answers for the whole solve on that basis. eval, extend and
+    retract must return finite numbers; the guide raises ValueError on a
+    NaN or infinite value.
 
     An oracle may also offer an incremental pair, state(S) -> state and
     extend(state, u) -> value, which the lifted guide built on it picks up
@@ -258,8 +258,17 @@ class ValueOracle(Protocol):
     extend counts as one value query. Without the pair, the guide keeps the
     set's mask as the state and extends it by an eval of S + u, also one
     query per extend. state is not charged, yet it may reveal f(S) (for
-    coverage it is the covered-point mask), so it may only be called on a
+    coverage it holds the covered-point mask), so it may only be called on a
     set whose value has already been charged, as the guide tracker does.
+
+    An oracle with the pair may also offer retract(state, u) -> value, the
+    shrink half, which the guide picks up once for its trackers'
+    drop-marginals. It is defined only for u in S, where retract(state(S),
+    u) must equal eval(S - u) exactly, and it counts as one value query,
+    exactly where that eval would. Without it, the guide asks an eval of
+    S - u. A state may carry more than retract needs to price S - u (for
+    coverage, the points covered twice as well), and it may still be taken
+    only of a set already charged.
     """
 
     ground_size: int
@@ -293,13 +302,14 @@ class CountingValueOracle:
     """Pass-through value oracle that charges one query per eval.
 
     It offers the incremental pair exactly when its inner oracle does, and
-    charges one query per extend. state is passed through uncharged, so a
-    caller may only ask it of a set whose eval it has already been charged
-    for (see ValueOracle). An unset slot is a missing attribute, so hasattr
-    tells the two cases apart.
+    charges one query per extend; it offers retract, charged the same way,
+    exactly when the inner oracle offers it with the pair. state is passed
+    through uncharged, so a caller may only ask it of a set whose eval it
+    has already been charged for (see ValueOracle). An unset slot is a
+    missing attribute, so hasattr tells the cases apart.
     """
 
-    __slots__ = ("inner", "ledger", "state", "extend")
+    __slots__ = ("inner", "ledger", "state", "extend", "retract")
 
     def __init__(self, inner: ValueOracle, ledger: QueryLedger):
         self.inner = inner
@@ -307,6 +317,8 @@ class CountingValueOracle:
         if hasattr(inner, "extend"):
             self.state = inner.state
             self.extend = self._counted_extend
+            if hasattr(inner, "retract"):
+                self.retract = self._counted_retract
 
     @property
     def ground_size(self) -> int:
@@ -319,6 +331,10 @@ class CountingValueOracle:
     def _counted_extend(self, state, u: ElementId) -> float:
         self.ledger.value_queries += 1
         return self.inner.extend(state, u)
+
+    def _counted_retract(self, state, u: ElementId) -> float:
+        self.ledger.value_queries += 1
+        return self.inner.retract(state, u)
 
 
 class CountingMatroidOracle:

@@ -58,9 +58,13 @@ class CoverageFunction:
     which case values are plain ints. Weights that are not all 1 are priced
     by a numpy dot product, so numpy is imported only for those.
 
-    The incremental pair keeps the covered-point mask as its state:
-    extend(state, u) ORs in u's points and prices the result with the same
-    formula eval uses, so it equals eval(S + u) exactly.
+    The incremental pair keeps two point masks as its state: the points
+    S covers and those it covers twice or more. extend(state, u) prices
+    covered | cover(u), and retract(state, u), for u in S, prices
+    covered & ~(cover(u) & ~twice), since the points u alone covers are
+    the ones S - u loses. Both price their mask with the formula eval uses,
+    so they equal eval(S + u) and eval(S - u) exactly. Each of the three
+    prices in its own body when weights are all 1.
     """
 
     __slots__ = ("ground_size", "universe_size", "_cover_masks", "_weights")
@@ -95,20 +99,30 @@ class CoverageFunction:
                 self._weights = np.asarray(point_weights, dtype=np.float64)
 
     def eval(self, s: ElementSet) -> float:
-        return self._value(self.state(s))
-
-    def state(self, s: ElementSet) -> int:
-        covered = 0
+        masks, covered = self._cover_masks, 0
         for u in s:
-            covered |= self._cover_masks[u]
-        return covered
+            covered |= masks[u]
+        return covered.bit_count() if self._weights is None else self._value(covered)
 
-    def extend(self, covered: int, u: ElementId) -> float:
-        return self._value(covered | self._cover_masks[u])
+    def state(self, s: ElementSet) -> tuple[int, int]:
+        masks, covered, twice = self._cover_masks, 0, 0
+        for u in s:
+            m = masks[u]
+            twice |= covered & m
+            covered |= m
+        return covered, twice
+
+    def extend(self, state: tuple[int, int], u: ElementId) -> float:
+        covered = state[0] | self._cover_masks[u]
+        return covered.bit_count() if self._weights is None else self._value(covered)
+
+    def retract(self, state: tuple[int, int], u: ElementId) -> float:
+        covered, twice = state
+        covered &= ~(self._cover_masks[u] & ~twice)
+        return covered.bit_count() if self._weights is None else self._value(covered)
 
     def _value(self, covered: int) -> float:
-        if self._weights is None:
-            return covered.bit_count()
+        """The weighted value of the covered points."""
         import numpy as np
 
         nbytes = (self.universe_size + 7) // 8
@@ -286,22 +300,26 @@ class LiftedGuide:
     of its set bit for bit.
 
     The guide is also the one door for f's values: each enters the memo
-    through base_value or a tracker's marginal_add, and one that is NaN or
-    infinite raises ValueError naming it and its base set there. A value or
-    marginal whose weighted sum of finite f values overflows raises
-    ValueError naming the lifted set, checked once per computed total.
+    through base_value or a tracker's marginal_add or marginal_drop, and one
+    that is NaN or infinite raises ValueError naming it and its base set
+    there. A value or marginal whose weighted sum of finite f values
+    overflows raises ValueError naming the lifted set, checked once per
+    computed total.
     Every search and check that asks through as_guide sees finite f values
     and finite guide totals only.
 
     inner_state(mask) and inner_extend(state, u) are f's incremental pair
     (see ValueOracle), picked once: f's own state/extend, else the mask and
-    an eval of the grown set. They are not named state/extend, since the
-    guide, itself a value oracle, offers no pair.
+    an eval of the grown set. inner_retract(state, u, rest) prices the set
+    rest, P - u, from P's state, picked once too: f's own retract, else an
+    eval of rest. They are not named state/extend/retract, since the guide,
+    itself a value oracle, offers no pair.
     """
 
     __slots__ = (
         "inner", "levels", "ground_size", "reg_scale", "reg_weights", "reg_terms",
         "occupied_weight", "memo", "states", "inner_state", "inner_extend",
+        "inner_retract",
     )
 
     def __init__(
@@ -330,9 +348,12 @@ class LiftedGuide:
         self.occupied_weight = tuple(tuple(map(float, row)) for row in reversed(rows))
         self.memo: dict[int, float] = {}
         self.states: dict[int, object] = {}
+        self.inner_retract = lambda state, u, rest: inner.eval(ElementSet(n, rest))
         if hasattr(inner, "extend"):
             self.inner_state = lambda mask: inner.state(ElementSet(n, mask))
             self.inner_extend = inner.extend
+            if hasattr(inner, "retract"):
+                self.inner_retract = lambda state, u, rest: inner.retract(state, u)
         else:
             self.inner_state = lambda mask: mask
             self.inner_extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
@@ -413,8 +434,9 @@ class LiftedTracker:
     repeats across levels, swaps and trackers are free; reuse is exact
     because f is a pure function of the set (the ValueOracle contract). A
     memo miss in marginal_add extends the projection's state by one element
-    (inner_extend), charged as one value query, exactly where an eval of
-    the grown set would be; marginal_drop always uses eval. apply()
+    (inner_extend), and one in marginal_drop retracts one from it
+    (inner_retract), each charged as one value query, exactly where an eval
+    of the grown or shrunk set would be. apply()
     recomputes the projections and the value, which charges the
     projections not in the memo in subset order, and drops the level
     tables.
@@ -519,11 +541,19 @@ class LiftedTracker:
             return total
         guide = self.guide
         ell = guide.levels
-        ubit = 1 << (x // ell)
-        base_value = guide.base_value
+        u = x // ell
+        ubit = 1 << u
+        memo, retract = guide.memo, guide.inner_retract
         total = 0.0
-        for w, p, _, f in self._tables.get(x % ell) or self._table(x % ell):
-            total += w * (f - base_value(p & ~ubit))
+        for w, p, state, f in self._tables.get(x % ell) or self._table(x % ell):
+            rest = p & ~ubit
+            value = memo.get(rest)
+            if value is None:
+                value = retract(state, u, rest)
+                if not -math.inf < value < math.inf:
+                    raise _not_finite(value, rest)
+                memo[rest] = value
+            total += w * (f - value)
         total += guide.reg_terms[x]
         if not -math.inf < total < math.inf:
             raise overflow_error(total, self.current.mask)

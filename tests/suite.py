@@ -57,18 +57,21 @@ class FamilyMatroid:
 class RecordingOracle:
     """Pass-through value oracle that records every set it is asked.
 
-    With incremental=True it offers the inner oracle's state/extend pair;
-    its states carry the set's mask, so each extend records the set it
-    reaches."""
+    With incremental=True it offers the inner oracle's state/extend pair,
+    and its retract too unless retract=False; its states carry the set's
+    mask, so each extend or retract records the set it reaches. extends and
+    retracts count those calls."""
 
-    def __init__(self, inner, incremental):
+    def __init__(self, inner, incremental, retract=True):
         self.inner = inner
         self.ground_size = inner.ground_size
         self.seen = []
-        self.extends = 0
+        self.extends = self.retracts = 0
         if incremental:
             self.state = lambda s: (s.mask, inner.state(s))
             self.extend = self._extend
+            if retract and hasattr(inner, "retract"):
+                self.retract = self._retract
 
     def eval(self, s):
         self.seen.append(s.mask)
@@ -79,6 +82,12 @@ class RecordingOracle:
         self.seen.append(mask | 1 << u)
         self.extends += 1
         return self.inner.extend(inner_state, u)
+
+    def _retract(self, state, u):
+        mask, inner_state = state
+        self.seen.append(mask & ~(1 << u))
+        self.retracts += 1
+        return self.inner.retract(inner_state, u)
 
 
 class RecordingMatroid:

@@ -370,10 +370,11 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
     # like a fresh one, its value is the guide's eval of its set bit for
     # bit, and its inner oracle never sees a set twice (the memo lasts as
     # long as the guide and is never stale). A tracker that answers
-    # add-marginals by extend and one that only evaluates agree
-    # float-exactly, ask the same sets in the same order, and are charged
-    # the same number of queries. Without a regularizer, a third tracker
-    # under an all-zero one must agree with them in the same way.
+    # add-marginals by extend and drop-marginals by retract and one that
+    # only evaluates agree float-exactly, ask the same sets in the same
+    # order, and are charged the same number of queries. Without a
+    # regularizer, a third tracker under an all-zero one must agree with
+    # them in the same way.
     f = CoverageFunction(8, _COVERS, point_weights=point_weights)
     reg = None if reg_weights is None else LinearRegularizer(reg_weights)
     zero = LinearRegularizer([0.0] * _BASE_N) if reg is None else reg
@@ -435,6 +436,85 @@ def test_tracker_memo_matches_fresh_tracker(L, point_weights, reg_weights, steps
         else:
             continue
         check()
+
+
+def _same_number(a, b) -> bool:
+    # the same type and the same value to the bit
+    return type(a) is type(b) and float(a).hex() == float(b).hex()
+
+
+def _retract_cover(n: int, holders: list[int]) -> list[list[int]]:
+    # covers over n elements with a point held by each element alone and one
+    # held by each pair, then one point per mask in holders
+    points = [1 << u for u in range(n)]
+    points += [1 << u | 1 << v for u in range(n) for v in range(u + 1, n)]
+    points += holders
+    return [[p for p, held in enumerate(points) if held >> u & 1] for u in range(n)]
+
+
+_RETRACT_N = 5
+_RETRACT_POINTS = _RETRACT_N + _RETRACT_N * (_RETRACT_N - 1) // 2 + 4
+
+
+@given(
+    holders=st.lists(st.integers(0, (1 << _RETRACT_N) - 1), min_size=4, max_size=4),
+    point_weights=st.none()
+    | st.lists(
+        st.integers(0, 9) | st.floats(0, 1e6),
+        min_size=_RETRACT_POINTS,
+        max_size=_RETRACT_POINTS,
+    ),
+    mask=st.integers(1, (1 << _RETRACT_N) - 1),
+)
+@example(holders=[0, 0, 0, 0], point_weights=None, mask=0b10110)
+@example(holders=[0b11111, 0, 1, 0], point_weights=[0.1] * _RETRACT_POINTS, mask=0b11111)
+@settings(max_examples=150, deadline=None)
+def test_coverage_retract_is_eval_of_the_set_less_the_element(holders, point_weights, mask):
+    # for every u in S, retract(state(S), u) is eval(S - u) to the bit, over
+    # points that u alone holds, that u and other members hold, and that
+    # only others hold, with unit and with weighted points
+    f = CoverageFunction(
+        _RETRACT_POINTS, _retract_cover(_RETRACT_N, holders), point_weights=point_weights
+    )
+    s = ElementSet(_RETRACT_N, mask)
+    state = f.state(s)
+    for u in s:
+        assert _same_number(f.retract(state, u), f.eval(s.remove(u))), u
+    for u in range(_RETRACT_N):
+        if u not in s:
+            assert _same_number(f.extend(state, u), f.eval(s.add(u))), u
+
+
+@given(
+    L=st.integers(1, 3),
+    point_weights=st.none()
+    | st.lists(st.integers(0, 9) | st.floats(0, 1e6), min_size=8, max_size=8),
+    placed=st.lists(st.tuples(st.integers(0, _BASE_N - 1), st.integers(0, 2)), max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_retracting_tracker_drops_as_an_evaluating_one(L, point_weights, placed):
+    # trackers whose oracle retracts, extends only, or only evaluates give
+    # every drop-marginal float-exactly alike, ask the same sets in the same
+    # order, and are charged the same count
+    f = CoverageFunction(8, _COVERS, point_weights=point_weights)
+    lifted = {}
+    for u, level in placed:
+        lifted.setdefault(u, u * L + level % L)
+    s = ElementSet.from_iterable(_BASE_N * L, lifted.values())
+    sides, retracts = [], []
+    for incremental, retract in ((True, True), (True, False), (False, False)):
+        recorder, ledger = RecordingOracle(f, incremental, retract), QueryLedger()
+        counted = CountingValueOracle(recorder, ledger)
+        assert hasattr(counted, "retract") is retract
+        tracker = make_tracker(LiftedGuide(counted, GuideWeights(L)), s)
+        before = ledger.value_queries
+        drops = [tracker.marginal_drop(x).hex() for x in s]
+        sides.append((drops, recorder.seen, ledger.value_queries))
+        # every query a drop charges is a retract, when the oracle has one
+        retracts.append((recorder.retracts, ledger.value_queries - before))
+    assert sides == [sides[0]] * 3
+    charged = retracts[0][1]
+    assert retracts == [(charged, charged), (0, charged), (0, charged)]
 
 
 @pytest.mark.parametrize("L", [1, 3])

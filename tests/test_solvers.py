@@ -207,29 +207,64 @@ def _check_on_zero_set(f, m):
     return check_certificate(certificate, f, m, _ON_ZERO_SET)
 
 
-@pytest.mark.parametrize("kind", [_OnZero, _IncrementalOnZero], ids=["eval", "extend"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "entry, named",
-    [
-        (lambda f, m: non_oblivious_solve(f, m, SolverConfig(0.5)), "{0}"),
-        (lambda f, m: non_oblivious_solve(f, m, SolverConfig(0.5, RANDOMIZED)), "{0}"),
-        (warm_start, "{0}"),
-        (lambda f, m: deterministic_local_search(f, m, 0.5), "{0}"),
-        (lambda f, m: randomized_local_search(f, m, 0.5, RandomSource(0)), "{0}"),
-        (_check_on_zero_set, "{0,1}"),
-    ],
-    ids=["solve-det", "solve-rand", "warm-start", "deterministic", "randomized",
-         "check"],
-)
-def test_a_non_finite_value_is_refused_at_the_guide(entry, named, value, kind):
+class _RetractsTo(_IncrementalOnZero):
+    """|S| as a float from eval and extend, and `value` from every retract."""
+
+    def eval(self, s):
+        return float(len(s))
+
+    def retract(self, mask, u):
+        return self.value
+
+
+# id, entry, the set its first eval or extend of a set holding 0 names, and
+# the set its first retract names at rank 3, where the searches drop from a
+# set of three (None: the warm start asks no drop-marginal)
+_REFUSING_ENTRIES = [
+    ("solve-det", lambda f, m: non_oblivious_solve(f, m, SolverConfig(0.5)), "{0}", "{1,2}"),
+    (
+        "solve-rand",
+        lambda f, m: non_oblivious_solve(f, m, SolverConfig(0.5, RANDOMIZED)),
+        "{0}",
+        "{1,2}",
+    ),
+    ("warm-start", warm_start, "{0}", None),
+    ("deterministic", lambda f, m: deterministic_local_search(f, m, 0.5), "{0}", "{1,2}"),
+    (
+        "randomized",
+        lambda f, m: randomized_local_search(f, m, 0.5, RandomSource(0)),
+        "{0}",
+        "{1,2}",
+    ),
+    ("check", _check_on_zero_set, "{0,1}", "{1}"),
+]
+
+
+def _refusal_cases():
+    for name, entry, on_zero, retracted in _REFUSING_ENTRIES:
+        for value in (math.nan, math.inf, -math.inf):
+            for kind_id, kind, named, rank in (
+                ("eval", _OnZero, on_zero, 2),
+                ("extend", _IncrementalOnZero, on_zero, 2),
+                ("retract", _RetractsTo, retracted, 3),
+            ):
+                if named is not None:
+                    yield pytest.param(
+                        entry, named, value, kind, rank, id=f"{name}-{value!r}-{kind_id}"
+                    )
+
+
+@pytest.mark.parametrize("entry, named, value, kind, rank", list(_refusal_cases()))
+def test_a_non_finite_value_is_refused_at_the_guide(entry, named, value, kind, rank):
     # searches first meet element 0 in an add-marginal of the empty set, an
-    # extend or an eval of {0}; the recheck meets it in the value of its set
+    # extend or an eval of {0}; the recheck meets it in the value of its set.
+    # A retract is refused where its drop-marginal first misses the memo,
+    # naming P - u
     message = (
         f"the value oracle returned {value!r} on the set {named}; values must be finite"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        entry(kind(value), UniformMatroid(4, 2))
+        entry(kind(value), UniformMatroid(4, rank))
 
 
 @pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
