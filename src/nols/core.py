@@ -145,9 +145,13 @@ class RandomSource:
         return self.randrange(1 << 64)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound). Unbiased via rejection sampling."""
+        """Uniform integer in [0, bound). Unbiased via rejection sampling.
+
+        A draw is one 64-bit word, so bound must be in [1, 2**64]."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError(f"bound {bound} exceeds 2**64, the range of one draw")
         # accept only words below the largest multiple of bound
         limit = (1 << 64) - ((1 << 64) % bound)
         state = self._state
@@ -251,24 +255,20 @@ class ValueOracle(Protocol):
     retract must return finite numbers; the guide raises ValueError on a
     NaN or infinite value.
 
-    An oracle may also offer an incremental pair, state(S) -> state and
-    extend(state, u) -> value, which the lifted guide built on it picks up
-    once for its trackers' add-marginals. state(S) must be a pure function
-    of the set, and extend(state(S), u) must equal eval(S + u) exactly. An
-    extend counts as one value query. Without the pair, the guide keeps the
-    set's mask as the state and extends it by an eval of S + u, also one
-    query per extend. state is not charged, yet it may reveal f(S) (for
-    coverage it holds the covered-point mask), so it may only be called on a
-    set whose value has already been charged, as the guide tracker does.
-
-    An oracle with the pair may also offer retract(state, u) -> value, the
-    shrink half, which the guide picks up once for its trackers'
-    drop-marginals. It is defined only for u in S, where retract(state(S),
-    u) must equal eval(S - u) exactly, and it counts as one value query,
-    exactly where that eval would. Without it, the guide asks an eval of
-    S - u. A state may carry more than retract needs to price S - u (for
-    coverage, the points covered twice as well), and it may still be taken
-    only of a set already charged.
+    An oracle may also offer the incremental triple state(S) -> state,
+    extend(state, u) -> value and retract(state, u) -> value, all three or
+    none: an oracle without retract is asked through eval alone. The lifted
+    guide built on it picks the triple up once, extend for its trackers'
+    add-marginals and retract for their drop-marginals. state(S) must be a
+    pure function of the set; extend(state(S), u) must equal eval(S + u)
+    exactly for u outside S, and retract(state(S), u) must equal eval(S - u)
+    exactly for u in S. An extend or a retract counts as one value query,
+    exactly where that eval would. Without the triple, the guide keeps the
+    set's mask as the state and asks an eval of S + u or S - u, also one
+    query each. state is not charged, yet it may reveal f(S) (for coverage
+    it holds the covered-point mask, and the points covered twice), so it
+    may only be called on a set whose value has already been charged, as
+    the guide tracker does.
     """
 
     ground_size: int
@@ -301,12 +301,11 @@ class MatroidOracle(Protocol):
 class CountingValueOracle:
     """Pass-through value oracle that charges one query per eval.
 
-    It offers the incremental pair exactly when its inner oracle does, and
-    charges one query per extend; it offers retract, charged the same way,
-    exactly when the inner oracle offers it with the pair. state is passed
-    through uncharged, so a caller may only ask it of a set whose eval it
-    has already been charged for (see ValueOracle). An unset slot is a
-    missing attribute, so hasattr tells the cases apart.
+    It offers the incremental triple exactly when its inner oracle does
+    (see ValueOracle), and charges one query per extend or retract. state
+    is passed through uncharged, so a caller may only ask it of a set whose
+    eval it has already been charged for. An unset slot is a missing
+    attribute, so hasattr tells the two cases apart.
     """
 
     __slots__ = ("inner", "ledger", "state", "extend", "retract")
@@ -314,11 +313,10 @@ class CountingValueOracle:
     def __init__(self, inner: ValueOracle, ledger: QueryLedger):
         self.inner = inner
         self.ledger = ledger
-        if hasattr(inner, "extend"):
+        if hasattr(inner, "retract"):
             self.state = inner.state
             self.extend = self._counted_extend
-            if hasattr(inner, "retract"):
-                self.retract = self._counted_retract
+            self.retract = self._counted_retract
 
     @property
     def ground_size(self) -> int:

@@ -6,10 +6,12 @@ internal structure. A matroid may also offer the incremental pair
 asks S + u from a state held for S instead of from S itself: the uniform,
 partition and graphic matroids do, and ``LiftedMatroid`` always does, over
 its inner pair when there is one and over ``is_independent`` when not.
-The exchange helpers (``extend_to_base``, ``max_weight_independent``,
-``exchange_pool`` with ``min_weight_exchange``) ask through ``as_lifted``,
-so they work unchanged on counted oracles, on proxies that offer
-``is_independent`` alone, and on lifted matroids.
+The lift alone knows how lifted sets are laid out: it answers a copy of a
+base element S holds, or of one refused since S last grew, without asking
+the inner matroid. The exchange helpers (``extend_to_base``,
+``max_weight_independent``, ``exchange_pool`` with ``min_weight_exchange``)
+ask through ``as_lifted``, so they work unchanged on counted oracles, on
+proxies that offer ``is_independent`` alone, and on lifted matroids.
 
 ``matroid_axiom_violations`` is the one matroid-axiom checker: it backs
 ``ExplicitMatroid`` (at most 20 elements, checked at construction) and
@@ -19,7 +21,7 @@ so they work unchanged on counted oracles, on proxies that offer
 from __future__ import annotations
 
 import math
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .core import ElementId, ElementSet, MatroidOracle
 
@@ -122,36 +124,29 @@ class GraphicMatroid:
         self.vertex_count = vertex_count
         self.edges = tuple((a, b) for a, b in edges)
 
-    def is_independent(self, s: ElementSet) -> bool:
+    def _forest(self, mask: int) -> list[int] | None:
+        """Union-find parents of the edges in mask, or None once one closes
+        a cycle (a self-loop included)."""
         parent = list(range(self.vertex_count))
         edges = self.edges
-        m = s.mask
-        while m:
-            low = m & -m
-            m ^= low
+        while mask:
+            low = mask & -mask
+            mask ^= low
             a, b = edges[low.bit_length() - 1]
             while (up := parent[a]) != a:
                 parent[a] = a = parent[up]
             while (up := parent[b]) != b:
                 parent[b] = b = parent[up]
             if a == b:
-                return False  # self-loop or cycle closed
+                return None
             parent[a] = b
-        return True
+        return parent
+
+    def is_independent(self, s: ElementSet) -> bool:
+        return self._forest(s.mask) is not None
 
     def state(self, s: ElementSet) -> list[int]:
-        parent = list(range(self.vertex_count))
-        edges = self.edges
-        m = s.mask
-        while m:
-            low = m & -m
-            m ^= low
-            a, b = edges[low.bit_length() - 1]
-            while (up := parent[a]) != a:
-                parent[a] = a = parent[up]
-            while (up := parent[b]) != b:
-                parent[b] = b = parent[up]
-            parent[a] = b
+        parent = self._forest(s.mask)
         # point every vertex at its root
         for x in range(self.vertex_count):
             root = x
@@ -267,17 +262,21 @@ class LiftedMatroid:
     the set. Only a miss, which asks the inner matroid anyway, walks the
     occupied bits to build the base set it asks.
 
-    The lift always offers the incremental pair. state(S) holds S's
-    occupied first-level bits, its base mask and the inner matroid's state
-    of that base set (None when the inner matroid has no pair).
-    extends(state, u) is a bit test for the multiplicity check and a lookup
-    in the same memo, under the same key, as is_independent(S + u); a miss
-    asks the inner matroid's extends, or its is_independent of the base
-    set plus u's base element. Neither walks bits.
+    The lift always offers the incremental pair. __init__ picks the inner
+    pair once: the inner matroid's own state/extends, or else the base mask
+    as the state and is_independent of the base set plus one element as
+    extends. state(S) holds S's occupied first-level bits and the inner
+    state of its base set. extends(state, u) is a bit test for the
+    multiplicity check and a lookup in the same memo, under the same key,
+    as is_independent(S + u); only a miss asks the inner pair. Neither
+    walks bits. So a caller may ask extends of every copy of a base
+    element: a copy of one S holds is refused by the bit test, and a copy
+    of one refused since S last grew is a memo hit, neither charged.
     """
 
     __slots__ = (
-        "inner", "levels", "ground_size", "memo", "_shifts", "_firsts", "_inner_state",
+        "inner", "levels", "ground_size", "memo", "_shifts", "_firsts",
+        "_inner_state", "_inner_extends",
     )
 
     def __init__(self, inner: MatroidOracle, levels: int):
@@ -299,7 +298,15 @@ class LiftedMatroid:
         self._shifts = tuple(shifts)
         # bit u*levels for every base element u: the first level of each
         self._firsts = ((1 << self.ground_size) - 1) // ((1 << levels) - 1)
-        self._inner_state = inner.state if hasattr(inner, "extends") else None
+        n = inner.ground_size
+        if hasattr(inner, "extends"):
+            self._inner_state = lambda base: inner.state(ElementSet(n, base))
+            self._inner_extends = inner.extends
+        else:
+            self._inner_state = lambda base: base
+            self._inner_extends = lambda base, b: inner.is_independent(
+                ElementSet(n, base | 1 << b)
+            )
 
     def _occupied(self, s: ElementSet) -> int:
         """Bit u*levels for each base element u with a member in s."""
@@ -336,32 +343,23 @@ class LiftedMatroid:
             self.memo[occupied] = known
         return known
 
-    def state(self, s: ElementSet) -> tuple[int, int, object]:
+    def state(self, s: ElementSet) -> tuple[int, object]:
         """The incremental state of an independent lifted set s, uncharged:
-        (occupied first-level bits, base mask, inner state or None)."""
+        (occupied first-level bits, inner state of the base set)."""
         occupied = self._occupied(s)
-        base = self._base(occupied)
-        take = self._inner_state
-        inner = None if take is None else take(ElementSet(self.inner.ground_size, base))
-        return occupied, base, inner
+        return occupied, self._inner_state(self._base(occupied))
 
-    def extends(self, state: tuple[int, int, object], u: ElementId) -> bool:
+    def extends(self, state: tuple[int, object], u: ElementId) -> bool:
         """is_independent(S + u) from state(S), for u outside S."""
-        occupied, base, inner_state = state
-        b = u // self.levels
-        first = 1 << b * self.levels
+        occupied, inner_state = state
+        levels = self.levels
+        first = 1 << u - u % levels  # the first level of u's base element
         if occupied & first:
             return False  # u's base element is already in S
         key = occupied | first
         known = self.memo.get(key)
         if known is None:
-            if inner_state is None:
-                known = self.inner.is_independent(
-                    ElementSet(self.inner.ground_size, base | 1 << b)
-                )
-            else:
-                known = self.inner.extends(inner_state, b)
-            self.memo[key] = known
+            known = self.memo[key] = self._inner_extends(inner_state, u // levels)
         return known
 
     def __repr__(self):
@@ -380,6 +378,25 @@ def as_lifted(matroid: MatroidOracle) -> LiftedMatroid:
     if isinstance(matroid, LiftedMatroid):
         return matroid
     return LiftedMatroid(matroid, 1)
+
+
+def _grow(
+    matroid: LiftedMatroid,
+    s: ElementSet,
+    order: Iterable[ElementId],
+    rank: int | None = None,
+) -> ElementSet:
+    """Add each element of order, in turn, that keeps s independent; stop
+    once s has rank elements. S + u is asked through the lift's
+    incremental pair, from a state of S taken again after each add."""
+    state = matroid.state(s)
+    for u in order:
+        if matroid.extends(state, u):
+            s = s.add(u)
+            if len(s) == rank:
+                break
+            state = matroid.state(s)
+    return s
 
 
 def extend_to_base(
@@ -406,14 +423,8 @@ def extend_to_base(
     for name, given in (("start", start), ("dependent", dependent)):
         if given is not None and given.n != n:
             raise ValueError(f"{name} set over {given.n} elements, matroid over {n}")
-    s = start
-    state = matroid.state(s)
     skipped = start.mask | (0 if dependent is None else dependent.mask)
-    for u in ElementSet(n, ((1 << n) - 1) & ~skipped):
-        if matroid.extends(state, u):
-            s = s.add(u)
-            state = matroid.state(s)
-    return s
+    return _grow(matroid, start, ElementSet(n, ((1 << n) - 1) & ~skipped))
 
 
 def rank(matroid: MatroidOracle) -> int:
@@ -439,14 +450,10 @@ def max_weight_independent(
     later element would be rejected, and the set is the one the full pass
     returns without the queries that reject them.
 
-    On a LiftedMatroid the answer is already known for some copies of a
-    base element, and is not asked: a copy of a base element the set holds
-    is rejected by the multiplicity check, and a copy of one refused since
-    the set last grew would be a memo hit on the same projection. Both are
-    rejected, as the answer would reject them, so the inner matroid is
-    asked the same sets in the same order. The others are asked through
-    as_lifted's incremental pair, from a state of the set taken again after
-    each add.
+    Each S + u is asked through as_lifted's incremental pair, from a state
+    of S taken again after each add. On a lift, a copy of a base element S
+    holds, or of one refused since S last grew, is answered by the lift
+    without asking the inner matroid.
 
     weights must hold one weight per ground element, none of them NaN (a
     NaN would poison the sort); either mistake raises ValueError.
@@ -459,29 +466,13 @@ def max_weight_independent(
     for u, wu in enumerate(w):
         if math.isnan(wu):
             raise ValueError(f"weight {u} is NaN")
-    order = sorted(range(n), key=lambda u: (-w[u], u))
     s = ElementSet.empty(n)
     if rank == 0:
         return s
-    state = matroid.state(s)
-    ell = matroid.levels
-    held = known = 0  # base elements held; held or refused since the last add
-    for u in order:
-        if w[u] < 0:
-            continue
-        base = 1 << u // ell
-        if known & base:
-            continue
-        if matroid.extends(state, u):
-            s = s.add(u)
-            if len(s) == rank:
-                break
-            state = matroid.state(s)
-            held |= base
-            known = held
-        else:
-            known |= base
-    return s
+    order = sorted(range(n), key=lambda u: (-w[u], u))
+    while order and w[order[-1]] < 0:  # negative weights sort last
+        order.pop()
+    return _grow(matroid, s, order, rank)
 
 
 class _ExchangePool:

@@ -308,12 +308,11 @@ class LiftedGuide:
     Every search and check that asks through as_guide sees finite f values
     and finite guide totals only.
 
-    inner_state(mask) and inner_extend(state, u) are f's incremental pair
-    (see ValueOracle), picked once: f's own state/extend, else the mask and
-    an eval of the grown set. inner_retract(state, u, rest) prices the set
-    rest, P - u, from P's state, picked once too: f's own retract, else an
-    eval of rest. They are not named state/extend/retract, since the guide,
-    itself a value oracle, offers no pair.
+    inner_state(mask), inner_extend(state, u) and inner_retract(state, u)
+    are f's incremental triple (see ValueOracle), picked once: f's own
+    state/extend/retract, else the mask as the state and an eval of the
+    grown or shrunk set. They are not named state/extend/retract, since the
+    guide, itself a value oracle, offers no triple.
     """
 
     __slots__ = (
@@ -348,15 +347,13 @@ class LiftedGuide:
         self.occupied_weight = tuple(tuple(map(float, row)) for row in reversed(rows))
         self.memo: dict[int, float] = {}
         self.states: dict[int, object] = {}
-        self.inner_retract = lambda state, u, rest: inner.eval(ElementSet(n, rest))
-        if hasattr(inner, "extend"):
+        if hasattr(inner, "retract"):
             self.inner_state = lambda mask: inner.state(ElementSet(n, mask))
-            self.inner_extend = inner.extend
-            if hasattr(inner, "retract"):
-                self.inner_retract = lambda state, u, rest: inner.retract(state, u)
+            self.inner_extend, self.inner_retract = inner.extend, inner.retract
         else:
             self.inner_state = lambda mask: mask
             self.inner_extend = lambda mask, u: inner.eval(ElementSet(n, mask | 1 << u))
+            self.inner_retract = lambda mask, u: inner.eval(ElementSet(n, mask & ~(1 << u)))
 
     def base_value(self, mask: int) -> float:
         """f of the base set with this mask, asked of the inner oracle at
@@ -549,7 +546,7 @@ class LiftedTracker:
             rest = p & ~ubit
             value = memo.get(rest)
             if value is None:
-                value = retract(state, u, rest)
+                value = retract(state, u)
                 if not -math.inf < value < math.inf:
                     raise _not_finite(value, rest)
                 memo[rest] = value

@@ -200,7 +200,16 @@ def default_levels(eps: float) -> int:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return 1 + math.ceil(1.0 / eps - 1e-9)
+    return 1 + math.ceil(_per_eps(1.0, eps) - 1e-9)
+
+
+def _per_eps(top: float, eps: float) -> float:
+    """top / eps for a positive eps; a quotient that overflows to inf,
+    which no int can hold, raises ValueError naming eps."""
+    quotient = top / eps
+    if quotient == math.inf:
+        raise ValueError(f"eps={eps!r} is too small: {top!r}/eps overflows")
+    return quotient
 
 
 def inner_eps(eps: float, levels: int) -> float:
@@ -214,7 +223,7 @@ def amplification_attempts(eps: float) -> int:
     Each attempt fails with probability at most 1/3, so this drives the
     total failure probability below eps.
     """
-    return max(1, math.ceil(math.log(1.0 / eps, 3) - 1e-12))
+    return max(1, math.ceil(math.log(_per_eps(1.0, eps), 3) - 1e-12))
 
 
 # ----- warm start -----
@@ -250,13 +259,9 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     every x but NaN, and the guide's bounds and marginals are finite.
 
     Independence of S + u is asked through as_lifted's incremental pair,
-    from a state of S taken again after each add. On a lift the answer is
-    already known for some copies of a base element, and is not asked: a
-    copy of a base element the set holds is rejected by the multiplicity
-    check, and a copy of one refused since the set last grew would be a
-    memo hit on the same projection. Both are dead, as the answer would
-    make them. Their add-marginal is still asked, so the value queries and
-    the charged independence queries are those of the full sweep.
+    from a state of S taken again after each add. On a lift, a copy of a
+    base element S holds, or of one refused since S last grew, is answered
+    by the lift without asking the inner matroid.
     """
     matroid = as_lifted(matroid)
     n = f.ground_size
@@ -275,10 +280,8 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
     sweeps = math.floor(math.log(n / _DECAY) / -math.log1p(-_DECAY)) + 2
     live = [(-m, u) for u, m in enumerate(ub)]
     heapq.heapify(live)
-    ell = matroid.levels
     state = matroid.state(tracker.current)
     dead = 0
-    held = known = 0  # base elements held; held or refused since the last add
     while live and tau >= floor and sweeps:
         sweeps -= 1
         cutoff = ge_cutoff(tau)  # ge(x, tau) is x >= cutoff
@@ -287,17 +290,13 @@ def _threshold_greedy_warm(f: ValueOracle, matroid: MatroidOracle):
             clearing.append(heapq.heappop(live)[1])
         for u in sorted(clearing):
             m = tracker.marginal_add(u)
-            base = 1 << u // ell
             if m < cutoff:
                 heapq.heappush(live, (-m, u))
-            elif not known & base and matroid.extends(state, u):
+            elif matroid.extends(state, u):
                 tracker.apply(add=u)
                 state = matroid.state(tracker.current)
-                held |= base
-                known = held
             else:
                 dead |= 1 << u
-                known |= base
         tau *= 1.0 - _DECAY
     return tracker, ElementSet(n, dead), ub
 
@@ -424,7 +423,7 @@ def deterministic_local_search(
     tracker, warm_set, warm_value, ub = _warm_base(f, matroid)
     r = len(tracker.current)
     threshold = (eps / r) * warm_value if r > 0 else 0.0
-    max_scans = math.ceil(3 * r / eps) + 1 if r > 0 else 1
+    max_scans = math.ceil(_per_eps(3 * r, eps)) + 1 if r > 0 else 1
     by_ub = sorted(range(n), key=ub.__getitem__, reverse=True)
     neg_ub = [-ub[v] for v in by_ub]  # ascending, for bisect
     carried: dict[ElementId, tuple[float, float]] = {}  # v -> (m_v, D_v)
@@ -556,7 +555,7 @@ def randomized_local_search(
     tracker, warm_set, warm_value, _ = _warm_base(f, matroid)
     base = tracker.current
     r = len(base)
-    k = max(1, math.ceil(18 * r / eps))
+    k = max(1, math.ceil(_per_eps(18 * r, eps)))
     r1_size = min(r, root)
     r2_size = min(n, max(math.ceil(n / r) if r > 0 else root, root))
     draw_r1 = None if r1_size == r else (

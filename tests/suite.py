@@ -58,9 +58,10 @@ class RecordingOracle:
     """Pass-through value oracle that records every set it is asked.
 
     With incremental=True it offers the inner oracle's state/extend pair,
-    and its retract too unless retract=False; its states carry the set's
-    mask, so each extend or retract records the set it reaches. extends and
-    retracts count those calls."""
+    and its retract too unless retract=False (without retract, an oracle
+    is asked through eval alone); its states carry the set's mask, so each
+    extend or retract records the set it reaches. extends and retracts
+    count those calls."""
 
     def __init__(self, inner, incremental, retract=True):
         self.inner = inner

@@ -338,6 +338,15 @@ def test_bench_rejects_mismatched_rank_list(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_rejects_a_tiny_eps_with_one_stderr_line(tmp_path, capsys):
+    # 1/1e-320 overflows, so the level count cannot be an int
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--family", "coverage", "--n", "8", "--eps", "1e-320", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "nols bench: error: eps=1e-320 is too small: 1.0/eps overflows\n"
+
+
 def test_console_module_entry_point(tmp_path):
     inst = tmp_path / "inst.json"
     proc = subprocess.run(
@@ -428,7 +437,10 @@ def test_gen_rejects_bad_shapes(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize(
     "case",
-    ["instance-list", "instance-not-json", "instance-missing", "eps-2", "weight-inf"],
+    [
+        "instance-list", "instance-not-json", "instance-missing", "eps-2", "eps-tiny",
+        "weight-inf",
+    ],
 )
 def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, case):
     inst = _gen(tmp_path)
@@ -446,9 +458,9 @@ def test_bad_input_exits_one_with_one_stderr_line(tmp_path, capsys, command, cas
         doc["objective"] = {"kind": "modular", "weights": [math.inf] + [1] * (doc["n"] - 1)}
         inst.write_text(json.dumps(doc))
     else:  # solve takes eps as a flag, verify reads it from the report
-        eps = "2"
+        eps = "2" if case == "eps-2" else "1e-320"  # 1/1e-320 overflows
         doc = json.loads(rep.read_text())
-        doc["eps"] = 2.0
+        doc["eps"] = float(eps)
         rep.write_text(json.dumps(doc))
     argv = ["--eps", eps] if command == "solve" else ["--report", str(rep)]
     capsys.readouterr()

@@ -493,9 +493,10 @@ def test_coverage_retract_is_eval_of_the_set_less_the_element(holders, point_wei
 )
 @settings(max_examples=150, deadline=None)
 def test_a_retracting_tracker_drops_as_an_evaluating_one(L, point_weights, placed):
-    # trackers whose oracle retracts, extends only, or only evaluates give
-    # every drop-marginal float-exactly alike, ask the same sets in the same
-    # order, and are charged the same count
+    # trackers whose oracle offers the triple, state/extend without retract
+    # (asked through eval alone), or eval only give every drop-marginal
+    # float-exactly alike, ask the same sets in the same order, and are
+    # charged the same count
     f = CoverageFunction(8, _COVERS, point_weights=point_weights)
     lifted = {}
     for u, level in placed:

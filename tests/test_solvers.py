@@ -98,6 +98,9 @@ def test_config_rejects_eps_beyond_level_cap():
         SolverConfig(eps=0.05)
     # an explicit level count makes the eps-derived one irrelevant
     SolverConfig(eps=0.05, levels_override=3)
+    # 1/eps overflows: the level count would be inf, which no int holds
+    with pytest.raises(ValueError, match=r"^eps=1e-320 is too small: 1\.0/eps overflows$"):
+        SolverConfig(eps=1e-320)
 
 
 def test_config_rejects_levels_override_beyond_cap():
@@ -188,13 +191,16 @@ class _OnZero:
 
 
 class _IncrementalOnZero(_OnZero):
-    """_OnZero with the incremental pair, the set's mask as its state."""
+    """_OnZero with the incremental triple, the set's mask as its state."""
 
     def state(self, s):
         return s.mask
 
     def extend(self, mask, u):
         return self.eval(ElementSet(self.ground_size, mask | 1 << u))
+
+    def retract(self, mask, u):
+        return self.eval(ElementSet(self.ground_size, mask & ~(1 << u)))
 
 
 _ON_ZERO_SET = _es(4, [0, 1])
@@ -348,22 +354,60 @@ _ATTEMPTS_MESSAGE = "attempts must be a non-negative int, got "
         (RANDOMIZED, 0.5, 1.5, _ATTEMPTS_MESSAGE + "1.5"),
         (RANDOMIZED, 0.5, True, _ATTEMPTS_MESSAGE + "True"),
         (RANDOMIZED, 0.5, "2", _ATTEMPTS_MESSAGE + "'2'"),
+        (DETERMINISTIC, 1e-320, None, "eps=1e-320 is too small: 6/eps overflows"),
+        (RANDOMIZED, 1e-320, None, "eps=1e-320 is too small: 1.0/eps overflows"),
+        (RANDOMIZED, 1e-308, 1, "eps=1e-308 is too small: 36/eps overflows"),
     ],
     ids=[
         "det-nan", "det-inf", "det-bool", "det-str", "rand-nan", "rand-inf",
         "rand-complex", "attempts-negative", "attempts-float", "attempts-bool",
-        "attempts-str",
+        "attempts-str", "det-tiny", "rand-tiny", "rand-tiny-attempts",
     ],
 )
 def test_inner_searches_reject_a_bad_eps_or_attempts(variant, eps, attempts, message):
     # unchecked, NaN dies converting to an int, inf gives an infinite bound and
-    # True runs as 1; a negative attempts reads as an exhausted search, 1.5 as 2
+    # True runs as 1; a negative attempts reads as an exhausted search, 1.5 as 2.
+    # A tiny eps overflows the scan cap 3r/eps, the retry budget's 1/eps or
+    # the index range 18r/eps (r = 2), which an int cannot hold either
     f, m = tiny_coverage()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if variant == DETERMINISTIC:
             deterministic_local_search(f, m, eps)
         else:
             randomized_local_search(f, m, eps, RandomSource(0), attempts=attempts)
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        ("RandomSource(0).randrange(2**64 + 1)", 2**64 + 1),
+        (
+            "randomized_local_search(ModularFunction([1, 2, 3]), UniformMatroid(3, 2), "
+            "1e-30, RandomSource(0))",
+            math.ceil(18 * 2 / 1e-30),  # the tested-index range k = ceil(18 r / eps)
+        ),
+    ],
+    ids=["draw", "search"],
+)
+def test_a_draw_beyond_one_word_is_refused(call, bound):
+    # past 2**64 no word is below the rejection limit, so the draw would
+    # loop for ever; in a subprocess with a timeout a hang fails the test
+    script = (
+        "from nols import ModularFunction, RandomSource, UniformMatroid\n"
+        "from nols.solvers import randomized_local_search\n"
+        f"{call}\n"
+    )
+    src = Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last == f"ValueError: bound {bound} exceeds 2**64, the range of one draw"
 
 
 def test_warm_start_is_greedy_competitive():
@@ -611,9 +655,9 @@ def test_the_skipping_loops_charge_the_sets_of_the_full_loops(
     kind, objective, n, r, levels, ranked, eps, weights, seed
 ):
     # the sorted-bound scan visits a prefix of the candidates, and both
-    # greedies skip the copies whose answer the lift already knows: the
-    # oracles under the guide and the lift are charged the same sets in the
-    # same order as by loops that visit and ask every element, and the
+    # greedies ask the lift through its incremental pair: the oracles under
+    # the guide and the lift are charged the same sets in the same order as
+    # by loops that visit every element and ask is_independent, and the
     # results are equal
     w = weights[:n]
     if objective == "modular":
@@ -645,8 +689,8 @@ def test_the_skipping_loops_charge_the_sets_of_the_full_loops(
 
 class _HiddenLift:
     """Matroid proxy that is not a LiftedMatroid, as a tracing proxy is not,
-    so the searches put a one-level lift in front of it and know no answer
-    in advance."""
+    so the searches put a one-level lift in front of it, which asks the
+    lift behind it through is_independent alone."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -654,25 +698,6 @@ class _HiddenLift:
 
     def is_independent(self, s):
         return self.inner.is_independent(s)
-
-
-class _CountingLift(LiftedMatroid):
-    """A lift that counts the questions it is asked, whole sets and
-    extensions of a held state alike."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, inner, levels):
-        super().__init__(inner, levels)
-        self.calls = 0
-
-    def is_independent(self, s):
-        self.calls += 1
-        return super().is_independent(s)
-
-    def extends(self, state, u):
-        self.calls += 1
-        return super().extends(state, u)
 
 
 def _graphic_32():
@@ -684,8 +709,9 @@ def _graphic_32():
                          ids=["bait-64-8", "graphic-32-8"])
 @pytest.mark.parametrize("variant", [DETERMINISTIC, RANDOMIZED])
 def test_a_hidden_lift_gives_the_solve_of_the_plain_lift(build, variant):
-    # behind a proxy the lift answers every copy the plain solve skips, but
-    # the ledger, outputs and certificate are those of the plain solve
+    # behind a proxy the lift is asked whole sets, not extensions of a held
+    # state, but the ledger, outputs and certificate are those of the plain
+    # solve
     f, m = build()
     config = SolverConfig(eps=0.5, variant=variant)
     plain = non_oblivious_solve(f, m, config)
@@ -726,20 +752,21 @@ def test_the_incremental_pair_charges_the_sets_of_is_independent(build, variant)
     assert paired.seen == whole.seen
 
 
-def test_the_greedies_ask_the_lift_once_per_base_element_on_a_bait_chain():
-    # at 3 levels, asking every copy would take the warm start 186 lifted
-    # calls and the recheck's greedy 192; the copies of a held or
-    # just-refused base element are answered without a call, so each asks
-    # once per base element here
+def test_the_greedies_charge_the_inner_matroid_once_per_base_element_on_a_bait_chain():
+    # at 3 levels the warm start asks the lift 186 times and the recheck's
+    # greedy 192, once per copy it reaches; the lift answers a copy of a
+    # held or just-refused base element itself, so the inner matroid is
+    # charged once per base element here
     f, m = bait_chain(64, 8, 0)
     guide = LiftedGuide(f, GuideWeights(3))
-    lifted = _CountingLift(m, 3)
-    solvers._threshold_greedy_warm(guide, lifted)
-    assert lifted.calls == 64
+    ledger = QueryLedger()
+    solvers._threshold_greedy_warm(guide, lift(CountingMatroidOracle(m, ledger), 3))
+    assert ledger.independence_queries == 64
     report = non_oblivious_solve(f, m, SolverConfig(eps=0.5, variant=DETERMINISTIC))
-    lifted = _CountingLift(m, 3)
+    ledger = QueryLedger()
+    lifted = lift(CountingMatroidOracle(m, ledger), 3)
     assert check_certificate(report.certificate, guide, lifted, report.lifted_solution) == []
-    assert lifted.calls == 64
+    assert ledger.independence_queries == 64
 
 
 def _shared_bait_chain(n, r, shared=300):
